@@ -65,7 +65,12 @@ def _read_header(data: bytes, magic: bytes, what: str) -> tuple[dict, int]:
     (meta_len,) = struct.unpack("<I", data[10:14])
     if len(data) < 14 + meta_len:
         raise CheckpointError(f"truncated {what} metadata")
-    meta = json.loads(data[14 : 14 + meta_len].decode("utf-8"))
+    try:
+        meta = json.loads(data[14 : 14 + meta_len].decode("utf-8"))
+    except ValueError as exc:
+        raise CheckpointError(f"unreadable {what} metadata: {exc}") from None
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{what} metadata is not a JSON object")
     return meta, 14 + meta_len
 
 
@@ -96,9 +101,18 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, WelchConfig, dict]:
     data = Path(path).read_bytes()
     meta, offset = _read_header(data, CHECKPOINT_MAGIC, "checkpoint")
     records = unpack_tensor_records(memoryview(data)[offset:])
-    spec = ModelSpec.from_json_dict(meta["architecture"])
-    freq_bins = int(meta["freq_bins"])
-    power_bins = int(meta["power_bins"])
+    has_norm = "norm.freq_mean" in records
+    try:
+        spec = ModelSpec.from_json_dict(meta["architecture"])
+        freq_bins = int(meta["freq_bins"])
+        power_bins = int(meta["power_bins"])
+        seed = int(meta["seed"])
+        norm_epsilon = float(meta["norm_epsilon"]) if has_norm else None
+        welch = WelchConfig(**meta["welch"])
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: checkpoint metadata lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed checkpoint metadata: {exc}") from None
 
     def take(name: str) -> np.ndarray:
         if name not in records:
@@ -117,13 +131,13 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, WelchConfig, dict]:
         )
 
     norm = None
-    if "norm.freq_mean" in records:
+    if has_norm:
         norm = NormStats(
             freq_mean=take("norm.freq_mean"),
             freq_std=take("norm.freq_std"),
             power_mean=take("norm.power_mean"),
             power_std=take("norm.power_std"),
-            epsilon=float(meta["norm_epsilon"]),
+            epsilon=norm_epsilon,
         )
     try:
         params = ModelParams(
@@ -135,12 +149,11 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, WelchConfig, dict]:
             fusion_spec=DenseLayerSpec(2 * spec.dense_units, spec.classes, "identity"),
             fusion_weights=take("fusion.w"),
             fusion_bias=take("fusion.b"),
-            rng_seed=int(meta["seed"]),
+            rng_seed=seed,
             norm=norm,
         )
     except ValueError as exc:
         raise CheckpointError(f"{path}: inconsistent checkpoint: {exc}") from exc
-    welch = WelchConfig(**meta["welch"])
     return params, welch, meta
 
 
@@ -166,3 +179,5 @@ def load_norm_stats(path: str | Path) -> NormStats:
         )
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing stats record {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed stats metadata: {exc}") from None

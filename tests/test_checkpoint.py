@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -14,6 +15,13 @@ from harcnn.checkpoint import (
 from harcnn.dsp import WelchConfig
 from harcnn.features import NormStats
 from harcnn.model import DEFAULT_MODEL_SPEC, init_model, predict_batch
+
+
+def with_meta(path, meta_bytes):
+    """Rewrite a saved checkpoint's JSON metadata, keeping its tensor records."""
+    data = path.read_bytes()
+    (meta_len,) = struct.unpack("<I", data[10:14])
+    path.write_bytes(data[:10] + struct.pack("<I", len(meta_bytes)) + meta_bytes + data[14 + meta_len :])
 
 
 def make_norm(seed=0):
@@ -97,6 +105,29 @@ class TestCheckpointErrors:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - (4 + 8 + 4 + 4 + 4 * 6)])
         with pytest.raises(CheckpointError, match="missing tensor record 'fusion.b'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "meta_bytes, message",
+        [
+            (b'{"freq_bins": 65}', "metadata lacks key 'architecture'"),
+            (b"[1, 2]", "metadata is not a JSON object"),
+            (b"{not json", "unreadable checkpoint metadata"),
+        ],
+    )
+    def test_bad_metadata_is_checkpoint_error(self, tmp_path, meta_bytes, message):
+        path = tmp_path / "meta.bin"
+        save_checkpoint(path, init_model(seed=1), WelchConfig(), epoch=0)
+        with_meta(path, meta_bytes)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
+    def test_malformed_metadata_value_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "seed.bin"
+        save_checkpoint(path, init_model(seed=1), WelchConfig(), epoch=0)
+        _, _, meta = load_checkpoint(path)
+        with_meta(path, json.dumps(dict(meta, seed=None)).encode())
+        with pytest.raises(CheckpointError, match="malformed checkpoint metadata"):
             load_checkpoint(path)
 
     def test_interrupted_write_leaves_no_file(self, tmp_path, monkeypatch):

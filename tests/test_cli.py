@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -199,6 +200,21 @@ class TestEvaluate:
         code = main(["evaluate", "--config", str(cfg_path),
                      "--checkpoint", str(out_dir / "missing.bin")])
         assert code == 1
+
+    def test_checkpoint_missing_meta_key_is_one_line_error(self, trained_pipeline, tmp_path, capsys):
+        root, out_dir, cfg_path = trained_pipeline
+        data = (out_dir / "checkpoint.bin").read_bytes()
+        (meta_len,) = struct.unpack("<I", data[10:14])
+        meta = b'{"freq_bins": 65}'
+        bad = tmp_path / "bad_meta.bin"
+        bad.write_bytes(data[:10] + struct.pack("<I", len(meta)) + meta + data[14 + meta_len :])
+        capsys.readouterr()
+        code = main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "eval"),
+                     "--checkpoint", str(bad)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "lacks key 'architecture'" in err
 
 
 class TestDeterminism:

@@ -4,6 +4,7 @@ import pytest
 from harcnn.dsp import (
     PsdEstimate,
     WelchConfig,
+    _fft_plan,
     fft_real,
     magnitude_onesided,
     make_window,
@@ -21,6 +22,26 @@ def naive_dft(x):
     n = x.shape[0]
     k = np.arange(n)
     return np.exp(-2j * np.pi * np.outer(k, k) / n) @ x
+
+
+def concat_butterfly_fft(x):
+    """Last-axis radix-2 FFT with a concatenate per stage: the bit-exact reference.
+
+    fft_real runs the same operations per element in another memory layout,
+    so the two must agree bit for bit, not just within a tolerance.
+    """
+    n = x.shape[-1]
+    rev, twiddles = _fft_plan(n)
+    out = np.asarray(x, dtype=np.complex128)[..., rev]
+    half = 1
+    for tw in twiddles:
+        size = 2 * half
+        blocks = out.reshape(out.shape[:-1] + (n // size, size))
+        even = blocks[..., :half]
+        odd = blocks[..., half:] * tw
+        out = np.concatenate((even + odd, even - odd), axis=-1).reshape(out.shape[:-1] + (n,))
+        half = size
+    return out
 
 
 def rel_err(got, want):
@@ -79,6 +100,23 @@ class TestFftReal:
         got = fft_real(batch)
         for row in range(5):
             assert np.array_equal(got[row], fft_real(batch[row]))
+
+    @pytest.mark.parametrize("n", POW2_SIZES)
+    def test_batch_bit_identical_to_concat_reference(self, n):
+        x = np.random.default_rng(n + 1).standard_normal((3, 5, n))
+        got = fft_real(x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, concat_butterfly_fft(x))
+
+    def test_strided_view_bit_identical_to_concat_reference(self):
+        base = np.random.default_rng(12).standard_normal((6, 4, 256))
+        x = base[::2, :, ::2]
+        assert not x.flags.c_contiguous
+        assert np.array_equal(fft_real(x), concat_butterfly_fft(x))
+
+    def test_single_signal_bit_identical_to_concat_reference(self):
+        x = np.random.default_rng(13).standard_normal(128)
+        assert np.array_equal(fft_real(x), concat_butterfly_fft(x))
 
     @pytest.mark.parametrize("n", [1, 3, 12, 100])
     def test_rejects_non_power_of_two(self, n):

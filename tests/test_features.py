@@ -3,6 +3,7 @@ import pytest
 
 from harcnn.binio import FormatError
 from harcnn.features import (
+    BLOCK_WINDOWS,
     DEFAULT_WELCH,
     FeatureSet,
     FeatureTensor,
@@ -58,6 +59,22 @@ class TestExtractFeatures:
             single = extract_features(windows[i])
             assert np.array_equal(freq[i], single.freq)
             assert np.array_equal(power[i], single.power)
+
+    def test_batch_across_block_boundaries_matches_per_window(self):
+        n = 2 * BLOCK_WINDOWS + 5
+        windows = np.random.default_rng(22).standard_normal((n, 9, 128))
+        freq, power = extract_features_batch(windows)
+        assert freq.shape == (n, 9, 65)
+        assert power.shape == (n, 9, 33)
+        for i in range(n):
+            single = extract_features(windows[i])
+            assert np.array_equal(freq[i], single.freq)
+            assert np.array_equal(power[i], single.power)
+
+    def test_empty_batch_gives_empty_stacks(self):
+        freq, power = extract_features_batch(np.zeros((0, 9, 128)))
+        assert freq.shape == (0, 9, 65)
+        assert power.shape == (0, 9, 33)
 
     def test_window_permutation_permutes_outputs(self):
         rng = np.random.default_rng(4)
