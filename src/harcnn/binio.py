@@ -62,7 +62,10 @@ def unpack_tensor_records(buf: memoryview) -> dict[str, np.ndarray]:
         raw, offset = _read_exact(buf, offset, 4, "record name length")
         (name_len,) = struct.unpack("<I", raw)
         raw, offset = _read_exact(buf, offset, name_len, "record name")
-        name = bytes(raw).decode("utf-8")
+        try:
+            name = bytes(raw).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"record name {bytes(raw)!r} is not UTF-8") from None
         raw, offset = _read_exact(buf, offset, 4, "record rank")
         (rank,) = struct.unpack("<I", raw)
         raw, offset = _read_exact(buf, offset, 4 * rank, "record dims")

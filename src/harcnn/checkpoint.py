@@ -74,6 +74,20 @@ def _read_header(data: bytes, magic: bytes, what: str) -> tuple[dict, int]:
     return meta, 14 + meta_len
 
 
+def _read_file(path: str | Path, magic: bytes, what: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """Header metadata and tensor records of a checkpoint or stats file.
+
+    Every layout error is re-raised as a CheckpointError that starts with the path.
+    """
+    data = Path(path).read_bytes()
+    try:
+        meta, offset = _read_header(data, magic, what)
+        records = unpack_tensor_records(memoryview(data)[offset:])
+    except FormatError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    return meta, records
+
+
 def save_checkpoint(path: str | Path, params: ModelParams, welch: WelchConfig, epoch: int) -> None:
     """Atomically serialize model parameters plus everything inference needs."""
     meta = {
@@ -98,9 +112,7 @@ def save_checkpoint(path: str | Path, params: ModelParams, welch: WelchConfig, e
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, WelchConfig, dict]:
     """Rebuild (params, welch config, metadata); rejects version mismatches."""
-    data = Path(path).read_bytes()
-    meta, offset = _read_header(data, CHECKPOINT_MAGIC, "checkpoint")
-    records = unpack_tensor_records(memoryview(data)[offset:])
+    meta, records = _read_file(path, CHECKPOINT_MAGIC, "checkpoint")
     has_norm = "norm.freq_mean" in records
     try:
         spec = ModelSpec.from_json_dict(meta["architecture"])
@@ -166,9 +178,7 @@ def save_norm_stats(path: str | Path, norm: NormStats) -> None:
 
 
 def load_norm_stats(path: str | Path) -> NormStats:
-    data = Path(path).read_bytes()
-    meta, offset = _read_header(data, NORM_MAGIC, "stats sidecar")
-    records = unpack_tensor_records(memoryview(data)[offset:])
+    meta, records = _read_file(path, NORM_MAGIC, "stats sidecar")
     try:
         return NormStats(
             freq_mean=records["norm.freq_mean"],

@@ -8,6 +8,8 @@ The dataset directory layout is the one shipped by the UCI repository:
 
 from __future__ import annotations
 
+import io
+import warnings
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
@@ -137,12 +139,47 @@ def parse_signal_file(path: str | Path, columns: int = WINDOW_LEN) -> np.ndarray
     """Parse a whitespace-separated matrix file with a fixed column count.
 
     Returns a (rows, columns) float64 array; an empty file yields zero rows.
-    Errors name the offending 1-based line and token.
+    The whole file is parsed in one C-level `np.loadtxt` pass. That result is
+    kept only when the file is ASCII, every line became one row (loadtxt
+    skips blank lines), the column count matches and every value is finite.
+    Otherwise the per-line parse in `_diagnose` decides: its errors name the
+    offending 1-based line and token.
     """
     path = Path(path)
+    data = path.read_bytes()
+    if not data:
+        return np.empty((0, columns), dtype=np.float64)
+    lines = data.count(b"\n") + (not data.endswith(b"\n"))
+    try:
+        with warnings.catch_warnings():
+            # An all-blank file is "no data" to loadtxt; the line count catches it.
+            warnings.simplefilter("ignore", UserWarning)
+            # No comment character, so '#' stays an error. A non-ASCII byte
+            # raises UnicodeDecodeError, which is a ValueError.
+            values = np.loadtxt(
+                io.BytesIO(data), dtype=np.float64, comments=None, ndmin=2, encoding="ascii"
+            )
+    except ValueError:
+        return _diagnose(path, data, columns)
+    if values.shape != (lines, columns) or not np.isfinite(values).all():
+        return _diagnose(path, data, columns)
+    return values
+
+
+def _diagnose(path: Path, data: bytes, columns: int) -> np.ndarray:
+    """Parse `data` line by line, raising a DatasetError for the first faulty line.
+
+    Lines end at LF, CRLF or a lone CR, as in text mode. A valid file that
+    the single pass of `parse_signal_file` declines (lone-CR line ends, for
+    one) is returned as its rows, so the result never depends on the path.
+    """
     rows: list[np.ndarray] = []
-    with open(path, encoding="ascii") as f:
+    # latin-1 maps each byte to one character, so a non-ASCII byte is reported as itself.
+    with io.TextIOWrapper(io.BytesIO(data), encoding="latin-1") as f:
         for lineno, line in enumerate(f, start=1):
+            if not line.isascii():
+                byte = next(ord(c) for c in line if ord(c) > 127)
+                raise DatasetError(f"{path}: line {lineno}: non-ASCII byte 0x{byte:02x}")
             tokens = line.split()
             if len(tokens) != columns:
                 raise DatasetError(
@@ -159,8 +196,6 @@ def parse_signal_file(path: str | Path, columns: int = WINDOW_LEN) -> np.ndarray
                 pos = int(np.flatnonzero(~np.isfinite(values))[0]) + 1
                 raise DatasetError(f"{path}: line {lineno}: non-finite value at column {pos}")
             rows.append(values)
-    if not rows:
-        return np.empty((0, columns), dtype=np.float64)
     return np.vstack(rows)
 
 

@@ -207,13 +207,6 @@ class ModelParams:
         out.append(("fusion.b", self.fusion_bias))
         return out
 
-    def set_array(self, name: str, value: np.ndarray) -> None:
-        for got, arr in self.named_arrays():
-            if got == name:
-                arr[...] = value
-                return
-        raise KeyError(name)
-
     def copy(self) -> "ModelParams":
         return ModelParams(
             spec=self.spec,

@@ -163,3 +163,47 @@ class TestNormSidecar:
         with pytest.raises(CheckpointError, match="bad stats sidecar magic"):
             load_norm_stats(path)
         assert path.read_bytes()[:8] == CHECKPOINT_MAGIC
+
+
+def _meta_len(data):
+    return struct.unpack("<I", data[10:14])[0]
+
+
+# Damage to a saved file, and the fault its error must name.
+DAMAGE = {
+    "magic": (lambda data: b"WHATEVER" + data[8:], "magic b'WHATEVER'"),
+    "truncated-header": (lambda data: data[:12], "truncated .* header"),
+    "version": (
+        lambda data: data[:8] + struct.pack("<H", 2) + data[10:],
+        "unsupported .* format version 2",
+    ),
+    "truncated-metadata": (lambda data: data[:20], "truncated .* metadata"),
+    "unreadable-metadata": (
+        lambda data: data[:10] + struct.pack("<I", 9) + b"{not json" + data[14 + _meta_len(data) :],
+        "unreadable .* metadata",
+    ),
+    "truncated-record": (lambda data: data[:-3], "truncated file: expected .* for data of record"),
+    # First byte of the first record name.
+    "record-name": (
+        lambda data: data[: 18 + _meta_len(data)] + b"\xff" + data[19 + _meta_len(data) :],
+        "record name .* is not UTF-8",
+    ),
+}
+
+
+class TestErrorsNameThePath:
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    @pytest.mark.parametrize("kind", ["checkpoint", "stats"])
+    def test_every_layout_error_starts_with_path(self, tmp_path, kind, damage):
+        path = tmp_path / f"{kind}.bin"
+        if kind == "checkpoint":
+            save_checkpoint(path, init_model(seed=1, norm=make_norm()), WelchConfig(), epoch=0)
+            load = load_checkpoint
+        else:
+            save_norm_stats(path, make_norm())
+            load = load_norm_stats
+        damage_fn, message = DAMAGE[damage]
+        path.write_bytes(damage_fn(path.read_bytes()))
+        with pytest.raises(CheckpointError, match=message) as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}: ")

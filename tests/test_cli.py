@@ -134,6 +134,19 @@ class TestExtract:
         assert (out_dir / "train_features.bin").read_bytes() == first
         assert (out_dir / "norm_stats.bin").read_bytes() == stats_first
 
+    def test_non_ascii_byte_exit_2_names_file_and_line(self, tmp_path, capsys):
+        root = build_synthetic_dataset(tmp_path / "data", train_per_class=2, test_per_class=1)
+        victim = root / "train" / "Inertial Signals" / "body_gyro_z_train.txt"
+        lines = victim.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b"e", "é".encode("utf-8"), 1)
+        victim.write_bytes(b"".join(lines))
+        cfg_path = write_config(tmp_path / "c.json", smoke_config(root, tmp_path / "out"))
+        capsys.readouterr()
+        assert main(["extract", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "body_gyro_z_train.txt: line 3: non-ASCII byte 0xc3" in err
+
     def test_subset_limits_cache(self, tmp_path):
         root = build_synthetic_dataset(tmp_path / "data", train_per_class=3, test_per_class=2)
         out_dir = tmp_path / "out"

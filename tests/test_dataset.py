@@ -44,16 +44,95 @@ class TestParseSignalFile:
         with pytest.raises(DatasetError, match="line 2: expected 128 columns, got 127"):
             parse_signal_file(path)
 
+    @pytest.mark.parametrize(
+        "text, columns, message",
+        [
+            # loadtxt skips blank and whitespace-only lines; the per-line parse must not.
+            ("1 2 3\n\n4 5 6\n", 3, "line 2: expected 3 columns, got 0"),
+            ("1 2 3\n \t \n4 5 6\n", 3, "line 2: expected 3 columns, got 0"),
+            ("1 2 3\n4 5 6\n\n", 3, "line 3: expected 3 columns, got 0"),
+            ("1 2 3\n4 5 6\n  ", 3, "line 3: expected 3 columns, got 0"),
+            # No comment character: a trailing '# note' is two more columns.
+            ("1 2 3 # note\n", 3, "line 1: expected 3 columns, got 5"),
+        ],
+        ids=["blank-line", "whitespace-line", "trailing-blank-line",
+             "trailing-whitespace", "comment-is-data"],
+    )
+    def test_wrong_column_count_edge_cases(self, tmp_path, text, columns, message):
+        path = tmp_path / "short.txt"
+        path.write_text(text)
+        with pytest.raises(DatasetError, match=message):
+            parse_signal_file(path, columns=columns)
+
     def test_unparsable_token_names_position(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1.0 oops 3.0\n")
         with pytest.raises(DatasetError, match="line 1: unparsable value 'oops' at column 2"):
             parse_signal_file(path, columns=3)
 
+    def test_hash_token_is_unparsable(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("1.0 2.0 3.0\n4.0 # 6.0\n")
+        with pytest.raises(DatasetError, match="line 2: unparsable value '#' at column 2"):
+            parse_signal_file(path, columns=3)
+
     def test_non_finite_value_rejected(self, tmp_path):
         path = tmp_path / "nan.txt"
         path.write_text("1.0 nan 3.0\n")
         with pytest.raises(DatasetError, match="non-finite value at column 2"):
+            parse_signal_file(path, columns=3)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1.0 2.0 inf\n", "line 1: non-finite value at column 3"),
+            ("1.0 2.0 3.0\n-inf 2.0 3.0\n", "line 2: non-finite value at column 1"),
+        ],
+        ids=["inf", "-inf"],
+    )
+    def test_infinite_value_rejected(self, tmp_path, text, message):
+        path = tmp_path / "nan.txt"
+        path.write_text(text)
+        with pytest.raises(DatasetError, match=message):
+            parse_signal_file(path, columns=3)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"1 2 3\r\n4 5 6\r\n", b"1 2 3\n4 5 6", b"1 2 3\r4 5 6\r", b"1 2 3\r\n4 5 6"],
+        ids=["crlf", "no-final-newline", "lone-cr", "crlf-no-final-newline"],
+    )
+    def test_line_endings(self, tmp_path, data):
+        path = tmp_path / "eol.txt"
+        path.write_bytes(data)
+        got = parse_signal_file(path, columns=3)
+        assert np.array_equal(got, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
+    def test_uci_width_tokens_match_float_bitwise(self, tmp_path):
+        # UCI layout: 16-byte tokens, two-space lead, 3-digit exponents.
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((6, 128)) * 10.0 ** rng.integers(-6, 3, (6, 128))
+        lines = ["  2.5808950e-001 -1.2715709e-002" + " 0.0000000e+000" * 126]
+        for row in values:
+            tokens = []
+            for v in row:
+                mantissa, exponent = f"{v:.7e}".split("e")
+                tokens.append(f"{mantissa}e{int(exponent):+04d}".rjust(16))
+            lines.append("".join(tokens))
+        path = tmp_path / "uci.txt"
+        path.write_text("\n".join(lines) + "\n")
+        got = parse_signal_file(path)
+        expected = np.array([[float(tok) for tok in line.split()] for line in lines])
+        assert got.shape == (7, 128)
+        assert got.tobytes() == expected.tobytes()
+        assert got[0, 0] == 0.25808950 and got[0, 1] == -0.012715709
+
+    @pytest.mark.parametrize("lineno", [1, 2])
+    def test_non_ascii_byte_names_file_and_line(self, tmp_path, lineno):
+        lines = ["1.0 2.0 3.0", "4.0 5.0 6.0"]
+        lines[lineno - 1] = lines[lineno - 1].replace(".0 ", ".\u00e9 ", 1)
+        path = tmp_path / "accent.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=f"accent.txt: line {lineno}: non-ASCII byte 0xc3"):
             parse_signal_file(path, columns=3)
 
 
