@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -37,14 +38,6 @@ def _norm_records(norm: NormStats) -> list[tuple[str, np.ndarray]]:
         ("norm.power_mean", norm.power_mean),
         ("norm.power_std", norm.power_std),
     ]
-
-
-def _welch_dict(cfg: WelchConfig) -> dict:
-    return {
-        "segment_len": cfg.segment_len,
-        "overlap": cfg.overlap,
-        "window_kind": cfg.window_kind,
-    }
 
 
 def _header(magic: bytes, meta: dict) -> bytes:
@@ -94,7 +87,7 @@ def save_checkpoint(path: str | Path, params: ModelParams, welch: WelchConfig, e
         "architecture": params.spec.to_json_dict(),
         "freq_bins": params.freq_bins,
         "power_bins": params.power_bins,
-        "welch": _welch_dict(welch),
+        "welch": asdict(welch),
         "stream_order": list(STREAM_NAMES),
         "seed": params.rng_seed,
         "epoch": epoch,

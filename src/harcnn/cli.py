@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .binio import FormatError, atomic_write_bytes
@@ -65,28 +65,23 @@ class RunConfig:
     model: ModelSpec = DEFAULT_MODEL_SPEC
     train: TrainConfig = TrainConfig()
 
+    def __post_init__(self) -> None:
+        # bool is an int subclass, so True would otherwise pass as subset 1.
+        subset = self.subset
+        if subset is not None and (type(subset) is not int or subset < 1):
+            raise ValueError(f"subset must be null or an integer >= 1, got {subset!r}")
+        if type(self.strict_counts) is not bool:
+            raise ValueError(f"strict_counts must be true or false, got {self.strict_counts!r}")
+
     def to_json_dict(self) -> dict:
-        return {
-            "dataset_root": self.dataset_root,
-            "output_dir": self.output_dir,
-            "strict_counts": self.strict_counts,
-            "subset": self.subset,
-            "normalizer_epsilon": self.normalizer_epsilon,
-            "welch": {
-                "segment_len": self.welch.segment_len,
-                "overlap": self.welch.overlap,
-                "window_kind": self.welch.window_kind,
-            },
-            "model": self.model.to_json_dict(),
-            "train": self.train.to_json_dict(),
-        }
+        return {**asdict(self), "model": self.model.to_json_dict()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunConfig":
         return cls(
             dataset_root=d["dataset_root"],
             output_dir=d["output_dir"],
-            strict_counts=bool(d["strict_counts"]),
+            strict_counts=d["strict_counts"],
             subset=d["subset"],
             normalizer_epsilon=float(d["normalizer_epsilon"]),
             welch=WelchConfig(**d["welch"]),
@@ -102,7 +97,7 @@ def default_config_json() -> str:
 def load_config(path: str | Path) -> RunConfig:
     try:
         return RunConfig.from_json_dict(json.loads(Path(path).read_text()))
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"invalid config file {path}: {exc}") from exc
 
 
@@ -118,15 +113,14 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _load_features_for(cfg: RunConfig, split: str) -> FeatureSet:
+def _load_features_for(cfg: RunConfig, split: str, welch: WelchConfig) -> FeatureSet:
+    """Raw features of one split, cut to the config's first `subset` windows."""
     manifest = load_split(cfg.dataset_root, split, strict_counts=cfg.strict_counts)
-    features = extract_split(manifest, cfg.welch)
-    if cfg.subset is not None:
-        n = min(cfg.subset, len(features))
-        features = FeatureSet(
-            freq=features.freq[:n], power=features.power[:n], labels=features.labels[:n]
-        )
-    return features
+    features = extract_split(manifest, welch)
+    keep = slice(cfg.subset)  # slice(None) keeps every window
+    return FeatureSet(
+        freq=features.freq[keep], power=features.power[keep], labels=features.labels[keep]
+    )
 
 
 def cmd_validate(cfg: RunConfig) -> int:
@@ -155,7 +149,7 @@ def _extract_to_dir(cfg: RunConfig) -> dict[str, FeatureSet]:
     out_dir.mkdir(parents=True, exist_ok=True)
     sets = {}
     for split in SPLITS:
-        features = _load_features_for(cfg, split)
+        features = _load_features_for(cfg, split, cfg.welch)
         write_feature_cache(out_dir / CACHE_NAMES[split], features)
         sets[split] = features
         print(f"{split}: cached {len(features)} samples "
@@ -188,13 +182,11 @@ def cmd_train(cfg: RunConfig) -> int:
     cache_paths = {split: out_dir / CACHE_NAMES[split] for split in SPLITS}
     if all(p.is_file() for p in cache_paths.values()) and (out_dir / NORM_NAME).is_file():
         raw = {split: read_feature_cache(path) for split, path in cache_paths.items()}
-        norm = load_norm_stats(out_dir / NORM_NAME)
         print("using cached features")
     else:
         print("feature caches missing; extracting")
         raw = _extract_to_dir(cfg)
-        norm = load_norm_stats(out_dir / NORM_NAME)
-
+    norm = load_norm_stats(out_dir / NORM_NAME)
     train_set = normalize_set(raw["train"], norm)
     test_set = normalize_set(raw["test"], norm)
     params, run = train(train_set, test_set, cfg.model, cfg.train, norm)
@@ -233,15 +225,8 @@ def _report_json_dict(report: EvalReport, split: str) -> dict:
 def cmd_evaluate(cfg: RunConfig, checkpoint_path: str | Path, split: str) -> int:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    params, welch, meta = load_checkpoint(checkpoint_path)
-    manifest = load_split(cfg.dataset_root, split, strict_counts=cfg.strict_counts)
-    features = extract_split(manifest, welch)
-    if cfg.subset is not None:
-        n = min(cfg.subset, len(features))
-        features = FeatureSet(
-            freq=features.freq[:n], power=features.power[:n], labels=features.labels[:n]
-        )
-    report = evaluate(params, features)
+    params, welch, _ = load_checkpoint(checkpoint_path)
+    report = evaluate(params, _load_features_for(cfg, split, welch))
 
     print(f"{split} accuracy: {100.0 * report.accuracy:.2f}%")
     print("confusion matrix (rows = truth, columns = prediction):")

@@ -86,28 +86,6 @@ def class_of(class_id: int) -> Activity:
         raise DatasetError(f"unknown activity id {class_id}") from None
 
 
-@dataclass(frozen=True)
-class InertialWindow:
-    """One 2.56 s sample: 9 streams x 128 readings, in the pinned stream order."""
-
-    streams: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.streams.shape != (N_STREAMS, WINDOW_LEN):
-            raise DatasetError(
-                f"window shape must be {(N_STREAMS, WINDOW_LEN)}, got {self.streams.shape}"
-            )
-        if not np.all(np.isfinite(self.streams)):
-            raise DatasetError("window contains non-finite values")
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    window: InertialWindow
-    activity: Activity
-    subject_id: int
-
-
 @dataclass
 class SplitManifest:
     """All windows of one split as contiguous arrays, plus per-class counts."""
@@ -126,13 +104,6 @@ class SplitManifest:
 
     def __len__(self) -> int:
         return self.windows.shape[0]
-
-    def sample(self, index: int) -> LabeledSample:
-        return LabeledSample(
-            window=InertialWindow(self.windows[index]),
-            activity=Activity(int(self.labels[index])),
-            subject_id=int(self.subjects[index]),
-        )
 
 
 def parse_signal_file(path: str | Path, columns: int = WINDOW_LEN) -> np.ndarray:
@@ -251,18 +222,24 @@ def load_split(root: str | Path, split: str, strict_counts: bool = True) -> Spli
     base = Path(root) / split
     signals_dir = base / "Inertial Signals"
 
-    matrices = []
-    for stream in STREAM_NAMES:
+    # Each stream is copied into the windows array as soon as it is parsed,
+    # so the split's signals are never held twice.
+    windows = None
+    row_counts = []
+    for s, stream in enumerate(STREAM_NAMES):
         path = signals_dir / f"{stream}_{split}.txt"
         if not path.is_file():
             raise DatasetError(f"missing signal file: {path}")
-        matrices.append(parse_signal_file(path))
+        matrix = parse_signal_file(path)
+        row_counts.append(matrix.shape[0])
+        if windows is None:
+            windows = np.empty((matrix.shape[0], N_STREAMS, WINDOW_LEN))
+        if matrix.shape[0] == windows.shape[0]:
+            windows[:, s] = matrix
+        del matrix
 
-    row_counts = {m.shape[0] for m in matrices}
-    if len(row_counts) != 1:
-        detail = ", ".join(
-            f"{stream}={m.shape[0]}" for stream, m in zip(STREAM_NAMES, matrices)
-        )
+    if len(set(row_counts)) != 1:
+        detail = ", ".join(f"{stream}={n}" for stream, n in zip(STREAM_NAMES, row_counts))
         raise DatasetError(f"signal files disagree on row count: {detail}")
 
     label_path = base / f"y_{split}.txt"
@@ -273,7 +250,7 @@ def load_split(root: str | Path, split: str, strict_counts: bool = True) -> Spli
     labels = _parse_int_column(label_path, 1, len(Activity), "activity id")
     subjects = _parse_int_column(subject_path, 1, N_SUBJECTS, "subject id")
 
-    n_rows = matrices[0].shape[0]
+    n_rows = windows.shape[0]
     if labels.shape[0] != n_rows:
         raise DatasetError(
             f"{label_path}: {labels.shape[0]} labels for {n_rows} signal rows"
@@ -285,7 +262,7 @@ def load_split(root: str | Path, split: str, strict_counts: bool = True) -> Spli
 
     manifest = SplitManifest(
         split=split,
-        windows=np.stack(matrices, axis=1),
+        windows=windows,
         labels=labels,
         subjects=subjects,
     )

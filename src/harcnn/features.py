@@ -11,7 +11,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,15 +27,6 @@ DEFAULT_EPSILON = 1e-8
 BLOCK_WINDOWS = 64
 
 CACHE_MAGIC = b"HARFEAT1"
-NORM_MAGIC = b"HARNORM1"
-
-
-@dataclass
-class FeatureTensor:
-    """Per-sample feature pair: freq (9 x N/2+1) and power (9 x O/2+1) matrices."""
-
-    freq: np.ndarray
-    power: np.ndarray
 
 
 @dataclass
@@ -66,16 +56,6 @@ class FeatureSet:
         return self.freq.shape[0]
 
 
-def extract_features(window: np.ndarray, cfg: WelchConfig = DEFAULT_WELCH) -> FeatureTensor:
-    """Feature tensor of one 9x128 window (float64 matrices)."""
-    streams = np.asarray(window, dtype=np.float64)
-    if streams.shape != (N_STREAMS, WINDOW_LEN):
-        raise ValueError(f"window shape must be {(N_STREAMS, WINDOW_LEN)}, got {streams.shape}")
-    freq = magnitude_onesided(fft_real(streams))
-    power = welch_psd(streams, cfg, SAMPLE_RATE_HZ).values
-    return FeatureTensor(freq=freq, power=power)
-
-
 def extract_features_batch(
     windows: np.ndarray, cfg: WelchConfig = DEFAULT_WELCH
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -103,23 +83,10 @@ def extract_split(manifest: SplitManifest, cfg: WelchConfig = DEFAULT_WELCH) -> 
     return FeatureSet(freq=freq, power=power, labels=manifest.labels.copy())
 
 
-def fit_normalizer(
-    tensors: Iterable[FeatureTensor] | Sequence[FeatureTensor],
-    epsilon: float = DEFAULT_EPSILON,
-) -> NormStats:
-    """Per-position mean and population std across a sequence of tensors."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ValueError("cannot fit a normalizer on an empty sequence")
-    freq = np.stack([t.freq for t in tensors])
-    power = np.stack([t.power for t in tensors])
-    return fit_normalizer_arrays(freq, power, epsilon)
-
-
 def fit_normalizer_arrays(
     freq: np.ndarray, power: np.ndarray, epsilon: float = DEFAULT_EPSILON
 ) -> NormStats:
-    """Stacked-array variant of fit_normalizer."""
+    """Per-position mean and population std over the first axis of (n,9,F)/(n,9,P) stacks."""
     if freq.shape[0] == 0:
         raise ValueError("cannot fit a normalizer on an empty sequence")
     freq = np.asarray(freq, dtype=np.float64)
@@ -133,26 +100,21 @@ def fit_normalizer_arrays(
     )
 
 
-def apply_normalizer(tensor: FeatureTensor, stats: NormStats) -> FeatureTensor:
-    """Elementwise (x - mean) / (std + epsilon) in float64."""
-    freq = np.asarray(tensor.freq, dtype=np.float64)
-    power = np.asarray(tensor.power, dtype=np.float64)
+def normalize_set(features: FeatureSet, stats: NormStats) -> FeatureSet:
+    """Normalized copy of a whole feature set: (x - mean) / (std + epsilon) in float64."""
+    freq = np.asarray(features.freq, dtype=np.float64)
+    power = np.asarray(features.power, dtype=np.float64)
     if freq.shape[-2:] != stats.freq_mean.shape or power.shape[-2:] != stats.power_mean.shape:
         raise ValueError(
             f"feature shapes {freq.shape[-2:]}/{power.shape[-2:]} do not match stats "
             f"{stats.freq_mean.shape}/{stats.power_mean.shape}"
         )
     eps = stats.epsilon
-    return FeatureTensor(
+    return FeatureSet(
         freq=(freq - stats.freq_mean.astype(np.float64)) / (stats.freq_std.astype(np.float64) + eps),
         power=(power - stats.power_mean.astype(np.float64)) / (stats.power_std.astype(np.float64) + eps),
+        labels=features.labels.copy(),
     )
-
-
-def normalize_set(features: FeatureSet, stats: NormStats) -> FeatureSet:
-    """Normalized copy of a whole feature set."""
-    out = apply_normalizer(FeatureTensor(freq=features.freq, power=features.power), stats)
-    return FeatureSet(freq=out.freq, power=out.power, labels=features.labels.copy())
 
 
 def _record_dtype(freq_bins: int, power_bins: int) -> np.dtype:

@@ -128,21 +128,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_cross_entropy(logits, class_index):
-    """Loss, gradient w.r.t. logits, and probabilities for one sample.
-
-    `class_index` is the zero-based true class.
-    """
-    logits = np.asarray(logits)
-    probs = softmax(logits)
-    loss = -np.log(probs[class_index])
-    grad = probs.copy()
-    grad[class_index] -= 1.0
-    return float(loss), grad, probs
-
-
 def softmax_cross_entropy_batch(logits, class_indices):
-    """Per-sample losses (batch,), gradients (batch, classes), probabilities."""
+    """Per-sample losses (batch,), gradients (batch, classes), probabilities.
+
+    `class_indices` holds each row's zero-based true class.
+    """
     probs = softmax(logits)
     rows = np.arange(logits.shape[0])
     losses = -np.log(probs[rows, class_indices])

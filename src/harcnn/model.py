@@ -8,13 +8,12 @@ hyperparameters, which is asserted at construction.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .dataset import N_STREAMS
-from .features import FeatureTensor, NormStats
+from .features import NormStats
 from .layers import (
     ACTIVATIONS,
     conv1d_backward,
@@ -28,15 +27,6 @@ from .layers import (
 )
 
 N_CLASSES = 6
-
-# Set HARCNN_DEBUG_FINITE=1 (or flip this flag) to verify every forward and
-# backward output is finite; off by default for speed.
-DEBUG_CHECK_FINITE = os.environ.get("HARCNN_DEBUG_FINITE", "0") not in ("", "0")
-
-
-def _check_finite(what: str, arr: np.ndarray) -> None:
-    if DEBUG_CHECK_FINITE and not np.all(np.isfinite(arr)):
-        raise FloatingPointError(f"non-finite values in {what}")
 
 
 @dataclass(frozen=True)
@@ -106,22 +96,8 @@ class ModelSpec:
         return self.convs[-1].filters * length
 
     def to_json_dict(self) -> dict:
-        return {
-            "convs": [
-                {
-                    "in_streams": c.in_streams,
-                    "filters": c.filters,
-                    "kernel_len": c.kernel_len,
-                    "stride": c.stride,
-                    "activation": c.activation,
-                }
-                for c in self.convs
-            ],
-            "pool_widths": list(self.pool_widths),
-            "dense_units": self.dense_units,
-            "dense_activation": self.dense_activation,
-            "classes": self.classes,
-        }
+        d = asdict(self)
+        return {**d, "convs": list(d["convs"]), "pool_widths": list(self.pool_widths)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModelSpec":
@@ -319,7 +295,11 @@ def _channel_backward(d_out, cache, spec: ModelSpec, channel: ChannelParams, pre
 
 
 def forward_batch(params: ModelParams, freq, power, want_cache: bool = False):
-    """Class logits and probabilities for batched (n,9,F)/(n,9,P) features."""
+    """Class logits and probabilities for batched (n,9,F)/(n,9,P) features.
+
+    Raises ValueError when any logit is non-finite (NaN or inf in the
+    features or the weights), so a broken input never yields predictions.
+    """
     dtype = params.dtype
     freq = np.ascontiguousarray(freq, dtype=dtype)
     power = np.ascontiguousarray(power, dtype=dtype)
@@ -338,8 +318,9 @@ def forward_batch(params: ModelParams, freq, power, want_cache: bool = False):
     logits, fusion_cache = dense_forward(
         concat, params.fusion_weights, params.fusion_bias, params.fusion_spec.activation
     )
+    if not np.isfinite(logits).all():
+        raise ValueError("model produced non-finite logits (NaN or inf in the features or weights)")
     probs = softmax(logits)
-    _check_finite("logits", logits)
     if want_cache:
         return logits, probs, (f_cache, p_cache, fusion_cache)
     return logits, probs
@@ -355,16 +336,7 @@ def backward_batch(params: ModelParams, cache, d_logits) -> dict[str, np.ndarray
     units = params.spec.dense_units
     _channel_backward(d_concat[:, :units], f_cache, params.spec, params.freq, "freq", grads)
     _channel_backward(d_concat[:, units:], p_cache, params.spec, params.power, "power", grads)
-    if DEBUG_CHECK_FINITE:
-        for name, grad in grads.items():
-            _check_finite(f"gradient {name}", grad)
     return grads
-
-
-def model_forward(feature: FeatureTensor, params: ModelParams) -> np.ndarray:
-    """Class probabilities (6,) for one already-normalized feature tensor."""
-    logits, probs = forward_batch(params, feature.freq[None], feature.power[None])
-    return probs[0]
 
 
 def predict_batch(params: ModelParams, freq, power, chunk: int = 512) -> np.ndarray:

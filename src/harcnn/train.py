@@ -7,7 +7,7 @@ whole trajectory is reproducible bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,15 +36,7 @@ class TrainConfig:
             raise ValueError("beta1 and beta2 must be in (0, 1)")
 
     def to_json_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "adam_eps": self.adam_eps,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TrainConfig":
@@ -56,10 +48,6 @@ class EpochStats:
     epoch: int
     train_loss: float
     train_acc: float
-    train_precision: float
-    train_recall: float
-    train_f1: float
-    test_loss: float
     test_acc: float
     test_precision: float
     test_recall: float
@@ -154,17 +142,13 @@ def train(
             grads = backward_batch(params, cache, d_logits / len(batch))
             adam_step(params, grads, adam, cfg)
 
-        train_loss, train_acc, train_p, train_r, train_f1 = split_metrics(params, train_set)
-        test_loss, test_acc, test_p, test_r, test_f1 = split_metrics(params, test_set)
+        train_loss, train_acc, *_ = split_metrics(params, train_set)
+        _, test_acc, test_p, test_r, test_f1 = split_metrics(params, test_set)
         history.append(
             EpochStats(
                 epoch=epoch,
                 train_loss=train_loss,
                 train_acc=train_acc,
-                train_precision=train_p,
-                train_recall=train_r,
-                train_f1=train_f1,
-                test_loss=test_loss,
                 test_acc=test_acc,
                 test_precision=test_p,
                 test_recall=test_r,

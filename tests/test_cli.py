@@ -82,6 +82,43 @@ class TestConfig:
         assert [c["filters"] for c in d["model"]["convs"]] == [32, 64]
 
 
+def one_line_error(capsys, argv):
+    """Run the CLI, requiring exit 1 and a one-line stderr message; return it."""
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    return err
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("subset", 0, "subset must be null or an integer >= 1, got 0"),
+            ("subset", "5", "subset must be null or an integer >= 1, got '5'"),
+            ("subset", True, "subset must be null or an integer >= 1, got True"),
+            ("strict_counts", "false", "strict_counts must be true or false, got 'false'"),
+        ],
+    )
+    def test_bad_value_in_config_is_one_line_error(self, tmp_path, capsys, key, value, message):
+        d = RunConfig(output_dir=str(tmp_path / "out")).to_json_dict()
+        d[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(d))
+        err = one_line_error(capsys, ["extract", "--config", str(path)])
+        assert f"invalid config file {path}: {message}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["-1", "0"])
+    def test_non_positive_subset_flag_is_one_line_error(self, tmp_path, capsys, flag):
+        out_dir = tmp_path / "out"
+        err = one_line_error(capsys, ["extract", "--dataset", str(tmp_path / "data"),
+                                      "--out", str(out_dir), "--subset", flag])
+        assert f"subset must be null or an integer >= 1, got {flag}" in err
+        assert not out_dir.exists()
+
+
 class TestValidate:
     def test_mismatched_counts_exit_2_with_diff(self, tmp_path, capsys):
         root = build_synthetic_dataset(tmp_path / "data", train_per_class=2, test_per_class=1)
@@ -228,6 +265,39 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "lacks key 'architecture'" in err
+
+
+class TestNonFiniteLogits:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN fed on purpose
+    def test_nan_in_feature_cache_stops_train(self, trained_pipeline, tmp_path, capsys):
+        root, out_dir, _ = trained_pipeline
+        work = tmp_path / "out"
+        work.mkdir()
+        for name in ("train_features.bin", "test_features.bin", "norm_stats.bin"):
+            (work / name).write_bytes((out_dir / name).read_bytes())
+        cache = bytearray((work / "train_features.bin").read_bytes())
+        # Header is 20 bytes, then the first record's u8 label and its float32 freq matrix.
+        cache[21:25] = struct.pack("<f", np.nan)
+        (work / "train_features.bin").write_bytes(bytes(cache))
+        cfg_path = write_config(tmp_path / "c.json", smoke_config(root, work, epochs=1))
+        err = one_line_error(capsys, ["train", "--config", cfg_path])
+        assert "non-finite" in err
+        assert not (work / "checkpoint.bin").exists()
+        assert not (work / "epochs.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN fed on purpose
+    def test_nan_in_checkpoint_stops_evaluate(self, trained_pipeline, tmp_path, capsys):
+        _, out_dir, cfg_path = trained_pipeline
+        data = bytearray((out_dir / "checkpoint.bin").read_bytes())
+        # Record: u32 name length, name, u32 rank (2), two u32 dims, float32 data.
+        start = data.index(b"fusion.w") + len(b"fusion.w") + 4 + 8
+        data[start : start + 4] = struct.pack("<f", np.nan)
+        bad = tmp_path / "nan.bin"
+        bad.write_bytes(bytes(data))
+        err = one_line_error(capsys, ["evaluate", "--config", str(cfg_path), "--checkpoint",
+                                      str(bad), "--out", str(tmp_path / "eval")])
+        assert "non-finite" in err
+        assert not (tmp_path / "eval" / "report.json").exists()
 
 
 class TestDeterminism:

@@ -158,9 +158,9 @@ class TestLoadSplit:
         assert len(manifest) == 48
         assert manifest.windows.shape == (48, 9, 128)
         assert all(manifest.per_class_counts[a] == 8 for a in Activity)
-        sample = manifest.sample(0)
-        assert sample.activity.value == manifest.labels[0]
-        assert 1 <= sample.subject_id <= 30
+        assert manifest.labels.shape == manifest.subjects.shape == (48,)
+        assert set(manifest.labels.tolist()) == {a.value for a in Activity}
+        assert np.all((manifest.subjects >= 1) & (manifest.subjects <= 30))
 
     def test_streams_aligned_by_row(self, tmp_path):
         # Encode (row, stream, column) into each value, then check assembly.
@@ -204,6 +204,18 @@ class TestLoadSplit:
         victim.write_text("".join(lines[:-1]))
         with pytest.raises(DatasetError, match="disagree on row count"):
             load_split(root, "train", strict_counts=False)
+
+    def test_row_count_mismatch_names_every_stream(self, tmp_path):
+        # The first stream sizes the windows array; a short first file must
+        # still be reported with every stream's row count.
+        root = build_synthetic_dataset(tmp_path / "first", train_per_class=2, test_per_class=1)
+        victim = root / "train" / "Inertial Signals" / "body_acc_x_train.txt"
+        lines = victim.read_text().splitlines(keepends=True)
+        victim.write_text("".join(lines[:-1]))
+        with pytest.raises(DatasetError, match="disagree on row count") as info:
+            load_split(root, "train", strict_counts=False)
+        assert "body_acc_x=11, body_acc_y=12" in str(info.value)
+        assert str(info.value).endswith("total_acc_z=12")
 
     def test_truncated_label_file_rejected(self, tmp_path):
         root = build_synthetic_dataset(tmp_path / "lbl", train_per_class=2, test_per_class=1)

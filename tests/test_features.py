@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from harcnn.binio import FormatError
+from harcnn.dataset import SAMPLE_RATE_HZ
+from harcnn.dsp import fft_real, magnitude_onesided, welch_psd
 from harcnn.features import (
     BLOCK_WINDOWS,
     DEFAULT_WELCH,
     FeatureSet,
-    FeatureTensor,
-    apply_normalizer,
-    extract_features,
     extract_features_batch,
-    fit_normalizer,
     fit_normalizer_arrays,
     normalize_set,
     read_feature_cache,
@@ -18,47 +16,54 @@ from harcnn.features import (
 )
 
 
-def random_tensor(rng, scale=1.0):
-    return FeatureTensor(
-        freq=scale * rng.standard_normal((9, 65)),
-        power=scale * np.abs(rng.standard_normal((9, 33))),
-    )
+def random_pair(rng, scale=1.0):
+    """(freq, power) matrices of one window."""
+    return scale * rng.standard_normal((9, 65)), scale * np.abs(rng.standard_normal((9, 33)))
+
+
+def stacked(pairs):
+    """(n, 9, 65) freq and (n, 9, 33) power stacks of (freq, power) pairs."""
+    return np.stack([f for f, _ in pairs]), np.stack([p for _, p in pairs])
+
+
+def one_window_set(freq, power):
+    return FeatureSet(freq=freq[None], power=power[None], labels=np.ones(1, dtype=np.int64))
 
 
 class TestExtractFeatures:
     def test_zero_window_gives_zero_features(self):
-        out = extract_features(np.zeros((9, 128)))
-        assert out.freq.shape == (9, 65)
-        assert out.power.shape == (9, 33)
-        assert np.all(out.freq == 0.0)
-        assert np.all(out.power == 0.0)
+        freq, power = extract_features_batch(np.zeros((1, 9, 128)))
+        assert freq.shape == (1, 9, 65)
+        assert power.shape == (1, 9, 33)
+        assert np.all(freq == 0.0)
+        assert np.all(power == 0.0)
 
     def test_single_stream_sinusoid(self):
         window = np.zeros((9, 128))
         t = np.arange(128)
         window[0] = np.sin(2 * np.pi * 3 * t / 128)
-        out = extract_features(window)
-        assert abs(out.freq[0, 3] - 64.0) < 1e-9
-        mask = np.ones_like(out.freq, dtype=bool)
+        freq = extract_features_batch(window[None])[0][0]
+        assert abs(freq[0, 3] - 64.0) < 1e-9
+        mask = np.ones_like(freq, dtype=bool)
         mask[0, 3] = False
-        assert np.all(out.freq[mask] <= 1e-9)
+        assert np.all(freq[mask] <= 1e-9)
 
     def test_shapes_and_nonnegative_power(self):
         rng = np.random.default_rng(8)
-        out = extract_features(rng.standard_normal((9, 128)))
-        assert out.freq.shape == (9, 65)
-        assert out.power.shape == (9, 33)
-        assert np.all(out.power >= 0.0)
-        assert np.all(np.isfinite(out.freq))
+        freq, power = extract_features_batch(rng.standard_normal((1, 9, 128)))
+        assert freq.shape == (1, 9, 65)
+        assert power.shape == (1, 9, 33)
+        assert np.all(power >= 0.0)
+        assert np.all(np.isfinite(freq))
 
     def test_batch_matches_per_window(self):
         rng = np.random.default_rng(21)
         windows = rng.standard_normal((4, 9, 128))
         freq, power = extract_features_batch(windows)
         for i in range(4):
-            single = extract_features(windows[i])
-            assert np.array_equal(freq[i], single.freq)
-            assert np.array_equal(power[i], single.power)
+            assert np.array_equal(freq[i], magnitude_onesided(fft_real(windows[i])))
+            psd = welch_psd(windows[i], DEFAULT_WELCH, SAMPLE_RATE_HZ)
+            assert np.array_equal(power[i], psd.values)
 
     def test_batch_across_block_boundaries_matches_per_window(self):
         n = 2 * BLOCK_WINDOWS + 5
@@ -67,9 +72,9 @@ class TestExtractFeatures:
         assert freq.shape == (n, 9, 65)
         assert power.shape == (n, 9, 33)
         for i in range(n):
-            single = extract_features(windows[i])
-            assert np.array_equal(freq[i], single.freq)
-            assert np.array_equal(power[i], single.power)
+            assert np.array_equal(freq[i], magnitude_onesided(fft_real(windows[i])))
+            psd = welch_psd(windows[i], DEFAULT_WELCH, SAMPLE_RATE_HZ)
+            assert np.array_equal(power[i], psd.values)
 
     def test_empty_batch_gives_empty_stacks(self):
         freq, power = extract_features_batch(np.zeros((0, 9, 128)))
@@ -85,8 +90,8 @@ class TestExtractFeatures:
         assert np.array_equal(power_r, power[::-1])
 
     def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError, match="window shape"):
-            extract_features(np.zeros((9, 64)))
+        with pytest.raises(ValueError, match="windows shape"):
+            extract_features_batch(np.zeros((1, 9, 64)))
         with pytest.raises(ValueError, match="windows shape"):
             extract_features_batch(np.zeros((2, 3, 128)))
 
@@ -94,16 +99,16 @@ class TestExtractFeatures:
 class TestFitNormalizer:
     def test_identical_tensors_give_zero_std(self):
         rng = np.random.default_rng(2)
-        t = random_tensor(rng)
-        stats = fit_normalizer([t, t])
+        t = random_pair(rng)
+        stats = fit_normalizer_arrays(*stacked([t, t]))
         assert np.all(stats.freq_std == 0.0)
         assert np.all(stats.power_std == 0.0)
-        assert np.allclose(stats.freq_mean, t.freq, atol=1e-6)
+        assert np.allclose(stats.freq_mean, t[0], atol=1e-6)
 
     def test_two_point_mean_and_std(self):
-        zero = FeatureTensor(freq=np.zeros((9, 65)), power=np.zeros((9, 33)))
-        two = FeatureTensor(freq=np.full((9, 65), 2.0), power=np.full((9, 33), 2.0))
-        stats = fit_normalizer([zero, two])
+        zero = (np.zeros((9, 65)), np.zeros((9, 33)))
+        two = (np.full((9, 65), 2.0), np.full((9, 33), 2.0))
+        stats = fit_normalizer_arrays(*stacked([zero, two]))
         assert np.all(stats.freq_mean == 1.0)
         assert np.all(stats.freq_std == 1.0)
         assert np.all(stats.power_mean == 1.0)
@@ -111,7 +116,7 @@ class TestFitNormalizer:
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            fit_normalizer([])
+            fit_normalizer_arrays(np.zeros((0, 9, 65)), np.zeros((0, 9, 33)))
 
     def test_matches_streaming_mean_oracle(self):
         rng = np.random.default_rng(77)
@@ -132,30 +137,31 @@ class TestFitNormalizer:
 class TestApplyNormalizer:
     def test_mean_input_maps_to_zero(self):
         rng = np.random.default_rng(3)
-        tensors = [random_tensor(rng) for _ in range(10)]
-        stats = fit_normalizer(tensors)
-        mean_tensor = FeatureTensor(
-            freq=stats.freq_mean.astype(np.float64), power=stats.power_mean.astype(np.float64)
+        tensors = [random_pair(rng) for _ in range(10)]
+        stats = fit_normalizer_arrays(*stacked(tensors))
+        mean_set = one_window_set(
+            stats.freq_mean.astype(np.float64), stats.power_mean.astype(np.float64)
         )
-        out = apply_normalizer(mean_tensor, stats)
+        out = normalize_set(mean_set, stats)
         assert np.allclose(out.freq, 0.0, atol=1e-12)
         assert np.allclose(out.power, 0.0, atol=1e-12)
 
     def test_zero_std_position_stays_finite_zero(self):
-        t = FeatureTensor(freq=np.ones((9, 65)), power=np.ones((9, 33)))
-        stats = fit_normalizer([t, t])
-        out = apply_normalizer(t, stats)
+        t = (np.ones((9, 65)), np.ones((9, 33)))
+        stats = fit_normalizer_arrays(*stacked([t, t]))
+        out = normalize_set(one_window_set(*t), stats)
         assert np.all(out.freq == 0.0)
         assert np.all(np.isfinite(out.freq))
 
     def test_round_trip_recovers_input(self):
         rng = np.random.default_rng(13)
-        tensors = [random_tensor(rng, scale=10.0) for _ in range(8)]
-        stats = fit_normalizer(tensors)
-        t = tensors[3]
-        out = apply_normalizer(t, stats)
-        freq_back = out.freq * (stats.freq_std.astype(np.float64) + stats.epsilon) + stats.freq_mean
-        assert np.max(np.abs(freq_back - t.freq)) <= 1e-9 * max(1.0, np.max(np.abs(t.freq)))
+        tensors = [random_pair(rng, scale=10.0) for _ in range(8)]
+        stats = fit_normalizer_arrays(*stacked(tensors))
+        t_freq = tensors[3][0]
+        out = normalize_set(one_window_set(*tensors[3]), stats)
+        scale = stats.freq_std.astype(np.float64) + stats.epsilon
+        freq_back = out.freq[0] * scale + stats.freq_mean
+        assert np.max(np.abs(freq_back - t_freq)) <= 1e-9 * max(1.0, np.max(np.abs(t_freq)))
 
     def test_normalized_training_set_is_standardized(self):
         rng = np.random.default_rng(55)
@@ -172,10 +178,10 @@ class TestApplyNormalizer:
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(1)
-        stats = fit_normalizer([random_tensor(rng)])
-        bad = FeatureTensor(freq=np.zeros((9, 33)), power=np.zeros((9, 65)))
+        stats = fit_normalizer_arrays(*stacked([random_pair(rng)]))
+        bad = one_window_set(np.zeros((9, 33)), np.zeros((9, 65)))
         with pytest.raises(ValueError, match="do not match"):
-            apply_normalizer(bad, stats)
+            normalize_set(bad, stats)
 
 
 class TestFeatureCache:

@@ -9,7 +9,6 @@ from harcnn.layers import (
     dense_forward,
     maxpool1d_backward,
     maxpool1d_forward,
-    softmax_cross_entropy,
     softmax_cross_entropy_batch,
 )
 
@@ -198,45 +197,50 @@ class TestMaxPool:
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):
-        loss, grad, probs = softmax_cross_entropy(np.zeros(6), 2)
-        assert abs(loss - np.log(6.0)) < 1e-12
+        losses, _, probs = softmax_cross_entropy_batch(np.zeros((1, 6)), np.array([2]))
+        assert abs(losses[0] - np.log(6.0)) < 1e-12
         assert np.allclose(probs, 1.0 / 6.0)
         assert abs(probs.sum() - 1.0) < 1e-6
 
     def test_confident_correct_logit_gives_near_zero_loss(self):
-        logits = np.zeros(6)
-        logits[4] = 1e4
-        loss, _, probs = softmax_cross_entropy(logits, 4)
-        assert loss < 1e-9
-        assert probs[4] > 1.0 - 1e-9
+        logits = np.zeros((1, 6))
+        logits[0, 4] = 1e4
+        losses, _, probs = softmax_cross_entropy_batch(logits, np.array([4]))
+        assert losses[0] < 1e-9
+        assert probs[0, 4] > 1.0 - 1e-9
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(10)
-        logits = rng.standard_normal(6)
-        _, grad, _ = softmax_cross_entropy(logits, 3)
+        logits = rng.standard_normal(6)[None]
+        true = np.array([3])
+        _, grads, _ = softmax_cross_entropy_batch(logits, true)
         h = 1e-3
         for k in range(6):
             bumped = logits.copy()
-            bumped[k] += h
-            lhs = softmax_cross_entropy(bumped, 3)[0]
-            bumped[k] -= 2 * h
-            rhs = softmax_cross_entropy(bumped, 3)[0]
+            bumped[0, k] += h
+            lhs = softmax_cross_entropy_batch(bumped, true)[0][0]
+            bumped[0, k] -= 2 * h
+            rhs = softmax_cross_entropy_batch(bumped, true)[0][0]
             fd = (lhs - rhs) / (2 * h)
-            assert abs(grad[k] - fd) <= 1e-6
+            assert abs(grads[0, k] - fd) <= 1e-6
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(11)
         logits = rng.standard_normal((5, 6))
         classes = rng.integers(0, 6, size=5)
         losses, grads, probs = softmax_cross_entropy_batch(logits, classes)
+        # Row i of the batch equals the one-row batch of row i.
         for i in range(5):
-            loss_i, grad_i, probs_i = softmax_cross_entropy(logits[i], classes[i])
-            assert abs(losses[i] - loss_i) < 1e-12
-            assert np.allclose(grads[i], grad_i)
-            assert np.allclose(probs[i], probs_i)
+            row = slice(i, i + 1)
+            loss_i, grad_i, probs_i = softmax_cross_entropy_batch(logits[row], classes[row])
+            assert abs(losses[i] - loss_i[0]) < 1e-12
+            assert np.allclose(grads[i], grad_i[0])
+            assert np.allclose(probs[i], probs_i[0])
 
     def test_huge_logits_stay_finite(self):
-        loss, grad, probs = softmax_cross_entropy(np.array([1e30, -1e30, 0, 0, 0, 0]), 0)
-        assert np.isfinite(loss)
+        losses, grad, probs = softmax_cross_entropy_batch(
+            np.array([[1e30, -1e30, 0, 0, 0, 0]]), np.array([0])
+        )
+        assert np.isfinite(losses[0])
         assert np.all(np.isfinite(grad))
         assert abs(probs.sum() - 1.0) < 1e-6
