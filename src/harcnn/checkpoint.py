@@ -2,9 +2,12 @@
 
 Checkpoint layout: 8-byte magic, u16 format version, u32-length-prefixed
 UTF-8 JSON metadata (architecture, Welch config, stream order, seed,
-epoch, normalizer epsilon), then named float32 tensor records for every
-weight, bias, and normalization array. The stats sidecar reuses the same
-record codec under its own magic.
+epoch, normalizer epsilon), then one named float32 tensor record per
+weight and bias, named and ordered by `model.param_shapes`, then the
+normalization arrays. Loading rebuilds the parameter table from the same
+`param_shapes`, so a missing or wrong-shaped record is rejected with the
+path and the array's name. The stats sidecar reuses the same record codec
+under its own magic.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .binio import FormatError, atomic_write_bytes, pack_tensor_record, unpack_t
 from .dataset import STREAM_NAMES
 from .dsp import WelchConfig
 from .features import NormStats
-from .model import ChannelParams, DenseLayerSpec, ModelParams, ModelSpec
+from .model import ModelParams, ModelSpec, param_shapes
 
 CHECKPOINT_MAGIC = b"HARMCNN1"
 NORM_MAGIC = b"HARNORM1"
@@ -95,7 +98,7 @@ def save_checkpoint(path: str | Path, params: ModelParams, welch: WelchConfig, e
         "norm_epsilon": params.norm.epsilon if params.norm is not None else None,
     }
     parts = [_header(CHECKPOINT_MAGIC, meta)]
-    for name, arr in params.named_arrays():
+    for name, arr in params.arrays.items():
         parts.append(pack_tensor_record(name, arr))
     if params.norm is not None:
         for name, arr in _norm_records(params.norm):
@@ -114,6 +117,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, WelchConfig, dict]:
         seed = int(meta["seed"])
         norm_epsilon = float(meta["norm_epsilon"]) if has_norm else None
         welch = WelchConfig(**meta["welch"])
+        shapes = param_shapes(spec, freq_bins, power_bins)
     except KeyError as exc:
         raise CheckpointError(f"{path}: checkpoint metadata lacks key {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -124,17 +128,6 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, WelchConfig, dict]:
             raise CheckpointError(f"{path}: missing tensor record {name!r}")
         return records[name]
 
-    def channel(prefix: str, bins: int) -> ChannelParams:
-        conv_weights = [take(f"{prefix}.conv{i}.w") for i in range(len(spec.convs))]
-        conv_biases = [take(f"{prefix}.conv{i}.b") for i in range(len(spec.convs))]
-        return ChannelParams(
-            conv_weights=conv_weights,
-            conv_biases=conv_biases,
-            dense_spec=DenseLayerSpec(spec.flat_dim(bins), spec.dense_units, spec.dense_activation),
-            dense_weights=take(f"{prefix}.dense.w"),
-            dense_bias=take(f"{prefix}.dense.b"),
-        )
-
     norm = None
     if has_norm:
         norm = NormStats(
@@ -144,21 +137,11 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, WelchConfig, dict]:
             power_std=take("norm.power_std"),
             epsilon=norm_epsilon,
         )
+    arrays = {name: take(name) for name in shapes}
     try:
-        params = ModelParams(
-            spec=spec,
-            freq_bins=freq_bins,
-            power_bins=power_bins,
-            freq=channel("freq", freq_bins),
-            power=channel("power", power_bins),
-            fusion_spec=DenseLayerSpec(2 * spec.dense_units, spec.classes, "identity"),
-            fusion_weights=take("fusion.w"),
-            fusion_bias=take("fusion.b"),
-            rng_seed=seed,
-            norm=norm,
-        )
+        params = ModelParams(spec, freq_bins, power_bins, arrays, rng_seed=seed, norm=norm)
     except ValueError as exc:
-        raise CheckpointError(f"{path}: inconsistent checkpoint: {exc}") from exc
+        raise CheckpointError(f"{path}: inconsistent checkpoint: {exc}") from None
     return params, welch, meta
 
 

@@ -59,10 +59,7 @@ def macro_prf(cm: np.ndarray) -> tuple[float, float, float]:
     if np.any(cm.sum(axis=1) == 0):
         missing = [Activity(i + 1).short for i in np.flatnonzero(cm.sum(axis=1) == 0)]
         raise ValueError(f"classes without true instances: {', '.join(missing)}")
-    precision, recall = _per_class_precision_recall(cm)
-    p, r = float(precision.mean()), float(recall.mean())
-    f1 = 2.0 * p * r / (p + r) if p + r > 0 else 0.0
-    return p, r, f1
+    return macro_prf_lenient(cm)
 
 
 def macro_prf_lenient(cm: np.ndarray) -> tuple[float, float, float]:

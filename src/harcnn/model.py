@@ -3,16 +3,20 @@
 The frequency channel consumes the 9x65 magnitude matrix and the power
 channel the 9x33 PSD matrix; their dense outputs are concatenated and
 fused into 6 class logits. Both channels run the same conv/pool/dense
-hyperparameters, which is asserted at construction.
+hyperparameters. `param_shapes` alone fixes the name, shape and order of
+every weight and bias; `ModelParams` holds them in one name->array dict
+and checks it against that layout at construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .dataset import N_STREAMS
+from .dsp import require_type
 from .features import NormStats
 from .layers import (
     ACTIVATIONS,
@@ -38,21 +42,9 @@ class ConvLayerSpec:
     activation: str = "relu"
 
     def __post_init__(self) -> None:
+        require_type(int, self, "in_streams", "filters", "kernel_len", "stride")
         if min(self.in_streams, self.filters, self.kernel_len) < 1 or self.stride < 1:
             raise ValueError(f"conv spec dimensions must be positive: {self}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-
-
-@dataclass(frozen=True)
-class DenseLayerSpec:
-    in_dim: int
-    out_nodes: int
-    activation: str = "relu"
-
-    def __post_init__(self) -> None:
-        if self.in_dim < 1 or self.out_nodes < 1:
-            raise ValueError(f"dense spec dimensions must be positive: {self}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
@@ -72,6 +64,7 @@ class ModelSpec:
             raise ValueError("at least one conv layer is required")
         if len(self.pool_widths) != len(self.convs):
             raise ValueError("pool_widths must have one entry per conv layer")
+        require_type(int, self, "pool_widths", "dense_units", "classes")
         if any(w < 1 for w in self.pool_widths):
             raise ValueError("pool widths must be >= 1")
         for prev, nxt in zip(self.convs, self.convs[1:]):
@@ -82,6 +75,8 @@ class ModelSpec:
                 )
         if self.dense_units < 1 or self.classes < 1:
             raise ValueError("dense_units and classes must be positive")
+        if self.dense_activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.dense_activation!r}")
 
     def flat_dim(self, bins: int) -> int:
         """Flattened width after the conv/pool stack on a `bins`-wide input."""
@@ -104,9 +99,9 @@ class ModelSpec:
         return cls(
             convs=tuple(ConvLayerSpec(**c) for c in d["convs"]),
             pool_widths=tuple(d["pool_widths"]),
-            dense_units=int(d["dense_units"]),
+            dense_units=d["dense_units"],
             dense_activation=d["dense_activation"],
-            classes=int(d["classes"]),
+            classes=d["classes"],
         )
 
 
@@ -120,22 +115,18 @@ DEFAULT_MODEL_SPEC = ModelSpec(
 )
 
 
-@dataclass
-class ChannelParams:
-    conv_weights: list[np.ndarray]
-    conv_biases: list[np.ndarray]
-    dense_spec: DenseLayerSpec
-    dense_weights: np.ndarray
-    dense_bias: np.ndarray
-
-    def copy(self) -> "ChannelParams":
-        return ChannelParams(
-            conv_weights=[w.copy() for w in self.conv_weights],
-            conv_biases=[b.copy() for b in self.conv_biases],
-            dense_spec=self.dense_spec,
-            dense_weights=self.dense_weights.copy(),
-            dense_bias=self.dense_bias.copy(),
-        )
+def param_shapes(spec: ModelSpec, freq_bins: int, power_bins: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every weight and bias, in the fixed (init, update, checkpoint) order."""
+    shapes = {}
+    for prefix, bins in (("freq", freq_bins), ("power", power_bins)):
+        for i, conv in enumerate(spec.convs):
+            shapes[f"{prefix}.conv{i}.w"] = (conv.filters, conv.in_streams, conv.kernel_len)
+            shapes[f"{prefix}.conv{i}.b"] = (conv.filters,)
+        shapes[f"{prefix}.dense.w"] = (spec.dense_units, spec.flat_dim(bins))
+        shapes[f"{prefix}.dense.b"] = (spec.dense_units,)
+    shapes["fusion.w"] = (spec.classes, 2 * spec.dense_units)
+    shapes["fusion.b"] = (spec.classes,)
+    return shapes
 
 
 @dataclass
@@ -143,68 +134,26 @@ class ModelParams:
     spec: ModelSpec
     freq_bins: int
     power_bins: int
-    freq: ChannelParams
-    power: ChannelParams
-    fusion_spec: DenseLayerSpec
-    fusion_weights: np.ndarray
-    fusion_bias: np.ndarray
+    arrays: dict[str, np.ndarray]
     rng_seed: int
     norm: NormStats | None = None
 
     def __post_init__(self) -> None:
-        for channel in (self.freq, self.power):
-            for conv, w, b in zip(self.spec.convs, channel.conv_weights, channel.conv_biases):
-                expected = (conv.filters, conv.in_streams, conv.kernel_len)
-                if w.shape != expected or b.shape != (conv.filters,):
-                    raise ValueError(
-                        f"conv weights {w.shape}/{b.shape} do not match spec {expected}"
-                    )
-            if channel.dense_spec.out_nodes != self.spec.dense_units:
-                raise ValueError("channel dense width differs from the shared spec")
-        if self.fusion_spec.in_dim != 2 * self.spec.dense_units:
-            raise ValueError("fusion input must be the concatenation of both channel outputs")
-        if self.fusion_spec.out_nodes != self.spec.classes:
-            raise ValueError(f"fusion must emit {self.spec.classes} outputs")
+        expected = param_shapes(self.spec, self.freq_bins, self.power_bins)
+        got = {name: arr.shape for name, arr in self.arrays.items()}
+        for name in [*expected, *got]:
+            if got.get(name) != expected.get(name):
+                raise ValueError(
+                    f"parameter arrays do not match spec: {name!r} has shape "
+                    f"{got.get(name, 'none')}, spec has {expected.get(name, 'none')}"
+                )
 
     @property
     def dtype(self) -> np.dtype:
-        return self.fusion_weights.dtype
-
-    def named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        """Parameter arrays in the fixed (init, update, checkpoint) order."""
-        out = []
-        for prefix, channel in (("freq", self.freq), ("power", self.power)):
-            for i, (w, b) in enumerate(zip(channel.conv_weights, channel.conv_biases)):
-                out.append((f"{prefix}.conv{i}.w", w))
-                out.append((f"{prefix}.conv{i}.b", b))
-            out.append((f"{prefix}.dense.w", channel.dense_weights))
-            out.append((f"{prefix}.dense.b", channel.dense_bias))
-        out.append(("fusion.w", self.fusion_weights))
-        out.append(("fusion.b", self.fusion_bias))
-        return out
+        return self.arrays["fusion.w"].dtype
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            spec=self.spec,
-            freq_bins=self.freq_bins,
-            power_bins=self.power_bins,
-            freq=self.freq.copy(),
-            power=self.power.copy(),
-            fusion_spec=self.fusion_spec,
-            fusion_weights=self.fusion_weights.copy(),
-            fusion_bias=self.fusion_bias.copy(),
-            rng_seed=self.rng_seed,
-            norm=self.norm,
-        )
-
-
-def _init_weight(rng, shape, fan_in, fan_out, activation, dtype):
-    # He fan-in scaling for relu, symmetric fan-average otherwise.
-    if activation == "relu":
-        limit = np.sqrt(6.0 / fan_in)
-    else:
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+        return replace(self, arrays={name: arr.copy() for name, arr in self.arrays.items()})
 
 
 def init_model(
@@ -215,56 +164,35 @@ def init_model(
     norm: NormStats | None = None,
     dtype=np.float32,
 ) -> ModelParams:
-    """Seeded parameter initialization (PCG64 generator, fixed draw order)."""
+    """Seeded initialization: zero biases, one PCG64 uniform draw per weight in layout order.
+
+    An (out, in, *kernel) weight has fan-in in*K and fan-out out*K (K = prod(kernel));
+    relu layers get He fan-in scaling, the others a symmetric fan-average.
+    """
     rng = np.random.default_rng(seed)
-
-    def channel(bins: int) -> ChannelParams:
-        conv_weights, conv_biases = [], []
-        for conv in spec.convs:
-            shape = (conv.filters, conv.in_streams, conv.kernel_len)
-            fan_in = conv.in_streams * conv.kernel_len
-            fan_out = conv.filters * conv.kernel_len
-            conv_weights.append(_init_weight(rng, shape, fan_in, fan_out, conv.activation, dtype))
-            conv_biases.append(np.zeros(conv.filters, dtype=dtype))
-        in_dim = spec.flat_dim(bins)
-        dense_spec = DenseLayerSpec(in_dim, spec.dense_units, spec.dense_activation)
-        dense_w = _init_weight(
-            rng, (spec.dense_units, in_dim), in_dim, spec.dense_units, spec.dense_activation, dtype
-        )
-        return ChannelParams(
-            conv_weights=conv_weights,
-            conv_biases=conv_biases,
-            dense_spec=dense_spec,
-            dense_weights=dense_w,
-            dense_bias=np.zeros(spec.dense_units, dtype=dtype),
-        )
-
-    freq = channel(freq_bins)
-    power = channel(power_bins)
-    fusion_spec = DenseLayerSpec(2 * spec.dense_units, spec.classes, "identity")
-    fusion_w = _init_weight(
-        rng, (spec.classes, fusion_spec.in_dim), fusion_spec.in_dim, spec.classes, "identity", dtype
-    )
-    return ModelParams(
-        spec=spec,
-        freq_bins=freq_bins,
-        power_bins=power_bins,
-        freq=freq,
-        power=power,
-        fusion_spec=fusion_spec,
-        fusion_weights=fusion_w,
-        fusion_bias=np.zeros(spec.classes, dtype=dtype),
-        rng_seed=seed,
-        norm=norm,
-    )
+    activations = {f"conv{i}": conv.activation for i, conv in enumerate(spec.convs)}
+    activations.update(dense=spec.dense_activation, fusion="identity")
+    arrays = {}
+    for name, shape in param_shapes(spec, freq_bins, power_bins).items():
+        if name.endswith(".b"):
+            arrays[name] = np.zeros(shape, dtype=dtype)
+            continue
+        receptive = math.prod(shape[2:])
+        fan_in, fan_out = shape[1] * receptive, shape[0] * receptive
+        if activations[name.split(".")[-2]] == "relu":
+            limit = np.sqrt(6.0 / fan_in)
+        else:
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+        arrays[name] = rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return ModelParams(spec, freq_bins, power_bins, arrays, rng_seed=seed, norm=norm)
 
 
-def _channel_forward(x, spec: ModelSpec, channel: ChannelParams):
+def _channel_forward(x, params: ModelParams, prefix: str):
+    arrays = params.arrays
     caches = []
     h = x
-    for conv, pool_w, w, b in zip(
-        spec.convs, spec.pool_widths, channel.conv_weights, channel.conv_biases
-    ):
+    for i, (conv, pool_w) in enumerate(zip(params.spec.convs, params.spec.pool_widths)):
+        w, b = arrays[f"{prefix}.conv{i}.w"], arrays[f"{prefix}.conv{i}.b"]
         h, conv_cache = conv1d_forward(h, w, b, conv.stride, conv.activation)
         pool_cache = None
         if pool_w > 1:
@@ -273,22 +201,23 @@ def _channel_forward(x, spec: ModelSpec, channel: ChannelParams):
     pre_flatten_shape = h.shape
     flat = h.reshape(h.shape[0], -1)
     out, dense_cache = dense_forward(
-        flat, channel.dense_weights, channel.dense_bias, channel.dense_spec.activation
+        flat, arrays[f"{prefix}.dense.w"], arrays[f"{prefix}.dense.b"], params.spec.dense_activation
     )
     return out, (caches, pre_flatten_shape, dense_cache)
 
 
-def _channel_backward(d_out, cache, spec: ModelSpec, channel: ChannelParams, prefix, grads):
+def _channel_backward(d_out, cache, params: ModelParams, prefix: str, grads):
     caches, pre_flatten_shape, dense_cache = cache
-    d_flat, d_dw, d_db = dense_backward(d_out, dense_cache, channel.dense_weights)
+    arrays = params.arrays
+    d_flat, d_dw, d_db = dense_backward(d_out, dense_cache, arrays[f"{prefix}.dense.w"])
     grads[f"{prefix}.dense.w"] = d_dw
     grads[f"{prefix}.dense.b"] = d_db
     d_h = d_flat.reshape(pre_flatten_shape)
-    for i in reversed(range(len(spec.convs))):
+    for i in reversed(range(len(params.spec.convs))):
         conv_cache, pool_cache = caches[i]
         if pool_cache is not None:
             d_h = maxpool1d_backward(d_h, pool_cache)
-        d_h, d_w, d_b = conv1d_backward(d_h, conv_cache, channel.conv_weights[i])
+        d_h, d_w, d_b = conv1d_backward(d_h, conv_cache, arrays[f"{prefix}.conv{i}.w"])
         grads[f"{prefix}.conv{i}.w"] = d_w
         grads[f"{prefix}.conv{i}.b"] = d_b
     return d_h
@@ -312,11 +241,11 @@ def forward_batch(params: ModelParams, freq, power, want_cache: bool = False):
             f"feature shapes {freq.shape[1:]}/{power.shape[1:]} do not match model "
             f"({streams}, {params.freq_bins})/({streams}, {params.power_bins})"
         )
-    f_out, f_cache = _channel_forward(freq, params.spec, params.freq)
-    p_out, p_cache = _channel_forward(power, params.spec, params.power)
+    f_out, f_cache = _channel_forward(freq, params, "freq")
+    p_out, p_cache = _channel_forward(power, params, "power")
     concat = np.concatenate([f_out, p_out], axis=1)
     logits, fusion_cache = dense_forward(
-        concat, params.fusion_weights, params.fusion_bias, params.fusion_spec.activation
+        concat, params.arrays["fusion.w"], params.arrays["fusion.b"], "identity"
     )
     if not np.isfinite(logits).all():
         raise ValueError("model produced non-finite logits (NaN or inf in the features or weights)")
@@ -330,12 +259,12 @@ def backward_batch(params: ModelParams, cache, d_logits) -> dict[str, np.ndarray
     """Gradients of the summed loss w.r.t. every weight and bias."""
     f_cache, p_cache, fusion_cache = cache
     grads: dict[str, np.ndarray] = {}
-    d_concat, d_fw, d_fb = dense_backward(d_logits, fusion_cache, params.fusion_weights)
+    d_concat, d_fw, d_fb = dense_backward(d_logits, fusion_cache, params.arrays["fusion.w"])
     grads["fusion.w"] = d_fw
     grads["fusion.b"] = d_fb
     units = params.spec.dense_units
-    _channel_backward(d_concat[:, :units], f_cache, params.spec, params.freq, "freq", grads)
-    _channel_backward(d_concat[:, units:], p_cache, params.spec, params.power, "power", grads)
+    _channel_backward(d_concat[:, :units], f_cache, params, "freq", grads)
+    _channel_backward(d_concat[:, units:], p_cache, params, "power", grads)
     return grads
 
 

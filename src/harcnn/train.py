@@ -11,6 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .dsp import require_type
 from .features import FeatureSet, NormStats
 from .layers import softmax_cross_entropy_batch
 from .metrics import accuracy_of, confusion, macro_prf_lenient
@@ -28,10 +29,12 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        require_type(int, self, "epochs", "batch_size", "seed")
+        require_type((int, float), self, "learning_rate", "beta1", "beta2", "adam_eps")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if self.learning_rate <= 0 or self.adam_eps <= 0:
+            raise ValueError("learning_rate and adam_eps must be positive")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must be in (0, 1)")
 
@@ -65,8 +68,8 @@ class AdamState:
 
     def __init__(self, params: ModelParams):
         self.t = 0
-        self.m = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
-        self.v = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
+        self.m = {name: np.zeros_like(arr) for name, arr in params.arrays.items()}
+        self.v = {name: np.zeros_like(arr) for name, arr in params.arrays.items()}
 
 
 def adam_step(
@@ -76,7 +79,7 @@ def adam_step(
     state.t += 1
     t = state.t
     lr, b1, b2, eps = cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps
-    for name, arr in params.named_arrays():
+    for name, arr in params.arrays.items():
         g = grads[name].astype(arr.dtype, copy=False)
         m = state.m[name]
         v = state.v[name]

@@ -211,7 +211,7 @@ class TestCriterion06GradientCorrectness:
         h = 1e-3
         worst = 0.0
         checked = 0
-        for name, arr in params.named_arrays():
+        for name, arr in params.arrays.items():
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index

@@ -1,9 +1,12 @@
+import hashlib
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from harcnn.binio import pack_tensor_record, unpack_tensor_records
 from harcnn.checkpoint import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -12,6 +15,7 @@ from harcnn.checkpoint import (
     save_checkpoint,
     save_norm_stats,
 )
+from harcnn.cli import main
 from harcnn.dsp import WelchConfig
 from harcnn.features import NormStats
 from harcnn.model import DEFAULT_MODEL_SPEC, init_model, predict_batch
@@ -41,7 +45,7 @@ class TestCheckpointRoundTrip:
         save_checkpoint(path, params, WelchConfig(), epoch=17)
         loaded, welch, meta = load_checkpoint(path)
         for (name_a, arr_a), (name_b, arr_b) in zip(
-            params.named_arrays(), loaded.named_arrays()
+            params.arrays.items(), loaded.arrays.items()
         ):
             assert name_a == name_b
             assert np.array_equal(arr_a, arr_b)
@@ -71,6 +75,13 @@ class TestCheckpointRoundTrip:
         save_checkpoint(a, params, WelchConfig(), epoch=2)
         save_checkpoint(b, params, WelchConfig(), epoch=2)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        # Fails on any change to the init draw order, the record order or a record name.
+        path = tmp_path / "pinned.bin"
+        save_checkpoint(path, init_model(seed=0, norm=make_norm()), WelchConfig(), epoch=1)
+        digest = hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest()
+        assert digest == "3b83f43fb79be02decac17bcac59379e"
 
     def test_model_without_stats_round_trips(self, tmp_path):
         params = init_model(seed=9)
@@ -207,3 +218,39 @@ class TestErrorsNameThePath:
         with pytest.raises(CheckpointError, match=message) as info:
             load(path)
         assert str(info.value).startswith(f"{path}: ")
+
+
+def with_record(path, name, shape):
+    """Rewrite one tensor record of a saved checkpoint as zeros of `shape`."""
+    data = path.read_bytes()
+    offset = 14 + _meta_len(data)
+    records = unpack_tensor_records(memoryview(data)[offset:])
+    records[name] = np.zeros(shape, dtype=np.float32)
+    packed = b"".join(pack_tensor_record(key, arr) for key, arr in records.items())
+    path.write_bytes(data[:offset] + packed)
+
+
+class TestWrongShapedRecords:
+    @pytest.mark.parametrize(
+        "name, shape",
+        [
+            ("freq.dense.b", (1,)),
+            ("fusion.b", (1,)),
+            ("power.dense.w", (128, 10)),
+            ("fusion.w", (6,)),
+        ],
+    )
+    def test_load_and_evaluate_name_path_and_array(self, tmp_path, capsys, name, shape):
+        path = tmp_path / "shape.bin"
+        save_checkpoint(path, init_model(seed=1, norm=make_norm()), WelchConfig(), epoch=0)
+        with_record(path, name, shape)
+        message = f"'{name}' has shape {shape}"
+        with pytest.raises(CheckpointError, match=re.escape(message)) as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(path), "--out", str(tmp_path / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert message in err

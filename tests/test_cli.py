@@ -99,11 +99,27 @@ class TestConfigValues:
             ("subset", "5", "subset must be null or an integer >= 1, got '5'"),
             ("subset", True, "subset must be null or an integer >= 1, got True"),
             ("strict_counts", "false", "strict_counts must be true or false, got 'false'"),
+            ("train.seed", 1.5, "seed must be integer, got 1.5"),
+            ("train.batch_size", 2.5, "batch_size must be integer, got 2.5"),
+            ("train.epochs", 1.5, "epochs must be integer, got 1.5"),
+            ("train.learning_rate", True, "learning_rate must be numeric, got True"),
+            ("train.beta2", "0.9", "beta2 must be numeric, got '0.9'"),
+            ("train.adam_eps", 0.0, "learning_rate and adam_eps must be positive"),
+            ("model.pool_widths", [2.0, 2], "pool_widths must be integer, got (2.0, 2)"),
+            ("model.dense_units", 8.5, "dense_units must be integer, got 8.5"),
+            ("model.classes", True, "classes must be integer, got True"),
+            ("model.convs.0.stride", 1.0, "stride must be integer, got 1.0"),
+            ("welch.segment_len", 64.0, "segment_len must be integer, got 64.0"),
+            ("welch.overlap", False, "overlap must be integer, got False"),
         ],
     )
     def test_bad_value_in_config_is_one_line_error(self, tmp_path, capsys, key, value, message):
         d = RunConfig(output_dir=str(tmp_path / "out")).to_json_dict()
-        d[key] = value
+        *parents, leaf = key.split(".")
+        target = d
+        for part in parents:
+            target = target[int(part) if isinstance(target, list) else part]
+        target[leaf] = value
         path = tmp_path / "config.json"
         path.write_text(json.dumps(d))
         err = one_line_error(capsys, ["extract", "--config", str(path)])

@@ -60,7 +60,7 @@ class TestModelSpec:
 class TestInitModel:
     def test_default_shapes(self):
         params = init_model(seed=7)
-        shapes = dict((name, arr.shape) for name, arr in params.named_arrays())
+        shapes = dict((name, arr.shape) for name, arr in params.arrays.items())
         assert shapes["freq.conv0.w"] == (32, 9, 7)
         assert shapes["freq.conv1.w"] == (64, 32, 5)
         assert shapes["freq.dense.w"] == (128, 768)
@@ -70,34 +70,28 @@ class TestInitModel:
 
     def test_seed_reproducibility(self):
         a, b = init_model(seed=3), init_model(seed=3)
-        for (name_a, arr_a), (name_b, arr_b) in zip(a.named_arrays(), b.named_arrays()):
+        for (name_a, arr_a), (name_b, arr_b) in zip(a.arrays.items(), b.arrays.items()):
             assert name_a == name_b
             assert np.array_equal(arr_a, arr_b)
 
     def test_channels_share_hyperparameters(self):
         params = init_model(seed=1)
-        for (wf, bf), (wp, bp) in zip(
-            zip(params.freq.conv_weights, params.freq.conv_biases),
-            zip(params.power.conv_weights, params.power.conv_biases),
-        ):
-            assert wf.shape == wp.shape
-            assert bf.shape == bp.shape
-        assert params.freq.dense_spec.out_nodes == params.power.dense_spec.out_nodes
+        for i in range(len(params.spec.convs)):
+            for kind in ("w", "b"):
+                freq, power = (params.arrays[f"{c}.conv{i}.{kind}"] for c in ("freq", "power"))
+                assert freq.shape == power.shape
+        assert params.arrays["freq.dense.b"].shape == params.arrays["power.dense.b"].shape
 
     def test_mismatched_channel_construction_rejected(self):
         params = init_model(seed=1)
-        bad_freq = params.freq.copy()
-        bad_freq.conv_weights[0] = bad_freq.conv_weights[0][:16]
+        arrays = dict(params.arrays)
+        arrays["freq.conv0.w"] = arrays["freq.conv0.w"][:16]
         with pytest.raises(ValueError, match="do not match spec"):
             ModelParams(
                 spec=params.spec,
                 freq_bins=params.freq_bins,
                 power_bins=params.power_bins,
-                freq=bad_freq,
-                power=params.power,
-                fusion_spec=params.fusion_spec,
-                fusion_weights=params.fusion_weights,
-                fusion_bias=params.fusion_bias,
+                arrays=arrays,
                 rng_seed=params.rng_seed,
             )
 
@@ -191,7 +185,7 @@ class TestBackward:
 
         h = 1e-3
         worst = 0.0
-        for name, arr in params.named_arrays():
+        for name, arr in params.arrays.items():
             grad = grads[name]
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
@@ -209,7 +203,7 @@ class TestBackward:
 
     def test_zero_input_zero_weights_gradient_structure(self):
         params = tiny_model(seed=0)
-        for name, arr in params.named_arrays():
+        for name, arr in params.arrays.items():
             arr[...] = 0.0
         freq = np.zeros((2, 2, 8))
         power = np.zeros((2, 2, 8))
@@ -230,7 +224,7 @@ class TestBackward:
         _, d_logits, cache = mean_loss(params, freq, power, labels)
         batch_grads = backward_batch(params, cache, d_logits)
 
-        accum = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
+        accum = {name: np.zeros_like(arr) for name, arr in params.arrays.items()}
         for i in range(5):
             _, d_i, cache_i = mean_loss(params, freq[i : i + 1], power[i : i + 1], labels[i : i + 1])
             for name, grad in backward_batch(params, cache_i, d_i).items():
@@ -242,15 +236,15 @@ class TestBackward:
     def test_copy_is_deep(self):
         params = init_model(seed=8)
         clone = params.copy()
-        clone.fusion_weights[0, 0] += 1.0
-        assert params.fusion_weights[0, 0] != clone.fusion_weights[0, 0]
+        clone.arrays["fusion.w"][0, 0] += 1.0
+        assert params.arrays["fusion.w"][0, 0] != clone.arrays["fusion.w"][0, 0]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf weights on purpose
 class TestDebugFiniteHook:
     def test_debug_mode_catches_non_finite_forward(self):
         params = tiny_model(seed=2)
-        params.fusion_weights[0, 0] = np.inf
+        params.arrays["fusion.w"][0, 0] = np.inf
         freq = np.ones((1, 2, 8))
         power = np.ones((1, 2, 8))
         with pytest.raises(ValueError, match="non-finite"):

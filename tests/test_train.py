@@ -13,9 +13,7 @@ class ArrayHolder:
 
     def __init__(self, x):
         self.x = x
-
-    def named_arrays(self):
-        return [("x", self.x)]
+        self.arrays = {"x": x}
 
 
 SMALL_SPEC = ModelSpec(
@@ -45,11 +43,11 @@ def synthetic_feature_sets(n_train_per_class=10, n_test_per_class=4, seed=5):
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         params = init_model(SMALL_SPEC, seed=3)
-        before = {name: arr.copy() for name, arr in params.named_arrays()}
+        before = {name: arr.copy() for name, arr in params.arrays.items()}
         state = AdamState(params)
-        grads = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
+        grads = {name: np.zeros_like(arr) for name, arr in params.arrays.items()}
         adam_step(params, grads, state, TrainConfig())
-        for name, arr in params.named_arrays():
+        for name, arr in params.arrays.items():
             assert np.array_equal(arr, before[name])
 
     @pytest.mark.parametrize("magnitude", [5.0, 1e-6])
@@ -84,7 +82,7 @@ class TestTrain:
         params_a, run_a = train(train_set, test_set, SMALL_SPEC, cfg, norm)
         params_b, run_b = train(train_set, test_set, SMALL_SPEC, cfg, norm)
         assert run_a == run_b
-        for (name_a, arr_a), (_, arr_b) in zip(params_a.named_arrays(), params_b.named_arrays()):
+        for (name_a, arr_a), (_, arr_b) in zip(params_a.arrays.items(), params_b.arrays.items()):
             assert np.array_equal(arr_a, arr_b), name_a
 
     def test_small_subset_overfits_to_full_accuracy(self):
