@@ -16,7 +16,7 @@ from pathlib import Path
 from .binio import FormatError, atomic_write_bytes
 from .checkpoint import load_checkpoint, load_norm_stats, save_checkpoint, save_norm_stats
 from .dataset import Activity, DatasetError, EXPECTED_COUNTS, SPLITS, load_split, table_count_mismatches
-from .dsp import WelchConfig
+from .dsp import WelchConfig, require_type
 from .features import (
     DEFAULT_EPSILON,
     FeatureSet,
@@ -72,6 +72,11 @@ class RunConfig:
             raise ValueError(f"subset must be null or an integer >= 1, got {subset!r}")
         if type(self.strict_counts) is not bool:
             raise ValueError(f"strict_counts must be true or false, got {self.strict_counts!r}")
+        require_type((int, float), self, "normalizer_epsilon")
+        if not 0.0 < self.normalizer_epsilon < float("inf"):
+            raise ValueError(
+                f"normalizer_epsilon must be finite and > 0, got {self.normalizer_epsilon!r}"
+            )
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "model": self.model.to_json_dict()}
@@ -83,7 +88,7 @@ class RunConfig:
             output_dir=d["output_dir"],
             strict_counts=d["strict_counts"],
             subset=d["subset"],
-            normalizer_epsilon=float(d["normalizer_epsilon"]),
+            normalizer_epsilon=d["normalizer_epsilon"],
             welch=WelchConfig(**d["welch"]),
             model=ModelSpec.from_json_dict(d["model"]),
             train=TrainConfig.from_json_dict(d["train"]),

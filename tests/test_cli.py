@@ -99,6 +99,11 @@ class TestConfigValues:
             ("subset", "5", "subset must be null or an integer >= 1, got '5'"),
             ("subset", True, "subset must be null or an integer >= 1, got True"),
             ("strict_counts", "false", "strict_counts must be true or false, got 'false'"),
+            ("normalizer_epsilon", True, "normalizer_epsilon must be numeric, got True"),
+            ("normalizer_epsilon", "1e-8", "normalizer_epsilon must be numeric, got '1e-8'"),
+            ("normalizer_epsilon", -1.0, "normalizer_epsilon must be finite and > 0, got -1.0"),
+            ("normalizer_epsilon", 0, "normalizer_epsilon must be finite and > 0, got 0"),
+            ("normalizer_epsilon", float("inf"), "normalizer_epsilon must be finite and > 0, got inf"),
             ("train.seed", 1.5, "seed must be integer, got 1.5"),
             ("train.batch_size", 2.5, "batch_size must be integer, got 2.5"),
             ("train.epochs", 1.5, "epochs must be integer, got 1.5"),

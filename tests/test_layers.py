@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from harcnn.layers import (
+    ACTIVATIONS,
+    activate,
+    activation_grad,
     conv1d_backward,
     conv1d_forward,
     conv_output_len,
@@ -32,6 +35,114 @@ def brute_force_conv1d(x, weights, bias, stride, activation):
     elif activation == "sigmoid":
         out = 1.0 / (1.0 + np.exp(-out))
     return out
+
+
+def reference_conv1d_forward(x, weights, bias, stride=1, activation="relu"):
+    """Channels-first conv forward: the bit-exact reference for conv1d_forward.
+
+    conv1d_forward runs the same GEMMs in a channels-last layout, so the two
+    must agree bit for bit, not just within a tolerance.
+    """
+    filters, _, kernel_len = weights.shape
+    view = np.lib.stride_tricks.sliding_window_view(x, kernel_len, axis=2)
+    view = view[:, :, ::stride, :]  # (batch, streams, L_out, m)
+    windows = view.transpose(0, 2, 1, 3).reshape(x.shape[0], view.shape[2], -1)
+    pre = windows @ weights.reshape(filters, -1).T + bias  # (batch, L_out, filters)
+    out = activate(activation, pre).transpose(0, 2, 1)
+    return np.ascontiguousarray(out), (windows, out, x.shape, stride, activation)
+
+
+def reference_conv1d_backward(d_out, cache, weights):
+    windows, out, x_shape, stride, activation = cache
+    filters, streams, kernel_len = weights.shape
+    batch, _, out_len = d_out.shape
+    d_pre = (d_out * activation_grad(activation, out)).transpose(0, 2, 1)  # (b, L_out, n)
+    flat = d_pre.reshape(-1, filters)
+    d_weights = (flat.T @ windows.reshape(-1, streams * kernel_len)).reshape(weights.shape)
+    d_bias = flat.sum(axis=0)
+    d_windows = d_pre @ weights.reshape(filters, -1)  # (b, L_out, streams*m)
+    d_windows = d_windows.reshape(batch, out_len, streams, kernel_len)
+    d_x = np.zeros(x_shape, dtype=d_out.dtype)
+    positions = stride * np.arange(out_len)
+    for i in range(kernel_len):
+        d_x[:, :, positions + i] += d_windows[:, :, :, i].transpose(0, 2, 1)
+    return d_x, d_weights, d_bias
+
+
+def reference_maxpool1d_forward(x, width):
+    """argmax/take_along_axis pooling: the bit-exact reference for maxpool1d_forward."""
+    batch, channels, in_len = x.shape
+    out_len = in_len // width
+    blocks = x[:, :, : out_len * width].reshape(batch, channels, out_len, width)
+    argmax = blocks.argmax(axis=3)
+    out = np.take_along_axis(blocks, argmax[..., None], axis=3)[..., 0]
+    return out, (argmax, x.shape, width)
+
+
+def reference_maxpool1d_backward(d_out, cache):
+    argmax, x_shape, width = cache
+    batch, channels, in_len = x_shape
+    out_len = in_len // width
+    d_blocks = np.zeros((batch, channels, out_len, width), dtype=d_out.dtype)
+    np.put_along_axis(d_blocks, argmax[..., None], d_out[..., None], axis=3)
+    d_x = np.zeros(x_shape, dtype=d_out.dtype)
+    d_x[:, :, : out_len * width] = d_blocks.reshape(batch, channels, out_len * width)
+    return d_x
+
+
+def in_layout(a, layout):
+    """`a` as a contiguous channels-first array or as a view of a channels-last one."""
+    if layout == "channels_first":
+        return np.ascontiguousarray(a)
+    return np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+DTYPES = [np.float32, np.float64]
+LAYOUTS = ["channels_first", "channels_last"]
+
+
+class TestAgainstSeedReferences:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("kernel_len", [1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_conv_matches_bitwise(self, dtype, layout, kernel_len, stride, activation):
+        rng = np.random.default_rng(12)
+        x = in_layout(rng.standard_normal((3, 4, 11)).astype(dtype), layout)
+        w = rng.standard_normal((5, 4, kernel_len)).astype(dtype)
+        b = rng.standard_normal(5).astype(dtype)
+        out, cache = conv1d_forward(x, w, b, stride, activation)
+        ref_out, ref_cache = reference_conv1d_forward(x, w, b, stride, activation)
+        assert out.dtype == dtype
+        assert np.array_equal(out, ref_out)
+        assert not np.shares_memory(out, x)
+        d_out = in_layout(rng.standard_normal(out.shape).astype(dtype), layout)
+        got = conv1d_backward(d_out, cache, w)
+        want = reference_conv1d_backward(d_out, ref_cache, w)
+        for g, r in zip(got, want):
+            assert g.dtype == r.dtype
+            assert np.array_equal(g, r)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_pool_matches_bitwise(self, dtype, layout, width):
+        rng = np.random.default_rng(13)
+        # Few distinct values, zeros included, so many windows hold a tie; length 11
+        # leaves a remainder column at widths 2 and 3.
+        x = in_layout(rng.integers(-2, 3, size=(3, 4, 11)).astype(dtype), layout)
+        out, cache = maxpool1d_forward(x, width)
+        ref_out, ref_cache = reference_maxpool1d_forward(x, width)
+        assert out.dtype == dtype
+        assert np.array_equal(out, ref_out)
+        assert not np.shares_memory(out, x)
+        d_out = in_layout(rng.standard_normal(out.shape).astype(dtype), layout)
+        d_x = maxpool1d_backward(d_out, cache)
+        ref_d_x = reference_maxpool1d_backward(d_out, ref_cache)
+        assert d_x.dtype == dtype
+        assert np.array_equal(np.signbit(d_x), np.signbit(ref_d_x))
+        assert np.array_equal(d_x, ref_d_x)
 
 
 class TestDense:
@@ -168,6 +279,14 @@ class TestMaxPool:
             for c in range(4):
                 for s in range(3):
                     assert out[b, c, s] == x[b, c, 3 * s : 3 * s + 3].max()
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_nan_anywhere_in_a_window_reaches_the_output(self, position):
+        # The model's finite-logits check relies on a NaN surviving the pool.
+        x = np.array([[[1.0, 2.0, 3.0, 4.0]]])
+        x[0, 0, position] = np.nan
+        out, _ = maxpool1d_forward(x, 3)
+        assert np.isnan(out[0, 0, 0])
 
     def test_backward_routes_to_first_maximum(self):
         x = np.array([[[2.0, 2.0, 1.0, 4.0]]])

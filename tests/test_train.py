@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
 
+import harcnn.model
 from conftest import make_split_arrays
+from harcnn.checkpoint import save_checkpoint
 from harcnn.dataset import Activity
+from harcnn.dsp import WelchConfig
 from harcnn.features import FeatureSet, extract_features_batch, fit_normalizer_arrays, normalize_set
 from harcnn.model import ConvLayerSpec, ModelSpec, init_model
 from harcnn.train import AdamState, TrainConfig, adam_step, train
+from test_layers import (
+    reference_conv1d_backward,
+    reference_conv1d_forward,
+    reference_maxpool1d_backward,
+    reference_maxpool1d_forward,
+)
 
 
 class ArrayHolder:
@@ -126,3 +135,28 @@ class TestTrain:
                 assert np.isfinite(value)
             assert 0.0 <= stats.train_acc <= 1.0
             assert 0.0 <= stats.test_f1 <= 1.0
+
+    def test_trajectory_matches_seed_layers_bit_for_bit(self, tmp_path, monkeypatch):
+        train_set, test_set, norm = synthetic_feature_sets(seed=4)
+        cfg = TrainConfig(epochs=3, batch_size=16, seed=3)
+
+        def run(name):
+            params, history = train(train_set, test_set, SMALL_SPEC, cfg, norm)
+            path = tmp_path / name
+            save_checkpoint(path, params, WelchConfig(), history.best_epoch)
+            return path.read_bytes(), history
+
+        new_bytes, new_run = run("new.bin")
+        for name, ref in (
+            ("conv1d_forward", reference_conv1d_forward),
+            ("conv1d_backward", reference_conv1d_backward),
+            ("maxpool1d_forward", reference_maxpool1d_forward),
+            ("maxpool1d_backward", reference_maxpool1d_backward),
+        ):
+            monkeypatch.setattr(harcnn.model, name, ref)
+        ref_bytes, ref_run = run("reference.bin")
+        assert new_run == ref_run
+        assert new_bytes == ref_bytes
+        # The best epoch is a later one, so the saved params are the keep-best copy
+        # taken after some updates, not the initial or the final params.
+        assert 1 < new_run.best_epoch < cfg.epochs
