@@ -149,26 +149,19 @@ def cmd_validate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _extract_to_dir(cfg: RunConfig) -> dict[str, FeatureSet]:
+def cmd_extract(cfg: RunConfig) -> int:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sets = {}
     for split in SPLITS:
         features = _load_features_for(cfg, split, cfg.welch)
         write_feature_cache(out_dir / CACHE_NAMES[split], features)
-        sets[split] = features
         print(f"{split}: cached {len(features)} samples "
               f"(freq {features.freq.shape[1:]}, power {features.power.shape[1:]})")
-    norm = fit_normalizer_arrays(
-        sets["train"].freq, sets["train"].power, cfg.normalizer_epsilon
-    )
-    save_norm_stats(out_dir / NORM_NAME, norm)
-    print(f"normalization stats fitted on {len(sets['train'])} training samples")
-    return sets
-
-
-def cmd_extract(cfg: RunConfig) -> int:
-    _extract_to_dir(cfg)
+        if split == "train":
+            norm = fit_normalizer_arrays(features.freq, features.power, cfg.normalizer_epsilon)
+            save_norm_stats(out_dir / NORM_NAME, norm)
+            print(f"normalization stats fitted on {len(features)} training samples")
+        del features  # free this split before the next one is parsed
     return EXIT_OK
 
 
@@ -186,14 +179,15 @@ def cmd_train(cfg: RunConfig) -> int:
     out_dir = Path(cfg.output_dir)
     cache_paths = {split: out_dir / CACHE_NAMES[split] for split in SPLITS}
     if all(p.is_file() for p in cache_paths.values()) and (out_dir / NORM_NAME).is_file():
-        raw = {split: read_feature_cache(path) for split, path in cache_paths.items()}
         print("using cached features")
     else:
         print("feature caches missing; extracting")
-        raw = _extract_to_dir(cfg)
+        cmd_extract(cfg)
+    # Always train on the cached float32 values, so a run that extracted
+    # first trains exactly like one that found the caches.
     norm = load_norm_stats(out_dir / NORM_NAME)
-    train_set = normalize_set(raw["train"], norm)
-    test_set = normalize_set(raw["test"], norm)
+    train_set = normalize_set(read_feature_cache(cache_paths["train"]), norm)
+    test_set = normalize_set(read_feature_cache(cache_paths["test"]), norm)
     params, run = train(train_set, test_set, cfg.model, cfg.train, norm)
     for e in run.epochs:
         print(

@@ -10,8 +10,11 @@ is one contiguous run of m values and a stage is three whole-array
 ufunc calls into preallocated buffers. The result is transposed back to
 the caller's layout, and every output element sees the same operations
 in the same order as the textbook last-axis formulation, so the values
-are bit-identical to it. Callers keep batches to a few MB (see
-features.extract_features_batch) so these buffers stay cache-resident.
+are bit-identical to it. Callers keep batches to a few MB
+(features.extract_features_batch passes blocks of 32 windows) so these
+buffers stay cache-resident. Every buffer belongs to one call and the
+cached FFT plans are only read, so calls may run on several threads at
+once, as extract_features_batch runs them.
 """
 
 from __future__ import annotations

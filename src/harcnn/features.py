@@ -17,14 +17,16 @@ import numpy as np
 from .binio import FormatError, atomic_write_bytes
 from .dataset import N_STREAMS, SAMPLE_RATE_HZ, WINDOW_LEN, SplitManifest
 from .dsp import WelchConfig, fft_real, magnitude_onesided, welch_psd
+from .parallel import map_blocks
 
 DEFAULT_WELCH = WelchConfig(segment_len=64, overlap=32, window_kind="hamming")
 FREQ_BINS = WINDOW_LEN // 2 + 1  # 65
 DEFAULT_EPSILON = 1e-8
-# Windows per FFT/Welch pass in extract_features_batch. At 64 each FFT
-# buffer is about 1 MB and stays in cache; over a whole split 32 ran as
-# fast, 128 and 256 slower.
-BLOCK_WINDOWS = 64
+# Windows per FFT/Welch pass in extract_features_batch. At 32 each FFT
+# buffer is about 0.5 MB and stays in cache; a sweep over a whole split
+# found 32 as fast as 64, and 128 and 256 slower. Every thread holds one
+# block's temporaries, so the smaller block also keeps the peak RSS down.
+BLOCK_WINDOWS = 32
 
 CACHE_MAGIC = b"HARFEAT1"
 
@@ -62,7 +64,9 @@ def extract_features_batch(
     """Vectorized extraction over (n, 9, 128) windows; returns (freq, power) stacks.
 
     Windows go through the FFT and Welch in blocks of BLOCK_WINDOWS, so
-    every temporary stays a few MB and cache-resident whatever n is.
+    every temporary stays a few MB and cache-resident whatever n is. The
+    blocks run on every available CPU (see parallel.map_blocks), each
+    writing its own rows of the outputs.
     """
     w = np.asarray(windows, dtype=np.float64)
     if w.ndim != 3 or w.shape[1:] != (N_STREAMS, WINDOW_LEN):
@@ -70,10 +74,12 @@ def extract_features_batch(
     n = w.shape[0]
     freq = np.empty((n, N_STREAMS, FREQ_BINS))
     power = np.empty((n, N_STREAMS, cfg.n_bins))
-    for start in range(0, n, BLOCK_WINDOWS):
-        block = slice(start, start + BLOCK_WINDOWS)
+
+    def fill(block: slice) -> None:
         freq[block] = magnitude_onesided(fft_real(w[block]))
         power[block] = welch_psd(w[block], cfg, SAMPLE_RATE_HZ).values
+
+    map_blocks(fill, [slice(start, start + BLOCK_WINDOWS) for start in range(0, n, BLOCK_WINDOWS)])
     return freq, power
 
 
@@ -101,20 +107,25 @@ def fit_normalizer_arrays(
 
 
 def normalize_set(features: FeatureSet, stats: NormStats) -> FeatureSet:
-    """Normalized copy of a whole feature set: (x - mean) / (std + epsilon) in float64."""
-    freq = np.asarray(features.freq, dtype=np.float64)
-    power = np.asarray(features.power, dtype=np.float64)
-    if freq.shape[-2:] != stats.freq_mean.shape or power.shape[-2:] != stats.power_mean.shape:
+    """Normalized copy of a whole feature set: (x - mean) / (std + epsilon) in float64.
+
+    Each stack is copied to float64 once and normalized in place, so no
+    full-size temporary is made.
+    """
+    freq_shape, power_shape = np.shape(features.freq)[-2:], np.shape(features.power)[-2:]
+    if freq_shape != stats.freq_mean.shape or power_shape != stats.power_mean.shape:
         raise ValueError(
-            f"feature shapes {freq.shape[-2:]}/{power.shape[-2:]} do not match stats "
+            f"feature shapes {freq_shape}/{power_shape} do not match stats "
             f"{stats.freq_mean.shape}/{stats.power_mean.shape}"
         )
+    freq = np.array(features.freq, dtype=np.float64)
+    power = np.array(features.power, dtype=np.float64)
     eps = stats.epsilon
-    return FeatureSet(
-        freq=(freq - stats.freq_mean.astype(np.float64)) / (stats.freq_std.astype(np.float64) + eps),
-        power=(power - stats.power_mean.astype(np.float64)) / (stats.power_std.astype(np.float64) + eps),
-        labels=features.labels.copy(),
-    )
+    freq -= stats.freq_mean.astype(np.float64)
+    freq /= stats.freq_std.astype(np.float64) + eps
+    power -= stats.power_mean.astype(np.float64)
+    power /= stats.power_std.astype(np.float64) + eps
+    return FeatureSet(freq=freq, power=power, labels=features.labels.copy())
 
 
 def _record_dtype(freq_bins: int, power_bins: int) -> np.dtype:

@@ -29,6 +29,7 @@ from .layers import (
     maxpool1d_forward,
     softmax,
 )
+from .parallel import map_blocks
 
 N_CLASSES = 6
 
@@ -187,7 +188,12 @@ def init_model(
     return ModelParams(spec, freq_bins, power_bins, arrays, rng_seed=seed, norm=norm)
 
 
-def _channel_forward(x, params: ModelParams, prefix: str):
+def _channel_forward(x, params: ModelParams, prefix: str, want_cache: bool):
+    """Dense output of one channel, and its layer caches when `want_cache`.
+
+    Without caches a layer's im2col windows are freed once the next conv
+    has run, instead of living as long as the batch's caches.
+    """
     arrays = params.arrays
     caches = []
     h = x
@@ -197,13 +203,14 @@ def _channel_forward(x, params: ModelParams, prefix: str):
         pool_cache = None
         if pool_w > 1:
             h, pool_cache = maxpool1d_forward(h, pool_w)
-        caches.append((conv_cache, pool_cache))
+        if want_cache:
+            caches.append((conv_cache, pool_cache))
     pre_flatten_shape = h.shape
     flat = h.reshape(h.shape[0], -1)
     out, dense_cache = dense_forward(
         flat, arrays[f"{prefix}.dense.w"], arrays[f"{prefix}.dense.b"], params.spec.dense_activation
     )
-    return out, (caches, pre_flatten_shape, dense_cache)
+    return out, (caches, pre_flatten_shape, dense_cache) if want_cache else None
 
 
 def _channel_backward(d_out, cache, params: ModelParams, prefix: str, grads):
@@ -241,8 +248,8 @@ def forward_batch(params: ModelParams, freq, power, want_cache: bool = False):
             f"feature shapes {freq.shape[1:]}/{power.shape[1:]} do not match model "
             f"({streams}, {params.freq_bins})/({streams}, {params.power_bins})"
         )
-    f_out, f_cache = _channel_forward(freq, params, "freq")
-    p_out, p_cache = _channel_forward(power, params, "power")
+    f_out, f_cache = _channel_forward(freq, params, "freq", want_cache)
+    p_out, p_cache = _channel_forward(power, params, "power", want_cache)
     concat = np.concatenate([f_out, p_out], axis=1)
     logits, fusion_cache = dense_forward(
         concat, params.arrays["fusion.w"], params.arrays["fusion.b"], "identity"
@@ -269,9 +276,13 @@ def backward_batch(params: ModelParams, cache, d_logits) -> dict[str, np.ndarray
 
 
 def predict_batch(params: ModelParams, freq, power, chunk: int = 512) -> np.ndarray:
-    """Probabilities (n, classes) computed in chunks to bound memory."""
-    parts = []
-    for start in range(0, freq.shape[0], chunk):
-        _, probs = forward_batch(params, freq[start : start + chunk], power[start : start + chunk])
-        parts.append(probs)
-    return np.concatenate(parts, axis=0)
+    """Probabilities (n, classes) computed in chunks to bound memory.
+
+    The chunks run on every available CPU (see parallel.map_blocks). The
+    chunk size fixes the GEMM shapes, and with them the output bits.
+    """
+
+    def probs(start: int) -> np.ndarray:
+        return forward_batch(params, freq[start : start + chunk], power[start : start + chunk])[1]
+
+    return np.concatenate(map_blocks(probs, range(0, freq.shape[0], chunk)), axis=0)

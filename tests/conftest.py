@@ -7,11 +7,13 @@ numbers.
 """
 
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from harcnn import model
 from harcnn.dataset import Activity, N_STREAMS, STREAM_NAMES, WINDOW_LEN
 
 # Dominant frequency bin and amplitude profile per class.
@@ -82,6 +84,52 @@ def build_synthetic_dataset(root, train_per_class=8, test_per_class=4, seed=1234
 def synthetic_root(tmp_path_factory):
     root = tmp_path_factory.mktemp("uci_synth")
     return build_synthetic_dataset(root)
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """Make harcnn.parallel see four CPUs, so map_blocks starts three workers on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """Make harcnn.parallel see one CPU."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+def held_until_a_worker_runs(fn):
+    """fn, except that the calling thread's blocks wait until a worker thread has started one.
+
+    Under map_blocks with two or more blocks and CPUs this makes sure a
+    worker thread runs at least one block. fn(block, on_worker) gets the
+    block and whether it runs on a worker.
+    """
+    caller = threading.current_thread()
+    worker_started = threading.Event()
+
+    def wrapped(*args, **kwargs):
+        if threading.current_thread() is caller:
+            assert worker_started.wait(timeout=30), "no worker thread ran a block"
+            return fn(*args, on_worker=False, **kwargs)
+        worker_started.set()
+        return fn(*args, on_worker=True, **kwargs)
+
+    return wrapped
+
+
+def nan_in_worker_chunks(monkeypatch):
+    """Patch model.forward_batch so a worker thread runs at least one chunk and every
+    chunk a worker runs carries a NaN feature; the caller's chunks stay clean."""
+    real = model.forward_batch
+
+    def forward(params, freq, power, want_cache=False, *, on_worker):
+        if on_worker:
+            freq = np.array(freq)
+            freq[0, 0, 0] = np.nan
+        return real(params, freq, power, want_cache)
+
+    monkeypatch.setattr(model, "forward_batch", held_until_a_worker_runs(forward))
 
 
 def real_dataset_root():

@@ -1,11 +1,12 @@
 import json
 import struct
+from functools import partial
 
 import numpy as np
 import pytest
 
-from conftest import build_synthetic_dataset
-from harcnn import cli
+from conftest import build_synthetic_dataset, nan_in_worker_chunks
+from harcnn import cli, metrics, model
 from harcnn.cli import RunConfig, default_config_json, load_config, main
 from harcnn.dsp import WelchConfig
 from harcnn.features import read_feature_cache
@@ -234,6 +235,17 @@ class TestTrain:
         assert (out_dir / "checkpoint.bin").is_file()
 
 
+    def test_extracting_run_trains_like_a_cached_run(self, tmp_path):
+        root = build_synthetic_dataset(tmp_path / "data", train_per_class=4, test_per_class=2)
+        out_dir = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "c.json", smoke_config(root, out_dir, epochs=2))
+        runs = []
+        for _ in range(2):  # the first run extracts, the second finds the caches
+            assert main(["train", "--config", cfg_path]) == 0
+            runs.append([(out_dir / name).read_bytes() for name in ("checkpoint.bin", "epochs.csv")])
+        assert runs[0] == runs[1]
+
+
 class TestEvaluate:
     def test_report_is_self_consistent(self, trained_pipeline):
         _, out_dir, _ = trained_pipeline
@@ -317,6 +329,19 @@ class TestNonFiniteLogits:
         bad.write_bytes(bytes(data))
         err = one_line_error(capsys, ["evaluate", "--config", str(cfg_path), "--checkpoint",
                                       str(bad), "--out", str(tmp_path / "eval")])
+        assert "non-finite" in err
+        assert not (tmp_path / "eval" / "report.json").exists()
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN fed on purpose
+    def test_nan_in_a_worker_chunk_stops_evaluate(
+        self, trained_pipeline, tmp_path, capsys, monkeypatch, four_cpus
+    ):
+        _, out_dir, cfg_path = trained_pipeline
+        monkeypatch.setattr(metrics, "predict_batch", partial(model.predict_batch, chunk=7))
+        nan_in_worker_chunks(monkeypatch)
+        err = one_line_error(capsys, ["evaluate", "--config", str(cfg_path), "--checkpoint",
+                                      str(out_dir / "checkpoint.bin"), "--out", str(tmp_path / "eval")])
         assert "non-finite" in err
         assert not (tmp_path / "eval" / "report.json").exists()
 

@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+from harcnn import features
 from harcnn.binio import FormatError
 from harcnn.dataset import SAMPLE_RATE_HZ
 from harcnn.dsp import fft_real, magnitude_onesided, welch_psd
@@ -75,6 +78,22 @@ class TestExtractFeatures:
             assert np.array_equal(freq[i], magnitude_onesided(fft_real(windows[i])))
             psd = welch_psd(windows[i], DEFAULT_WELCH, SAMPLE_RATE_HZ)
             assert np.array_equal(power[i], psd.values)
+
+    def test_one_cpu_starts_no_thread_and_gives_the_same_bytes(self, monkeypatch, four_cpus):
+        windows = np.random.default_rng(23).standard_normal((3 * BLOCK_WINDOWS + 1, 9, 128))
+        threaded = extract_features_batch(windows)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+        before = threading.active_count()
+        seen = []
+
+        def fft(*args):
+            seen.append((threading.current_thread(), threading.active_count()))
+            return fft_real(*args)
+
+        monkeypatch.setattr(features, "fft_real", fft)
+        serial = extract_features_batch(windows)
+        assert seen == [(threading.current_thread(), before)] * 4
+        assert np.array_equal(serial[0], threaded[0]) and np.array_equal(serial[1], threaded[1])
 
     def test_empty_batch_gives_empty_stacks(self):
         freq, power = extract_features_batch(np.zeros((0, 9, 128)))
@@ -162,6 +181,23 @@ class TestApplyNormalizer:
         scale = stats.freq_std.astype(np.float64) + stats.epsilon
         freq_back = out.freq[0] * scale + stats.freq_mean
         assert np.max(np.abs(freq_back - t_freq)) <= 1e-9 * max(1.0, np.max(np.abs(t_freq)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_out_of_place_formula_and_leaves_input_alone(self, dtype):
+        rng = np.random.default_rng(56)
+        freq = (rng.standard_normal((30, 9, 65)) * 3.0).astype(dtype)
+        power = np.abs(rng.standard_normal((30, 9, 33))).astype(dtype)
+        stats = fit_normalizer_arrays(freq, power)
+        kept = freq.copy(), power.copy()
+        out = normalize_set(FeatureSet(freq, power, np.ones(30, dtype=np.int64)), stats)
+        for x, mean, std, got in (
+            (freq, stats.freq_mean, stats.freq_std, out.freq),
+            (power, stats.power_mean, stats.power_std, out.power),
+        ):
+            f64 = np.float64
+            ref = (x.astype(f64) - mean.astype(f64)) / (std.astype(f64) + stats.epsilon)
+            assert got.dtype == f64 and np.array_equal(got, ref)
+        assert np.array_equal(freq, kept[0]) and np.array_equal(power, kept[1])
 
     def test_normalized_training_set_is_standardized(self):
         rng = np.random.default_rng(55)

@@ -1,6 +1,11 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
+from conftest import nan_in_worker_chunks
+from harcnn import model
 from harcnn.layers import softmax_cross_entropy_batch
 from harcnn.model import (
     DEFAULT_MODEL_SPEC,
@@ -154,6 +159,52 @@ class TestForward:
         chunked = predict_batch(params, freq, power, chunk=7)
         single = forward_batch(params, freq, power)[1]
         assert np.max(np.abs(chunked - single)) <= 1e-6
+
+    def test_predict_chunks_match_a_serial_forward_loop(self, four_cpus):
+        rng = np.random.default_rng(33)
+        params = init_model(seed=2)
+        freq = rng.standard_normal((20, 9, 65)).astype(np.float32)
+        power = rng.standard_normal((20, 9, 33)).astype(np.float32)
+        serial = np.concatenate(
+            [forward_batch(params, freq[s : s + 7], power[s : s + 7])[1] for s in range(0, 20, 7)]
+        )
+        assert np.array_equal(predict_batch(params, freq, power, chunk=7), serial)
+
+    def test_predict_on_one_cpu_starts_no_thread_and_gives_the_same_bytes(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        params = init_model(seed=2)
+        freq = rng.standard_normal((20, 9, 65)).astype(np.float32)
+        power = rng.standard_normal((20, 9, 33)).astype(np.float32)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        threaded = predict_batch(params, freq, power, chunk=7)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        before = threading.active_count()
+        seen = []
+        real = model.forward_batch
+
+        def forward(*args, **kwargs):
+            seen.append((threading.current_thread(), threading.active_count()))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model, "forward_batch", forward)
+        assert np.array_equal(predict_batch(params, freq, power, chunk=7), threaded)
+        assert seen == [(threading.current_thread(), before)] * 3
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN fed on purpose
+    def test_nan_in_a_worker_chunk_raises_the_serial_error(self, monkeypatch, four_cpus):
+        rng = np.random.default_rng(35)
+        params = init_model(seed=2)
+        freq = rng.standard_normal((20, 9, 65)).astype(np.float32)
+        power = rng.standard_normal((20, 9, 33)).astype(np.float32)
+        bad = freq[:7].copy()
+        bad[0, 0, 0] = np.nan
+        with pytest.raises(ValueError) as serial:
+            forward_batch(params, bad, power[:7])
+        assert "\n" not in str(serial.value) and "non-finite" in str(serial.value)
+        nan_in_worker_chunks(monkeypatch)
+        with pytest.raises(ValueError) as threaded:
+            predict_batch(params, freq, power, chunk=7)
+        assert str(threaded.value) == str(serial.value)
 
     def test_predict_is_deterministic_across_calls(self):
         rng = np.random.default_rng(32)
