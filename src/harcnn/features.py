@@ -153,7 +153,8 @@ def write_feature_cache(path: str | Path, features: FeatureSet) -> None:
     header = CACHE_MAGIC + struct.pack(
         "<III", n, features.freq.shape[-1], features.power.shape[-1]
     )
-    atomic_write_bytes(path, header + records.tobytes())
+    # join copies the records once; header + records.tobytes() held two copies.
+    atomic_write_bytes(path, b"".join((header, records.data)))
 
 
 def read_feature_cache(path: str | Path) -> FeatureSet:
