@@ -1,3 +1,4 @@
+import os
 import threading
 
 import numpy as np
@@ -82,7 +83,7 @@ class TestExtractFeatures:
     def test_one_cpu_starts_no_thread_and_gives_the_same_bytes(self, monkeypatch, four_cpus):
         windows = np.random.default_rng(23).standard_normal((3 * BLOCK_WINDOWS + 1, 9, 128))
         threaded = extract_features_batch(windows)
-        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         before = threading.active_count()
         seen = []
 

@@ -170,12 +170,13 @@ class TestForward:
         )
         assert np.array_equal(predict_batch(params, freq, power, chunk=7), serial)
 
-    def test_predict_on_one_cpu_starts_no_thread_and_gives_the_same_bytes(self, monkeypatch):
+    def test_predict_on_one_cpu_starts_no_thread_and_gives_the_same_bytes(
+        self, monkeypatch, four_cpus
+    ):
         rng = np.random.default_rng(34)
         params = init_model(seed=2)
         freq = rng.standard_normal((20, 9, 65)).astype(np.float32)
         power = rng.standard_normal((20, 9, 33)).astype(np.float32)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         threaded = predict_batch(params, freq, power, chunk=7)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         before = threading.active_count()

@@ -1,4 +1,5 @@
 import os
+import sys
 import threading
 import time
 
@@ -29,16 +30,27 @@ class TestMapBlocks:
 
         assert map_blocks(held_until_a_worker_runs(square), range(40)) == [i * i for i in range(40)]
 
-    def test_every_block_runs_once(self, four_cpus):
+    def test_every_block_runs_once_under_frequent_thread_switches(self, four_cpus):
+        # More threads than this host's cores and a tiny switch interval: a
+        # lost update of the shared block counter would skip or repeat a block.
         seen = []
         lock = threading.Lock()
 
         def record(i, on_worker):
             with lock:
                 seen.append(i)
+            return i
 
-        assert map_blocks(held_until_a_worker_runs(record), range(50)) == [None] * 50
-        assert sorted(seen) == list(range(50))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.perf_counter()
+            results = map_blocks(held_until_a_worker_runs(record), range(3000))
+            assert time.perf_counter() - start < 30
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == list(range(3000))
+        assert sorted(seen) == list(range(3000))
 
     def test_empty_and_single_block(self, four_cpus):
         before = threading.active_count()
