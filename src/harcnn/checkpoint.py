@@ -1,28 +1,29 @@
 """Model checkpoint and normalization-stats files.
 
 Checkpoint layout: 8-byte magic, u16 format version, u32-length-prefixed
-UTF-8 JSON metadata (architecture, Welch config, stream order, seed,
-epoch, normalizer epsilon), then one named float32 tensor record per
-weight and bias, named and ordered by `model.param_shapes`, then the
-normalization arrays. Loading rebuilds the parameter table from the same
-`param_shapes`, so a missing or wrong-shaped record is rejected with the
-path and the array's name. The stats sidecar reuses the same record codec
-under its own magic.
+UTF-8 JSON metadata (a `CheckpointMeta`: architecture, Welch config,
+stream order, seed, epoch, epsilon), then one named float32 tensor
+record per weight and bias, named and ordered by `model.param_shapes`,
+then the normalization arrays. Loading rebuilds the parameter table
+from the same `param_shapes`, so a missing or wrong-shaped record is
+rejected with the path and the array's name. The stats sidecar reuses
+the same record codec under its own magic.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .binio import FormatError, atomic_write_bytes, pack_tensor_record, unpack_tensor_records
+from .config import from_json, to_json
 from .dataset import STREAM_NAMES
 from .dsp import WelchConfig
-from .features import NormStats
+from .features import NormStats, check_epsilon
 from .model import ModelParams, ModelSpec, param_shapes
 
 CHECKPOINT_MAGIC = b"HARMCNN1"
@@ -34,13 +35,18 @@ class CheckpointError(FormatError):
     """A checkpoint or stats file is unreadable or version-incompatible."""
 
 
+# NormStats arrays, each stored as the tensor record "norm.<name>".
+_NORM_ARRAYS = ("freq_mean", "freq_std", "power_mean", "power_std")
+
+
 def _norm_records(norm: NormStats) -> list[tuple[str, np.ndarray]]:
-    return [
-        ("norm.freq_mean", norm.freq_mean),
-        ("norm.freq_std", norm.freq_std),
-        ("norm.power_mean", norm.power_mean),
-        ("norm.power_std", norm.power_std),
-    ]
+    return [(f"norm.{name}", getattr(norm, name)) for name in _NORM_ARRAYS]
+
+
+def _norm_stats(records: dict[str, np.ndarray], epsilon: object) -> NormStats:
+    """Stats from the "norm.*" records; KeyError names a missing one."""
+    check_epsilon("epsilon", epsilon)
+    return NormStats(**{name: records[f"norm.{name}"] for name in _NORM_ARRAYS}, epsilon=epsilon)
 
 
 def _header(magic: bytes, meta: dict) -> bytes:
@@ -63,11 +69,17 @@ def _read_header(data: bytes, magic: bytes, what: str) -> tuple[dict, int]:
         raise CheckpointError(f"truncated {what} metadata")
     try:
         meta = json.loads(data[14 : 14 + meta_len].decode("utf-8"))
-    except ValueError as exc:
+    except (RecursionError, ValueError) as exc:  # RecursionError: JSON nested too deep
         raise CheckpointError(f"unreadable {what} metadata: {exc}") from None
     if not isinstance(meta, dict):
         raise CheckpointError(f"{what} metadata is not a JSON object")
     return meta, 14 + meta_len
+
+
+def _write_file(path: str | Path, magic: bytes, meta: dict, records: list) -> None:
+    """Atomically write a header and (name, array) tensor records; see _read_file."""
+    packed = [pack_tensor_record(name, arr) for name, arr in records]
+    atomic_write_bytes(path, b"".join([_header(magic, meta), *packed]))
 
 
 def _read_file(path: str | Path, magic: bytes, what: str) -> tuple[dict, dict[str, np.ndarray]]:
@@ -84,86 +96,65 @@ def _read_file(path: str | Path, magic: bytes, what: str) -> tuple[dict, dict[st
     return meta, records
 
 
+@dataclass(frozen=True)
+class CheckpointMeta:
+    """A checkpoint's JSON metadata: everything inference needs besides the arrays."""
+
+    architecture: ModelSpec
+    freq_bins: int
+    power_bins: int
+    welch: WelchConfig
+    stream_order: tuple[str, ...]
+    seed: int
+    epoch: int
+    # Exact float64 epsilon; the stat arrays themselves are float32 records.
+    norm_epsilon: float | None
+
+
 def save_checkpoint(path: str | Path, params: ModelParams, welch: WelchConfig, epoch: int) -> None:
     """Atomically serialize model parameters plus everything inference needs."""
-    meta = {
-        "architecture": params.spec.to_json_dict(),
-        "freq_bins": params.freq_bins,
-        "power_bins": params.power_bins,
-        "welch": asdict(welch),
-        "stream_order": list(STREAM_NAMES),
-        "seed": params.rng_seed,
-        "epoch": epoch,
-        # Exact float64 epsilon; the stat arrays themselves are float32 records.
-        "norm_epsilon": params.norm.epsilon if params.norm is not None else None,
-    }
-    parts = [_header(CHECKPOINT_MAGIC, meta)]
-    for name, arr in params.arrays.items():
-        parts.append(pack_tensor_record(name, arr))
-    if params.norm is not None:
-        for name, arr in _norm_records(params.norm):
-            parts.append(pack_tensor_record(name, arr))
-    atomic_write_bytes(path, b"".join(parts))
+    meta = CheckpointMeta(
+        architecture=params.spec, freq_bins=params.freq_bins, power_bins=params.power_bins,
+        welch=welch, stream_order=STREAM_NAMES, seed=params.rng_seed, epoch=epoch,
+        norm_epsilon=params.norm.epsilon if params.norm is not None else None,
+    )
+    norm_records = _norm_records(params.norm) if params.norm is not None else []
+    _write_file(path, CHECKPOINT_MAGIC, to_json(meta), [*params.arrays.items(), *norm_records])
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, WelchConfig, dict]:
-    """Rebuild (params, welch config, metadata); rejects version mismatches."""
+    """Rebuild (params, welch config, metadata); rejects version and stream-order mismatches."""
     meta, records = _read_file(path, CHECKPOINT_MAGIC, "checkpoint")
-    has_norm = "norm.freq_mean" in records
     try:
-        spec = ModelSpec.from_json_dict(meta["architecture"])
-        freq_bins = int(meta["freq_bins"])
-        power_bins = int(meta["power_bins"])
-        seed = int(meta["seed"])
-        norm_epsilon = float(meta["norm_epsilon"]) if has_norm else None
-        welch = WelchConfig(**meta["welch"])
-        shapes = param_shapes(spec, freq_bins, power_bins)
-    except KeyError as exc:
-        raise CheckpointError(f"{path}: checkpoint metadata lacks key {exc}") from None
-    except (TypeError, ValueError) as exc:
+        info = from_json(CheckpointMeta, meta, "metadata")
+        shapes = param_shapes(info.architecture, info.freq_bins, info.power_bins)
+    except ValueError as exc:
         raise CheckpointError(f"{path}: malformed checkpoint metadata: {exc}") from None
-
-    def take(name: str) -> np.ndarray:
-        if name not in records:
-            raise CheckpointError(f"{path}: missing tensor record {name!r}")
-        return records[name]
-
-    norm = None
-    if has_norm:
-        norm = NormStats(
-            freq_mean=take("norm.freq_mean"),
-            freq_std=take("norm.freq_std"),
-            power_mean=take("norm.power_mean"),
-            power_std=take("norm.power_std"),
-            epsilon=norm_epsilon,
-        )
-    arrays = {name: take(name) for name in shapes}
+    if info.stream_order != STREAM_NAMES:
+        order, expected = list(info.stream_order), list(STREAM_NAMES)
+        raise CheckpointError(f"{path}: checkpoint stream order {order} differs from {expected}")
     try:
-        params = ModelParams(spec, freq_bins, power_bins, arrays, rng_seed=seed, norm=norm)
+        arrays = {name: records[name] for name in shapes}
+        has_norm = info.norm_epsilon is not None or "norm.freq_mean" in records
+        norm = _norm_stats(records, info.norm_epsilon) if has_norm else None
+        spec, freq_bins, power_bins = info.architecture, info.freq_bins, info.power_bins
+        params = ModelParams(spec, freq_bins, power_bins, arrays, rng_seed=info.seed, norm=norm)
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: missing tensor record {exc}") from None
     except ValueError as exc:
         raise CheckpointError(f"{path}: inconsistent checkpoint: {exc}") from None
-    return params, welch, meta
+    return params, info.welch, meta
 
 
 def save_norm_stats(path: str | Path, norm: NormStats) -> None:
-    meta = {"epsilon": norm.epsilon}
-    parts = [_header(NORM_MAGIC, meta)]
-    for name, arr in _norm_records(norm):
-        parts.append(pack_tensor_record(name, arr))
-    atomic_write_bytes(path, b"".join(parts))
+    _write_file(path, NORM_MAGIC, {"epsilon": norm.epsilon}, _norm_records(norm))
 
 
 def load_norm_stats(path: str | Path) -> NormStats:
     meta, records = _read_file(path, NORM_MAGIC, "stats sidecar")
     try:
-        return NormStats(
-            freq_mean=records["norm.freq_mean"],
-            freq_std=records["norm.freq_std"],
-            power_mean=records["norm.power_mean"],
-            power_std=records["norm.power_std"],
-            epsilon=float(meta["epsilon"]),
-        )
+        return _norm_stats(records, meta.get("epsilon"))
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing stats record {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CheckpointError(f"{path}: malformed stats metadata: {exc}") from None

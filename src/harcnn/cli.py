@@ -10,16 +10,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .binio import FormatError, atomic_write_bytes
 from .checkpoint import load_checkpoint, load_norm_stats, save_checkpoint, save_norm_stats
+from .config import from_json, to_json
 from .dataset import Activity, DatasetError, EXPECTED_COUNTS, SPLITS, load_split, table_count_mismatches
-from .dsp import WelchConfig, require_type
+from .dsp import WelchConfig
 from .features import (
     DEFAULT_EPSILON,
     FeatureSet,
+    check_epsilon,
     extract_split,
     fit_normalizer_arrays,
     normalize_set,
@@ -66,43 +68,22 @@ class RunConfig:
     train: TrainConfig = TrainConfig()
 
     def __post_init__(self) -> None:
-        # bool is an int subclass, so True would otherwise pass as subset 1.
-        subset = self.subset
-        if subset is not None and (type(subset) is not int or subset < 1):
-            raise ValueError(f"subset must be null or an integer >= 1, got {subset!r}")
-        if type(self.strict_counts) is not bool:
-            raise ValueError(f"strict_counts must be true or false, got {self.strict_counts!r}")
-        require_type((int, float), self, "normalizer_epsilon")
-        if not 0.0 < self.normalizer_epsilon < float("inf"):
-            raise ValueError(
-                f"normalizer_epsilon must be finite and > 0, got {self.normalizer_epsilon!r}"
-            )
+        if self.subset is not None and self.subset < 1:
+            raise ValueError(f"subset must be null or an integer >= 1, got {self.subset!r}")
+        check_epsilon("normalizer_epsilon", self.normalizer_epsilon)
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "model": self.model.to_json_dict()}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RunConfig":
-        return cls(
-            dataset_root=d["dataset_root"],
-            output_dir=d["output_dir"],
-            strict_counts=d["strict_counts"],
-            subset=d["subset"],
-            normalizer_epsilon=d["normalizer_epsilon"],
-            welch=WelchConfig(**d["welch"]),
-            model=ModelSpec.from_json_dict(d["model"]),
-            train=TrainConfig.from_json_dict(d["train"]),
-        )
+        return to_json(self)
 
 
 def default_config_json() -> str:
-    return json.dumps(RunConfig().to_json_dict(), indent=2, sort_keys=True)
+    return json.dumps(to_json(RunConfig()), indent=2, sort_keys=True)
 
 
 def load_config(path: str | Path) -> RunConfig:
     try:
-        return RunConfig.from_json_dict(json.loads(Path(path).read_text()))
-    except (KeyError, TypeError, ValueError) as exc:
+        return from_json(RunConfig, json.loads(Path(path).read_text()))
+    except (RecursionError, ValueError) as exc:  # RecursionError: JSON nested too deep
         raise ValueError(f"invalid config file {path}: {exc}") from exc
 
 
@@ -119,13 +100,12 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 
 def _load_features_for(cfg: RunConfig, split: str, welch: WelchConfig) -> FeatureSet:
-    """Raw features of one split, cut to the config's first `subset` windows."""
+    """Raw features of the config's first `subset` windows of one split."""
     manifest = load_split(cfg.dataset_root, split, strict_counts=cfg.strict_counts)
-    features = extract_split(manifest, welch)
     keep = slice(cfg.subset)  # slice(None) keeps every window
-    return FeatureSet(
-        freq=features.freq[keep], power=features.power[keep], labels=features.labels[keep]
-    )
+    manifest = replace(manifest, windows=manifest.windows[keep], labels=manifest.labels[keep],
+                       subjects=manifest.subjects[keep], per_class_counts={})
+    return extract_split(manifest, welch)
 
 
 def cmd_validate(cfg: RunConfig) -> int:

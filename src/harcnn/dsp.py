@@ -28,21 +28,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 WINDOW_KINDS = ("rectangular", "hamming")
 
 
-def require_type(kind: type | tuple[type, ...], owner: object, *names: str) -> None:
-    """Raise ValueError naming the first of `owner`'s fields holding a bool or a non-`kind`.
-
-    A tuple field is checked entry by entry. Config dataclasses take values
-    straight from JSON, where 64.0 and true must not pass for the integer 64
-    or the number 1 (bool subclasses int).
-    """
-    for name in names:
-        value = getattr(owner, name)
-        for item in value if isinstance(value, tuple) else (value,):
-            if isinstance(item, bool) or not isinstance(item, kind):
-                what = "integer" if kind is int else "numeric"
-                raise ValueError(f"{name} must be {what}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class WelchConfig:
     """Segmentation and windowing choices for the Welch PSD estimate.
@@ -56,7 +41,6 @@ class WelchConfig:
     window_kind: str = "hamming"
 
     def __post_init__(self) -> None:
-        require_type(int, self, "segment_len", "overlap")
         if self.segment_len < 2 or self.segment_len % 2 != 0:
             raise ValueError(f"segment_len must be even and >= 2, got {self.segment_len}")
         if not 0 <= self.overlap < self.segment_len:

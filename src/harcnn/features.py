@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .binio import FormatError, atomic_write_bytes
+from .config import from_json
 from .dataset import N_STREAMS, SAMPLE_RATE_HZ, WINDOW_LEN, SplitManifest
 from .dsp import WelchConfig, fft_real, magnitude_onesided, welch_psd
 from .parallel import map_blocks
@@ -29,6 +30,12 @@ DEFAULT_EPSILON = 1e-8
 BLOCK_WINDOWS = 32
 
 CACHE_MAGIC = b"HARFEAT1"
+
+
+def check_epsilon(name: str, value: object) -> None:
+    """Raise ValueError unless `value` is a finite number > 0 (a bool is not a number)."""
+    if not 0 < from_json(float, value, name) < float("inf"):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass

@@ -11,12 +11,11 @@ and checks it against that layout at construction.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dataset import N_STREAMS
-from .dsp import require_type
 from .features import NormStats
 from .layers import (
     ACTIVATIONS,
@@ -43,7 +42,6 @@ class ConvLayerSpec:
     activation: str = "relu"
 
     def __post_init__(self) -> None:
-        require_type(int, self, "in_streams", "filters", "kernel_len", "stride")
         if min(self.in_streams, self.filters, self.kernel_len) < 1 or self.stride < 1:
             raise ValueError(f"conv spec dimensions must be positive: {self}")
         if self.activation not in ACTIVATIONS:
@@ -65,7 +63,6 @@ class ModelSpec:
             raise ValueError("at least one conv layer is required")
         if len(self.pool_widths) != len(self.convs):
             raise ValueError("pool_widths must have one entry per conv layer")
-        require_type(int, self, "pool_widths", "dense_units", "classes")
         if any(w < 1 for w in self.pool_widths):
             raise ValueError("pool widths must be >= 1")
         for prev, nxt in zip(self.convs, self.convs[1:]):
@@ -90,20 +87,6 @@ class ModelSpec:
             if length < 1:
                 raise ValueError(f"input of {bins} bins collapses inside the pool stack")
         return self.convs[-1].filters * length
-
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        return {**d, "convs": list(d["convs"]), "pool_widths": list(self.pool_widths)}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ModelSpec":
-        return cls(
-            convs=tuple(ConvLayerSpec(**c) for c in d["convs"]),
-            pool_widths=tuple(d["pool_widths"]),
-            dense_units=d["dense_units"],
-            dense_activation=d["dense_activation"],
-            classes=d["classes"],
-        )
 
 
 DEFAULT_MODEL_SPEC = ModelSpec(

@@ -7,11 +7,10 @@ whole trajectory is reproducible bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import require_type
 from .features import FeatureSet, NormStats
 from .layers import softmax_cross_entropy_batch
 from .metrics import accuracy_of, confusion, macro_prf_lenient
@@ -29,21 +28,12 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        require_type(int, self, "epochs", "batch_size", "seed")
-        require_type((int, float), self, "learning_rate", "beta1", "beta2", "adam_eps")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0 or self.adam_eps <= 0:
-            raise ValueError("learning_rate and adam_eps must be positive")
+        if not (0 < self.learning_rate < float("inf") and 0 < self.adam_eps < float("inf")):
+            raise ValueError("learning_rate and adam_eps must be finite and positive")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must be in (0, 1)")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 @dataclass

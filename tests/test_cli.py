@@ -9,7 +9,7 @@ from conftest import build_synthetic_dataset, nan_in_worker_chunks
 from harcnn import cli, metrics, model
 from harcnn.cli import RunConfig, default_config_json, load_config, main
 from harcnn.dsp import WelchConfig
-from harcnn.features import read_feature_cache
+from harcnn.features import extract_split, read_feature_cache
 from harcnn.model import ConvLayerSpec, ModelSpec
 from harcnn.train import TrainConfig
 
@@ -97,26 +97,41 @@ class TestConfigValues:
         "key, value, message",
         [
             ("subset", 0, "subset must be null or an integer >= 1, got 0"),
-            ("subset", "5", "subset must be null or an integer >= 1, got '5'"),
-            ("subset", True, "subset must be null or an integer >= 1, got True"),
+            ("subset", "5", "subset must be an integer, got '5'"),
+            ("subset", True, "subset must be an integer, got True"),
             ("strict_counts", "false", "strict_counts must be true or false, got 'false'"),
-            ("normalizer_epsilon", True, "normalizer_epsilon must be numeric, got True"),
-            ("normalizer_epsilon", "1e-8", "normalizer_epsilon must be numeric, got '1e-8'"),
+            ("normalizer_epsilon", True, "normalizer_epsilon must be a number, got True"),
+            ("normalizer_epsilon", "1e-8", "normalizer_epsilon must be a number, got '1e-8'"),
             ("normalizer_epsilon", -1.0, "normalizer_epsilon must be finite and > 0, got -1.0"),
             ("normalizer_epsilon", 0, "normalizer_epsilon must be finite and > 0, got 0"),
             ("normalizer_epsilon", float("inf"), "normalizer_epsilon must be finite and > 0, got inf"),
-            ("train.seed", 1.5, "seed must be integer, got 1.5"),
-            ("train.batch_size", 2.5, "batch_size must be integer, got 2.5"),
-            ("train.epochs", 1.5, "epochs must be integer, got 1.5"),
-            ("train.learning_rate", True, "learning_rate must be numeric, got True"),
-            ("train.beta2", "0.9", "beta2 must be numeric, got '0.9'"),
-            ("train.adam_eps", 0.0, "learning_rate and adam_eps must be positive"),
-            ("model.pool_widths", [2.0, 2], "pool_widths must be integer, got (2.0, 2)"),
-            ("model.dense_units", 8.5, "dense_units must be integer, got 8.5"),
-            ("model.classes", True, "classes must be integer, got True"),
-            ("model.convs.0.stride", 1.0, "stride must be integer, got 1.0"),
-            ("welch.segment_len", 64.0, "segment_len must be integer, got 64.0"),
-            ("welch.overlap", False, "overlap must be integer, got False"),
+            ("train.seed", 1.5, "train.seed must be an integer, got 1.5"),
+            ("train.batch_size", 2.5, "train.batch_size must be an integer, got 2.5"),
+            ("train.epochs", 1.5, "train.epochs must be an integer, got 1.5"),
+            ("train.learning_rate", True, "train.learning_rate must be a number, got True"),
+            ("train.beta2", "0.9", "train.beta2 must be a number, got '0.9'"),
+            ("train.adam_eps", 0.0, "train: learning_rate and adam_eps must be finite and positive"),
+            ("model.pool_widths", [2.0, 2], "model.pool_widths.0 must be an integer, got 2.0"),
+            ("model.dense_units", 8.5, "model.dense_units must be an integer, got 8.5"),
+            ("model.classes", True, "model.classes must be an integer, got True"),
+            ("model.convs.0.stride", 1.0, "model.convs.0.stride must be an integer, got 1.0"),
+            ("welch.segment_len", 64.0, "welch.segment_len must be an integer, got 64.0"),
+            ("welch.overlap", False, "welch.overlap must be an integer, got False"),
+            # Wrong types that once raised a TypeError traceback.
+            ("output_dir", 5, "output_dir must be a string, got 5"),
+            ("output_dir", None, "output_dir must be a string, got None"),
+            ("dataset_root", 5, "dataset_root must be a string, got 5"),
+            ("welch", [64, 32], "welch must be an object, got [64, 32]"),
+            ("model.convs", {}, "model.convs must be a list, got {}"),
+            # Unknown keys, once ignored at the top level and in `model`.
+            ("subsett", 3, "top level has unknown key 'subsett'"),
+            ("model.units", 3, "model has unknown key 'units'"),
+            ("train.seeds", 3, "train has unknown key 'seeds'"),
+            ("welch.window", "hann", "welch has unknown key 'window'"),
+            ("model.convs.1.strides", 2, "model.convs.1 has unknown key 'strides'"),
+            # Range checks name the object that failed them.
+            ("welch.segment_len", 63, "welch: segment_len must be even and >= 2, got 63"),
+            ("model.convs.1.in_streams", 16, "model: conv chain mismatch"),
         ],
     )
     def test_bad_value_in_config_is_one_line_error(self, tmp_path, capsys, key, value, message):
@@ -131,6 +146,46 @@ class TestConfigValues:
         err = one_line_error(capsys, ["extract", "--config", str(path)])
         assert f"invalid config file {path}: {message}" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("subset", "top level lacks key 'subset'"),
+            ("train.seed", "train lacks key 'seed'"),
+            ("welch.overlap", "welch lacks key 'overlap'"),
+            ("model.classes", "model lacks key 'classes'"),
+            ("model.convs.0.stride", "model.convs.0 lacks key 'stride'"),
+        ],
+    )
+    def test_missing_key_in_config_is_one_line_error(self, tmp_path, capsys, key, message):
+        d = RunConfig(output_dir=str(tmp_path / "out")).to_json_dict()
+        *parents, leaf = key.split(".")
+        target = d
+        for part in parents:
+            target = target[int(part) if isinstance(target, list) else part]
+        del target[leaf]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(d))
+        err = one_line_error(capsys, ["extract", "--config", str(path)])
+        assert f"invalid config file {path}: {message}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "extract", "train", "evaluate"])
+    def test_non_string_dataset_root_is_one_line_error_on_every_command(
+        self, tmp_path, capsys, command
+    ):
+        d = dict(RunConfig(output_dir=str(tmp_path / "out")).to_json_dict(), dataset_root=5)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(d))
+        err = one_line_error(capsys, [command, "--config", str(path)])
+        assert err == f"error: invalid config file {path}: dataset_root must be a string, got 5\n"
+
+    @pytest.mark.parametrize("document", ["[]", "5", "null"])
+    def test_non_object_config_is_one_line_error(self, tmp_path, capsys, document):
+        path = tmp_path / "config.json"
+        path.write_text(document)
+        err = one_line_error(capsys, ["validate", "--config", str(path)])
+        assert f"invalid config file {path}: top level must be an object, got " in err
 
     @pytest.mark.parametrize("flag", ["-1", "0"])
     def test_non_positive_subset_flag_is_one_line_error(self, tmp_path, capsys, flag):
@@ -212,6 +267,26 @@ class TestExtract:
         cfg_path = write_config(tmp_path / "c.json", smoke_config(root, out_dir))
         assert main(["extract", "--config", cfg_path, "--subset", "5"]) == 0
         assert len(read_feature_cache(out_dir / "train_features.bin")) == 5
+
+    def test_subset_is_cut_before_extracting(self, tmp_path, monkeypatch):
+        root = build_synthetic_dataset(tmp_path / "data", train_per_class=3, test_per_class=2)
+        cfg_path = write_config(tmp_path / "c.json", smoke_config(root, tmp_path / "full"))
+        assert main(["extract", "--config", cfg_path]) == 0
+        seen = []
+
+        def counting_extract(manifest, welch):
+            seen.append(len(manifest))
+            return extract_split(manifest, welch)
+
+        monkeypatch.setattr(cli, "extract_split", counting_extract)
+        assert main(["extract", "--config", cfg_path, "--subset", "5", "--out", str(tmp_path / "cut")]) == 0
+        assert seen == [5, 5]
+        for name in ("train_features.bin", "test_features.bin"):
+            full = read_feature_cache(tmp_path / "full" / name)
+            cut = read_feature_cache(tmp_path / "cut" / name)
+            assert np.array_equal(cut.freq, full.freq[:5])
+            assert np.array_equal(cut.power, full.power[:5])
+            assert np.array_equal(cut.labels, full.labels[:5])
 
 
 class TestTrain:

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import nan_in_worker_chunks
 from harcnn import model
+from harcnn.config import from_json, to_json
 from harcnn.layers import softmax_cross_entropy_batch
 from harcnn.model import (
     DEFAULT_MODEL_SPEC,
@@ -59,7 +60,7 @@ class TestModelSpec:
 
     def test_json_round_trip(self):
         spec = DEFAULT_MODEL_SPEC
-        assert ModelSpec.from_json_dict(spec.to_json_dict()) == spec
+        assert from_json(ModelSpec, to_json(spec)) == spec
 
 
 class TestInitModel:
