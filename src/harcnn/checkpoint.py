@@ -44,9 +44,16 @@ def _norm_records(norm: NormStats) -> list[tuple[str, np.ndarray]]:
 
 
 def _norm_stats(records: dict[str, np.ndarray], epsilon: object) -> NormStats:
-    """Stats from the "norm.*" records; KeyError names a missing one."""
+    """Stats from the "norm.*" records.
+
+    KeyError names a missing record; ValueError a bad epsilon or a negative std.
+    """
     check_epsilon("epsilon", epsilon)
-    return NormStats(**{name: records[f"norm.{name}"] for name in _NORM_ARRAYS}, epsilon=epsilon)
+    norm = NormStats(**{name: records[f"norm.{name}"] for name in _NORM_ARRAYS}, epsilon=epsilon)
+    for name in ("freq_std", "power_std"):
+        if (getattr(norm, name) < 0).any():
+            raise ValueError(f"record 'norm.{name}' holds a negative std")
+    return norm
 
 
 def _header(magic: bytes, meta: dict) -> bytes:
@@ -85,7 +92,8 @@ def _write_file(path: str | Path, magic: bytes, meta: dict, records: list) -> No
 def _read_file(path: str | Path, magic: bytes, what: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Header metadata and tensor records of a checkpoint or stats file.
 
-    Every layout error is re-raised as a CheckpointError that starts with the path.
+    Every layout error, and a record holding NaN or inf, is raised as a
+    CheckpointError that starts with the path.
     """
     data = Path(path).read_bytes()
     try:
@@ -93,6 +101,9 @@ def _read_file(path: str | Path, magic: bytes, what: str) -> tuple[dict, dict[st
         records = unpack_tensor_records(memoryview(data)[offset:])
     except FormatError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
+    for name, arr in records.items():
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: record {name!r} holds non-finite values")
     return meta, records
 
 
@@ -157,4 +168,4 @@ def load_norm_stats(path: str | Path) -> NormStats:
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing stats record {exc}") from None
     except ValueError as exc:
-        raise CheckpointError(f"{path}: malformed stats metadata: {exc}") from None
+        raise CheckpointError(f"{path}: inconsistent stats sidecar: {exc}") from None

@@ -13,10 +13,14 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .binio import FormatError, atomic_write_bytes
 from .checkpoint import load_checkpoint, load_norm_stats, save_checkpoint, save_norm_stats
 from .config import from_json, to_json
-from .dataset import Activity, DatasetError, EXPECTED_COUNTS, SPLITS, load_split, table_count_mismatches
+from .dataset import (
+    Activity, DatasetError, EXPECTED_COUNTS, SPLITS, WINDOW_LEN, load_split, table_count_mismatches,
+)
 from .dsp import WelchConfig
 from .features import (
     DEFAULT_EPSILON,
@@ -71,6 +75,9 @@ class RunConfig:
         if self.subset is not None and self.subset < 1:
             raise ValueError(f"subset must be null or an integer >= 1, got {self.subset!r}")
         check_epsilon("normalizer_epsilon", self.normalizer_epsilon)
+        if self.welch.segment_len > WINDOW_LEN:
+            raise ValueError(f"welch.segment_len must be <= the window length {WINDOW_LEN}, "
+                             f"got {self.welch.segment_len}")
 
     def to_json_dict(self) -> dict:
         return to_json(self)
@@ -279,23 +286,29 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config else RunConfig()
-        cfg = _apply_overrides(cfg, args)
-        if args.command == "validate":
-            return cmd_validate(cfg)
-        if args.command == "extract":
-            return cmd_extract(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "evaluate":
-            checkpoint = args.checkpoint or Path(cfg.output_dir) / CHECKPOINT_NAME
-            return cmd_evaluate(cfg, checkpoint, args.split)
-        raise ValueError(f"unknown command {args.command!r}")
+        # A huge but finite value in a cache, stats file or checkpoint can
+        # overflow the float32 arithmetic: stop with one line, not a warning.
+        with np.errstate(over="raise", divide="raise"):
+            cfg = load_config(args.config) if args.config else RunConfig()
+            cfg = _apply_overrides(cfg, args)
+            if args.command == "validate":
+                return cmd_validate(cfg)
+            if args.command == "extract":
+                return cmd_extract(cfg)
+            if args.command == "train":
+                return cmd_train(cfg)
+            if args.command == "evaluate":
+                checkpoint = args.checkpoint or Path(cfg.output_dir) / CHECKPOINT_NAME
+                return cmd_evaluate(cfg, checkpoint, args.split)
+            raise ValueError(f"unknown command {args.command!r}")
     except DatasetError as exc:
         print(f"dataset error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except FloatingPointError as exc:
+        print(f"error: arithmetic failed: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

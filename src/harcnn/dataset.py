@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-SAMPLE_RATE_HZ = 50.0
 WINDOW_LEN = 128
 N_SUBJECTS = 30
 
@@ -76,14 +75,6 @@ EXPECTED_COUNTS = {
     },
 }
 EXPECTED_TOTALS = {split: sum(counts.values()) for split, counts in EXPECTED_COUNTS.items()}
-
-
-def class_of(class_id: int) -> Activity:
-    """Map a label-file id (1..6) to its activity class."""
-    try:
-        return Activity(class_id)
-    except ValueError:
-        raise DatasetError(f"unknown activity id {class_id}") from None
 
 
 @dataclass
@@ -269,5 +260,5 @@ def load_split(root: str | Path, split: str, strict_counts: bool = True) -> Spli
     if strict_counts:
         diffs = table_count_mismatches(manifest)
         if diffs:
-            raise DatasetError("dataset counts do not match the published split:\n" + "\n".join(diffs))
+            raise DatasetError("dataset counts do not match the published split: " + "; ".join(diffs))
     return manifest

@@ -28,12 +28,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 WINDOW_KINDS = ("rectangular", "hamming")
 
 
+def _is_pow2(n: int) -> bool:
+    return n >= 2 and (n & (n - 1)) == 0
+
+
 @dataclass(frozen=True)
 class WelchConfig:
     """Segmentation and windowing choices for the Welch PSD estimate.
 
-    segment_len must be even so the one-sided bin count segment_len/2 + 1
-    is well defined; overlap is in samples, less than segment_len.
+    segment_len must be a power of two >= 2, a length the FFT takes;
+    overlap is in samples, less than segment_len. welch_psd relies on
+    these checks and repeats none of them.
     """
 
     segment_len: int = 64
@@ -41,8 +46,8 @@ class WelchConfig:
     window_kind: str = "hamming"
 
     def __post_init__(self) -> None:
-        if self.segment_len < 2 or self.segment_len % 2 != 0:
-            raise ValueError(f"segment_len must be even and >= 2, got {self.segment_len}")
+        if not _is_pow2(self.segment_len):
+            raise ValueError(f"segment_len must be a power of two >= 2, got {self.segment_len}")
         if not 0 <= self.overlap < self.segment_len:
             raise ValueError(f"overlap must be in [0, {self.segment_len - 1}], got {self.overlap}")
         if self.window_kind not in WINDOW_KINDS:
@@ -55,20 +60,6 @@ class WelchConfig:
     @property
     def n_bins(self) -> int:
         return self.segment_len // 2 + 1
-
-
-@dataclass(frozen=True)
-class PsdEstimate:
-    """One-sided Welch PSD: `values` has segment_len/2 + 1 bins per signal."""
-
-    values: np.ndarray
-    bin_width_hz: float
-    segment_len: int
-    segment_count: int
-
-
-def _is_pow2(n: int) -> bool:
-    return n >= 2 and (n & (n - 1)) == 0
 
 
 @lru_cache(maxsize=32)
@@ -137,75 +128,42 @@ def fft_real(signal: np.ndarray) -> np.ndarray:
 
 
 def magnitude_onesided(spectrum: np.ndarray) -> np.ndarray:
-    """Raw one-sided magnitudes |X(k)| for k = 0 .. N/2 of an even-length spectrum."""
+    """Raw one-sided magnitudes |X(k)| for k = 0 .. N/2 of a spectrum from fft_real."""
     spec = np.asarray(spectrum)
-    n = spec.shape[-1]
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"spectrum length must be even and >= 2, got {n}")
-    return np.abs(spec[..., : n // 2 + 1])
+    return np.abs(spec[..., : spec.shape[-1] // 2 + 1])
 
 
 def make_window(kind: str, length: int) -> np.ndarray:
-    """Temporal window of the given kind: all ones, or the 0.54/0.46 Hamming taper."""
-    if length < 2:
-        raise ValueError(f"window length must be >= 2, got {length}")
+    """Temporal window of a WelchConfig's kind and segment_len.
+
+    "rectangular" is all ones; "hamming" is the 0.54/0.46 Hamming taper.
+    """
     if kind == "rectangular":
         return np.ones(length)
-    if kind == "hamming":
-        t = np.arange(length)
-        return 0.54 - 0.46 * np.cos(2.0 * np.pi * t / (length - 1))
-    raise ValueError(f"unknown window kind {kind!r}")
+    t = np.arange(length)
+    return 0.54 - 0.46 * np.cos(2.0 * np.pi * t / (length - 1))
 
 
-def window_power(window: np.ndarray) -> float:
-    """Mean squared value of the window (the periodogram's normalizing power)."""
-    w = np.asarray(window, dtype=np.float64)
-    return float(np.mean(w * w))
-
-
-def windowed_periodogram(segment: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """One-sided windowed periodogram of one segment.
-
-    Computes |FFT(u * y)|^2 / (O * P) with P the mean squared window value,
-    keeps bins 0 .. O/2 and doubles the interior bins so the one-sided total
-    matches the two-sided one.
-    """
-    seg = np.asarray(segment, dtype=np.float64)
-    win = np.asarray(window, dtype=np.float64)
-    if win.ndim != 1:
-        raise ValueError("window must be one-dimensional")
-    length = win.shape[0]
-    if seg.shape[-1] != length:
-        raise ValueError(f"segment length {seg.shape[-1]} != window length {length}")
-    if not _is_pow2(length):
-        raise ValueError(f"segment length must be a power of two >= 2, got {length}")
-    p = window_power(win)
-    if p == 0.0:
-        raise ValueError("window power is zero")
-    spec = fft_real(seg * win)
-    two_sided = (spec.real**2 + spec.imag**2) / (length * p)
-    one_sided = two_sided[..., : length // 2 + 1].copy()
-    one_sided[..., 1:-1] *= 2.0
-    return one_sided
-
-
-def welch_psd(signal: np.ndarray, cfg: WelchConfig, sample_rate_hz: float = 50.0) -> PsdEstimate:
-    """Welch overlapped-segment-averaged PSD estimate.
+def welch_psd(signal: np.ndarray, cfg: WelchConfig) -> np.ndarray:
+    """Welch overlapped-segment-averaged PSD over the last axis: cfg.n_bins values per signal.
 
     Segments start at 0, step, 2*step, ... with step = segment_len - overlap;
-    a trailing partial segment is discarded. The result is the mean of the
-    one-sided windowed periodograms of the segments.
+    a trailing partial segment is discarded. Each segment y of length O
+    gives the one-sided windowed periodogram |FFT(u * y)|^2 / (O * P), with
+    P the mean squared window value, keeping bins 0 .. O/2 and doubling the
+    interior bins so the one-sided total matches the two-sided one. The
+    result is the mean of these periodograms over the segments.
     """
     x = np.asarray(signal, dtype=np.float64)
     n = x.shape[-1]
-    if cfg.segment_len > n:
-        raise ValueError(f"segment_len {cfg.segment_len} exceeds signal length {n}")
-    win = make_window(cfg.window_kind, cfg.segment_len)
-    segments = sliding_window_view(x, cfg.segment_len, axis=-1)[..., :: cfg.step, :]
-    values = windowed_periodogram(segments, win).mean(axis=-2)
-    return PsdEstimate(
-        values=values,
-        bin_width_hz=sample_rate_hz / cfg.segment_len,
-        segment_len=cfg.segment_len,
-        segment_count=segments.shape[-2],
-    )
+    length = cfg.segment_len
+    if length > n:
+        raise ValueError(f"segment_len {length} exceeds signal length {n}")
+    win = make_window(cfg.window_kind, length)
+    segments = sliding_window_view(x, length, axis=-1)[..., :: cfg.step, :]
+    spec = fft_real(segments * win)
+    power = float(np.mean(win * win))
+    two_sided = (spec.real**2 + spec.imag**2) / (length * power)
+    one_sided = two_sided[..., : cfg.n_bins].copy()
+    one_sided[..., 1:-1] *= 2.0
+    return one_sided.mean(axis=-2)

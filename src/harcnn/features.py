@@ -16,7 +16,7 @@ import numpy as np
 
 from .binio import FormatError, atomic_write_bytes
 from .config import from_json
-from .dataset import N_STREAMS, SAMPLE_RATE_HZ, WINDOW_LEN, SplitManifest
+from .dataset import N_STREAMS, WINDOW_LEN, Activity, SplitManifest
 from .dsp import WelchConfig, fft_real, magnitude_onesided, welch_psd
 from .parallel import map_blocks
 
@@ -84,7 +84,7 @@ def extract_features_batch(
 
     def fill(block: slice) -> None:
         freq[block] = magnitude_onesided(fft_real(w[block]))
-        power[block] = welch_psd(w[block], cfg, SAMPLE_RATE_HZ).values
+        power[block] = welch_psd(w[block], cfg)
 
     map_blocks(fill, [slice(start, start + BLOCK_WINDOWS) for start in range(0, n, BLOCK_WINDOWS)])
     return freq, power
@@ -165,7 +165,11 @@ def write_feature_cache(path: str | Path, features: FeatureSet) -> None:
 
 
 def read_feature_cache(path: str | Path) -> FeatureSet:
-    """Read a feature cache back; values come out float32 exactly as stored."""
+    """Read a feature cache back; values come out float32 exactly as stored.
+
+    A layout mismatch, a label outside 1..6 or a non-finite value raises a
+    FormatError that starts with the path.
+    """
     data = Path(path).read_bytes()
     if data[:8] != CACHE_MAGIC:
         raise FormatError(f"{path}: bad feature cache magic {data[:8]!r}")
@@ -177,8 +181,17 @@ def read_feature_cache(path: str | Path) -> FeatureSet:
     if len(data) != expected:
         raise FormatError(f"{path}: cache size {len(data)} != expected {expected}")
     records = np.frombuffer(data, dtype=dtype, count=n, offset=20)
+    labels = records["label"]
+    bad = (labels < 1) | (labels > len(Activity))
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise FormatError(
+            f"{path}: record {i} has label {labels[i]}, not a class id in 1..{len(Activity)}"
+        )
+    if not (np.isfinite(records["freq"]).all() and np.isfinite(records["power"]).all()):
+        raise FormatError(f"{path}: feature cache holds non-finite values")
     return FeatureSet(
         freq=records["freq"].copy(),
         power=records["power"].copy(),
-        labels=records["label"].astype(np.int64),
+        labels=labels.astype(np.int64),
     )

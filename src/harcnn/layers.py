@@ -159,11 +159,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def softmax_cross_entropy_batch(logits, class_indices):
     """Per-sample losses (batch,), gradients (batch, classes), probabilities.
 
-    `class_indices` holds each row's zero-based true class.
+    `class_indices` holds each row's zero-based true class. A loss is
+    log(sum(exp(shifted))) - shifted[true], with shifted = logits - max,
+    so it stays finite where the true class's probability underflows to 0.
     """
-    probs = softmax(logits)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1)
+    probs = e / total[:, None]
     rows = np.arange(logits.shape[0])
-    losses = -np.log(probs[rows, class_indices])
+    losses = np.log(total) - shifted[rows, class_indices]
     grads = probs.copy()
     grads[rows, class_indices] -= 1.0
     return losses, grads, probs

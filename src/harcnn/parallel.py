@@ -8,6 +8,7 @@ loop would, so results never depend on the thread count.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 
@@ -27,7 +28,8 @@ def map_blocks(fn, blocks) -> list:
     come back in block order. Blocks are taken in order, so every block
     before a failing one runs; the exception of the earliest failing block
     is re-raised here, as the plain loop would raise it. With one CPU or
-    one block no thread is started.
+    one block no thread is started. Each worker runs in a copy of the
+    caller's context, so numpy's error state (np.errstate) holds there too.
     """
     blocks = list(blocks)
     threads = min(cpu_count(), len(blocks))
@@ -53,7 +55,10 @@ def map_blocks(fn, blocks) -> list:
                     failures[index] = exc
                 return
 
-    workers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    workers = [
+        threading.Thread(target=contextvars.copy_context().run, args=(work,))
+        for _ in range(threads - 1)
+    ]
     for worker in workers:
         worker.start()
     try:

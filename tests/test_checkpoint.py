@@ -220,12 +220,12 @@ class TestErrorsNameThePath:
         assert str(info.value).startswith(f"{path}: ")
 
 
-def with_record(path, name, shape):
-    """Rewrite one tensor record of a saved checkpoint as zeros of `shape`."""
+def with_record(path, name, change):
+    """Rewrite one tensor record of a saved checkpoint or stats file as change(record)."""
     data = path.read_bytes()
     offset = 14 + _meta_len(data)
     records = unpack_tensor_records(memoryview(data)[offset:])
-    records[name] = np.zeros(shape, dtype=np.float32)
+    records[name] = np.asarray(change(records[name]), dtype=np.float32)
     packed = b"".join(pack_tensor_record(key, arr) for key, arr in records.items())
     path.write_bytes(data[:offset] + packed)
 
@@ -243,7 +243,7 @@ class TestWrongShapedRecords:
     def test_load_and_evaluate_name_path_and_array(self, tmp_path, capsys, name, shape):
         path = tmp_path / "shape.bin"
         save_checkpoint(path, init_model(seed=1, norm=make_norm()), WelchConfig(), epoch=0)
-        with_record(path, name, shape)
+        with_record(path, name, lambda record: np.zeros(shape))
         message = f"'{name}' has shape {shape}"
         with pytest.raises(CheckpointError, match=re.escape(message)) as info:
             load_checkpoint(path)
@@ -254,3 +254,34 @@ class TestWrongShapedRecords:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
         assert message in err
+
+
+class TestRecordValues:
+    @pytest.mark.parametrize(
+        "kind, name, value, message",
+        [
+            ("checkpoint", "fusion.w", np.inf, "record 'fusion.w' holds non-finite values"),
+            ("checkpoint", "freq.conv0.b", np.nan, "record 'freq.conv0.b' holds non-finite values"),
+            ("checkpoint", "norm.power_std", np.inf, "record 'norm.power_std' holds non-finite values"),
+            ("checkpoint", "norm.power_std", -1.0, "record 'norm.power_std' holds a negative std"),
+            ("stats", "norm.power_std", -np.inf, "record 'norm.power_std' holds non-finite values"),
+            ("stats", "norm.freq_std", -1e-30, "record 'norm.freq_std' holds a negative std"),
+        ],
+    )
+    def test_bad_value_is_rejected_with_path(self, tmp_path, kind, name, value, message):
+        path = tmp_path / f"{kind}.bin"
+        if kind == "checkpoint":
+            save_checkpoint(path, init_model(seed=1, norm=make_norm()), WelchConfig(), epoch=0)
+            load = load_checkpoint
+        else:
+            save_norm_stats(path, make_norm())
+            load = load_norm_stats
+
+        def change(record):
+            record.flat[-1] = value
+            return record
+
+        with_record(path, name, change)
+        with pytest.raises(CheckpointError, match=re.escape(message)) as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}: ")

@@ -130,7 +130,7 @@ class TestConfigValues:
             ("welch.window", "hann", "welch has unknown key 'window'"),
             ("model.convs.1.strides", 2, "model.convs.1 has unknown key 'strides'"),
             # Range checks name the object that failed them.
-            ("welch.segment_len", 63, "welch: segment_len must be even and >= 2, got 63"),
+            ("welch.segment_len", 63, "welch: segment_len must be a power of two >= 2, got 63"),
             ("model.convs.1.in_streams", 16, "model: conv chain mismatch"),
         ],
     )
@@ -179,6 +179,27 @@ class TestConfigValues:
         path.write_text(json.dumps(d))
         err = one_line_error(capsys, [command, "--config", str(path)])
         assert err == f"error: invalid config file {path}: dataset_root must be a string, got 5\n"
+
+    @pytest.mark.parametrize("command", ["extract", "train", "evaluate"])
+    @pytest.mark.parametrize(
+        "length, message",
+        [
+            (6, "welch: segment_len must be a power of two >= 2, got 6"),
+            (256, "welch.segment_len must be <= the window length 128, got 256"),
+        ],
+    )
+    def test_segment_len_the_fft_refuses_fails_before_any_file_is_read(
+        self, tmp_path, capsys, monkeypatch, command, length, message
+    ):
+        d = RunConfig(output_dir=str(tmp_path / "out")).to_json_dict()
+        d["welch"].update(segment_len=length, overlap=0)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(d))
+        monkeypatch.setattr(cli, "load_split", lambda *args, **kwargs: pytest.fail("dataset read"))
+        monkeypatch.setattr(cli, "load_checkpoint", lambda *args: pytest.fail("checkpoint read"))
+        err = one_line_error(capsys, [command, "--config", str(path)])
+        assert err == f"error: invalid config file {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("document", ["[]", "5", "null"])
     def test_non_object_config_is_one_line_error(self, tmp_path, capsys, document):
@@ -375,6 +396,22 @@ class TestEvaluate:
         assert "lacks key 'architecture'" in err
 
 
+    def test_checkpoint_segment_longer_than_window_is_one_line_error(
+        self, trained_pipeline, tmp_path, capsys
+    ):
+        _, out_dir, cfg_path = trained_pipeline
+        data = (out_dir / "checkpoint.bin").read_bytes()
+        (meta_len,) = struct.unpack("<I", data[10:14])
+        meta = json.loads(data[14 : 14 + meta_len])
+        meta["welch"] = {"segment_len": 256, "overlap": 0, "window_kind": "hamming"}
+        meta_bytes = json.dumps(meta).encode()
+        bad = tmp_path / "long_segment.bin"
+        bad.write_bytes(data[:10] + struct.pack("<I", len(meta_bytes)) + meta_bytes + data[14 + meta_len :])
+        err = one_line_error(capsys, ["evaluate", "--config", str(cfg_path), "--checkpoint", str(bad),
+                                      "--out", str(tmp_path / "eval")])
+        assert err == "error: segment_len 256 exceeds signal length 128\n"
+
+
 class TestNonFiniteLogits:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN fed on purpose
     def test_nan_in_feature_cache_stops_train(self, trained_pipeline, tmp_path, capsys):
@@ -419,6 +456,65 @@ class TestNonFiniteLogits:
                                       str(out_dir / "checkpoint.bin"), "--out", str(tmp_path / "eval")])
         assert "non-finite" in err
         assert not (tmp_path / "eval" / "report.json").exists()
+
+
+INF = struct.pack("<f", np.inf)
+
+# Artifact, the command that reads it, where to write (from the file's bytes),
+# what to write there, and the fault the one-line error must name.
+CORRUPTIONS = {
+    "label-7": ("train_features.bin", "train", lambda data: 20, b"\x07", "record 0 has label 7"),
+    "label-200": ("train_features.bin", "train", lambda data: 20, b"\xc8", "record 0 has label 200"),
+    "label-0": ("train_features.bin", "train", lambda data: 20, b"\x00", "record 0 has label 0"),
+    "inf-feature": ("train_features.bin", "train", lambda data: 21, INF, "non-finite"),
+    "inf-weight": (
+        "checkpoint.bin", "evaluate", lambda data: data.index(b"fusion.w") + 20, INF,
+        "record 'fusion.w' holds non-finite values",
+    ),
+    "inf-checkpoint-std": (
+        "checkpoint.bin", "evaluate", lambda data: len(data) - 4, INF,
+        "record 'norm.power_std' holds non-finite values",
+    ),
+    "negative-checkpoint-std": (
+        "checkpoint.bin", "evaluate", lambda data: len(data) - 4, struct.pack("<f", -1.0),
+        "record 'norm.power_std' holds a negative std",
+    ),
+    "inf-stats": (
+        "norm_stats.bin", "train", lambda data: len(data) - 4, INF,
+        "record 'norm.power_std' holds non-finite values",
+    ),
+}
+
+
+class TestCorruptArtifacts:
+    def run_damaged(self, trained_pipeline, tmp_path, capsys, name, command, where, value):
+        """One-line error of `command` after writing `value` at where(data) of artifact `name`."""
+        root, out_dir, _ = trained_pipeline
+        work = tmp_path / "out"
+        work.mkdir()
+        for artifact in ("train_features.bin", "test_features.bin", "norm_stats.bin", "checkpoint.bin"):
+            (work / artifact).write_bytes((out_dir / artifact).read_bytes())
+        data = bytearray((work / name).read_bytes())
+        at = where(data)
+        data[at : at + len(value)] = value
+        (work / name).write_bytes(bytes(data))
+        cfg_path = write_config(tmp_path / "c.json", smoke_config(root, work, epochs=1))
+        err = one_line_error(capsys, [command, "--config", cfg_path])
+        assert not (work / "epochs.csv").exists() and not (work / "report.json").exists()
+        return err
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_one_line_error_starts_with_path(self, trained_pipeline, tmp_path, capsys, case):
+        name, command, where, value, message = CORRUPTIONS[case]
+        err = self.run_damaged(trained_pipeline, tmp_path, capsys, name, command, where, value)
+        assert err.startswith(f"error: {tmp_path / 'out' / name}: ")
+        assert message in err
+
+    def test_huge_finite_feature_overflow_is_one_line_error(self, trained_pipeline, tmp_path, capsys):
+        huge = struct.pack("<f", 3e38)
+        err = self.run_damaged(trained_pipeline, tmp_path, capsys, "train_features.bin", "train",
+                               lambda data: 21, huge)
+        assert err.startswith("error: arithmetic failed: overflow encountered in ")
 
 
 class TestDeterminism:

@@ -130,6 +130,8 @@ class TestCheckpointMeta:
             ({"norm_epsilon": True}, "metadata.norm_epsilon must be a number, got True"),
             ({"extra": 1}, "metadata has unknown key 'extra'"),
             ({"welch": {"segment_len": 64}}, "metadata.welch lacks key 'overlap'"),
+            ({"welch": {"segment_len": 6, "overlap": 0, "window_kind": "hamming"}},
+             "metadata.welch: segment_len must be a power of two >= 2, got 6"),
         ],
     )
     def test_wrong_value_is_one_checkpoint_error(self, tmp_path, changes, message):
@@ -202,7 +204,7 @@ class TestStatsEpsilon:
         update_meta(path, epsilon=epsilon)
         with pytest.raises(CheckpointError) as info:
             load_norm_stats(path)
-        assert str(info.value) == f"{path}: malformed stats metadata: epsilon {message}"
+        assert str(info.value) == f"{path}: inconsistent stats sidecar: epsilon {message}"
 
 
 def _key_paths(node, prefix=()):

@@ -8,7 +8,6 @@ from harcnn.dataset import (
     EXPECTED_COUNTS,
     EXPECTED_TOTALS,
     SplitManifest,
-    class_of,
     load_split,
     parse_signal_file,
     table_count_mismatches,
@@ -136,22 +135,6 @@ class TestParseSignalFile:
             parse_signal_file(path, columns=3)
 
 
-class TestClassOf:
-    def test_table_order(self):
-        assert class_of(1) is Activity.WALKING
-        assert class_of(1).short == "Wlk"
-        assert class_of(6) is Activity.LAYING
-        assert class_of(6).short == "Lay"
-        assert [class_of(i).short for i in range(1, 7)] == [
-            "Wlk", "WUp", "WDn", "Sit", "Stn", "Lay",
-        ]
-
-    @pytest.mark.parametrize("bad", [0, 7, -1])
-    def test_out_of_range_rejected(self, bad):
-        with pytest.raises(DatasetError, match="unknown activity id"):
-            class_of(bad)
-
-
 class TestLoadSplit:
     def test_loads_synthetic_split(self, synthetic_root):
         manifest = load_split(synthetic_root, "train", strict_counts=False)
@@ -187,8 +170,14 @@ class TestLoadSplit:
         assert np.array_equal(a.subjects, b.subjects)
 
     def test_strict_counts_reject_non_pristine_data(self, synthetic_root):
-        with pytest.raises(DatasetError, match="do not match the published split"):
+        with pytest.raises(DatasetError, match="do not match the published split") as info:
             load_split(synthetic_root, "train", strict_counts=True)
+        message = str(info.value)
+        assert "\n" not in message
+        # Every mismatch is kept: the total and all six classes differ.
+        assert "train: total 48 != expected 7352" in message
+        for activity in Activity:
+            assert f"train/{activity.short}: 8 != expected" in message
 
     def test_missing_signal_file_named(self, tmp_path):
         root = build_synthetic_dataset(tmp_path / "broken", train_per_class=2, test_per_class=1)

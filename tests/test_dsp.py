@@ -1,17 +1,7 @@
 import numpy as np
 import pytest
 
-from harcnn.dsp import (
-    PsdEstimate,
-    WelchConfig,
-    _fft_plan,
-    fft_real,
-    magnitude_onesided,
-    make_window,
-    welch_psd,
-    window_power,
-    windowed_periodogram,
-)
+from harcnn.dsp import WelchConfig, _fft_plan, fft_real, magnitude_onesided, make_window, welch_psd
 
 POW2_SIZES = [8, 16, 32, 64, 128, 256, 512, 1024]
 
@@ -145,10 +135,6 @@ class TestMagnitudeOnesided:
         assert abs(mag[0] - 128 * abs(c)) < 1e-9
         assert np.all(mag[1:] <= 1e-9)
 
-    def test_rejects_odd_length(self):
-        with pytest.raises(ValueError, match="even"):
-            magnitude_onesided(np.ones(7, dtype=complex))
-
 
 class TestMakeWindow:
     def test_hamming_endpoints(self):
@@ -161,80 +147,75 @@ class TestMakeWindow:
         w = make_window("hamming", length)
         assert np.allclose(w, w[::-1], atol=1e-12)
 
-    def test_rectangular_is_ones_with_unit_power(self):
-        w = make_window("rectangular", 32)
-        assert np.array_equal(w, np.ones(32))
-        assert window_power(w) == 1.0
-
-    def test_rejects_short_window(self):
-        with pytest.raises(ValueError, match=">= 2"):
-            make_window("hamming", 1)
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown window"):
-            make_window("blackman", 16)
+    def test_rectangular_is_ones(self):
+        assert np.array_equal(make_window("rectangular", 32), np.ones(32))
 
 
-class TestWindowedPeriodogram:
+def one_segment(length, kind):
+    """Welch config whose only segment is the whole signal, so it is one periodogram."""
+    return WelchConfig(segment_len=length, overlap=0, window_kind=kind)
+
+
+def reference_periodogram(x, kind):
+    """One-sided windowed periodogram of one segment from the O(N^2) DFT."""
+    win = make_window(kind, x.shape[-1])
+    plain = np.abs(naive_dft(x * win)) ** 2 / (x.shape[-1] * np.mean(win * win))
+    one_sided = plain[: x.shape[-1] // 2 + 1].copy()
+    one_sided[1:-1] *= 2.0
+    return one_sided
+
+
+class TestWelchPsd:
     def test_zero_segment_gives_zero(self):
-        out = windowed_periodogram(np.zeros(64), make_window("hamming", 64))
+        out = welch_psd(np.zeros(64), one_segment(64, "hamming"))
         assert out.shape == (33,)
         assert np.all(out == 0.0)
 
-    def test_rectangular_reduces_to_plain_periodogram(self):
-        rng = np.random.default_rng(17)
-        x = rng.standard_normal(64)
-        got = windowed_periodogram(x, make_window("rectangular", 64))
-        plain = np.abs(naive_dft(x)) ** 2 / 64.0
-        expected = plain[:33].copy()
-        expected[1:-1] *= 2.0
-        assert rel_err(got, expected) <= 1e-9
+    @pytest.mark.parametrize("kind", ["rectangular", "hamming"])
+    def test_single_segment_matches_dft_periodogram(self, kind):
+        x = np.random.default_rng(17).standard_normal(64)
+        assert rel_err(welch_psd(x, one_segment(64, kind)), reference_periodogram(x, kind)) <= 1e-9
 
     def test_exact_bin_sinusoid_peak(self):
         amp, bin_idx, length = 1.8, 5, 64
         t = np.arange(length)
         x = amp * np.sin(2 * np.pi * bin_idx * t / length)
-        got = windowed_periodogram(x, make_window("rectangular", length))
+        got = welch_psd(x, one_segment(length, "rectangular"))
         # Brute-force expectation from the reference DFT, same one-sided doubling.
         plain = np.abs(naive_dft(x)) ** 2 / length
         expected_peak = 2.0 * plain[bin_idx]
         assert abs(got[bin_idx] - expected_peak) <= 1e-9 * expected_peak
         assert abs(got[bin_idx] - amp * amp * length / 2.0) <= 1e-6 * got[bin_idx]
 
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError, match="!="):
-            windowed_periodogram(np.zeros(64), make_window("hamming", 32))
-
-
-class TestWelchPsd:
-    def test_single_segment_equals_periodogram(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal(64)
-        cfg = WelchConfig(segment_len=64, overlap=0, window_kind="rectangular")
-        est = welch_psd(x, cfg)
-        assert est.segment_count == 1
-        assert np.array_equal(est.values, windowed_periodogram(x, make_window("rectangular", 64)))
-
     def test_segment_offsets_and_count(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal(128)
-        cfg = WelchConfig(segment_len=64, overlap=32, window_kind="hamming")
-        est = welch_psd(x, cfg)
-        assert est.segment_count == 3
-        win = make_window("hamming", 64)
+        got = welch_psd(x, WelchConfig(segment_len=64, overlap=32, window_kind="hamming"))
         manual = np.mean(
-            [windowed_periodogram(x[off : off + 64], win) for off in (0, 32, 64)], axis=0
+            [welch_psd(x[off : off + 64], one_segment(64, "hamming")) for off in (0, 32, 64)],
+            axis=0,
         )
-        assert np.allclose(est.values, manual, rtol=1e-12)
+        assert np.allclose(got, manual, rtol=1e-12)
+
+    def test_trailing_partial_segment_is_dropped(self):
+        x = np.random.default_rng(12).standard_normal(100)
+        got = welch_psd(x, WelchConfig(segment_len=32, overlap=0, window_kind="hamming"))
+        assert np.array_equal(got, welch_psd(x[:96], WelchConfig(32, 0, "hamming")))
 
     def test_tiled_signal_average_is_exact(self):
         rng = np.random.default_rng(23)
         seg = rng.standard_normal(64)
         tiled = np.tile(seg, 4)
-        cfg = WelchConfig(segment_len=64, overlap=0, window_kind="hamming")
-        est = welch_psd(tiled, cfg)
-        assert est.segment_count == 4
-        assert np.array_equal(est.values, windowed_periodogram(seg, make_window("hamming", 64)))
+        got = welch_psd(tiled, WelchConfig(segment_len=64, overlap=0, window_kind="hamming"))
+        assert np.array_equal(got, welch_psd(seg, one_segment(64, "hamming")))
+
+    def test_batch_matches_per_signal(self):
+        x = np.random.default_rng(24).standard_normal((3, 4, 128))
+        got = welch_psd(x, WelchConfig())
+        assert got.shape == (3, 4, 33)
+        for i in range(3):
+            for j in range(4):
+                assert np.array_equal(got[i, j], welch_psd(x[i, j], WelchConfig()))
 
     def test_white_noise_total_power_matches_variance(self):
         cfg = WelchConfig(segment_len=64, overlap=32, window_kind="hamming")
@@ -242,8 +223,7 @@ class TestWelchPsd:
         for seed in range(50):
             rng = np.random.default_rng(1000 + seed)
             x = rng.standard_normal(4096)
-            est = welch_psd(x, cfg)
-            totals.append(np.sum(est.values) / est.segment_len)
+            totals.append(np.sum(welch_psd(x, cfg)) / cfg.segment_len)
         assert abs(np.mean(totals) - 1.0) < 0.10
 
     def test_values_non_negative(self):
@@ -253,26 +233,30 @@ class TestWelchPsd:
             x = rng.standard_normal(n) * rng.uniform(0.01, 100.0)
             overlap = int(rng.integers(0, 64))
             kind = "hamming" if rng.integers(2) else "rectangular"
-            est = welch_psd(x, WelchConfig(64, overlap, kind))
-            assert np.all(est.values >= 0.0)
-            assert np.all(np.isfinite(est.values))
-
-    def test_bin_width_and_shapes(self):
-        x = np.zeros(128)
-        est = welch_psd(x, WelchConfig(), sample_rate_hz=50.0)
-        assert isinstance(est, PsdEstimate)
-        assert est.values.shape == (33,)
-        assert est.bin_width_hz == 50.0 / 64
+            got = welch_psd(x, WelchConfig(64, overlap, kind))
+            assert np.all(got >= 0.0)
+            assert np.all(np.isfinite(got))
 
     def test_rejects_segment_longer_than_signal(self):
         with pytest.raises(ValueError, match="exceeds"):
             welch_psd(np.zeros(32), WelchConfig(segment_len=64))
 
+    def test_rejects_non_finite(self):
+        x = np.zeros(128)
+        x[70] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            welch_psd(x, WelchConfig())
+
 
 class TestWelchConfig:
-    def test_rejects_odd_segment(self):
-        with pytest.raises(ValueError, match="even"):
-            WelchConfig(segment_len=63)
+    @pytest.mark.parametrize("length", [-2, 0, 1, 6, 48, 63, 100])
+    def test_rejects_segment_not_power_of_two(self, length):
+        with pytest.raises(ValueError, match=f"power of two >= 2, got {length}"):
+            WelchConfig(segment_len=length, overlap=0)
+
+    @pytest.mark.parametrize("length", [2, 4, 64, 256])
+    def test_accepts_power_of_two_segment(self, length):
+        assert WelchConfig(segment_len=length, overlap=0).n_bins == length // 2 + 1
 
     def test_rejects_bad_overlap(self):
         with pytest.raises(ValueError, match="overlap"):

@@ -6,7 +6,6 @@ import pytest
 
 from harcnn import features
 from harcnn.binio import FormatError
-from harcnn.dataset import SAMPLE_RATE_HZ
 from harcnn.dsp import fft_real, magnitude_onesided, welch_psd
 from harcnn.features import (
     BLOCK_WINDOWS,
@@ -66,8 +65,7 @@ class TestExtractFeatures:
         freq, power = extract_features_batch(windows)
         for i in range(4):
             assert np.array_equal(freq[i], magnitude_onesided(fft_real(windows[i])))
-            psd = welch_psd(windows[i], DEFAULT_WELCH, SAMPLE_RATE_HZ)
-            assert np.array_equal(power[i], psd.values)
+            assert np.array_equal(power[i], welch_psd(windows[i], DEFAULT_WELCH))
 
     def test_batch_across_block_boundaries_matches_per_window(self):
         n = 2 * BLOCK_WINDOWS + 5
@@ -77,8 +75,7 @@ class TestExtractFeatures:
         assert power.shape == (n, 9, 33)
         for i in range(n):
             assert np.array_equal(freq[i], magnitude_onesided(fft_real(windows[i])))
-            psd = welch_psd(windows[i], DEFAULT_WELCH, SAMPLE_RATE_HZ)
-            assert np.array_equal(power[i], psd.values)
+            assert np.array_equal(power[i], welch_psd(windows[i], DEFAULT_WELCH))
 
     def test_one_cpu_starts_no_thread_and_gives_the_same_bytes(self, monkeypatch, four_cpus):
         windows = np.random.default_rng(23).standard_normal((3 * BLOCK_WINDOWS + 1, 9, 128))

@@ -12,6 +12,7 @@ from harcnn.layers import (
     dense_forward,
     maxpool1d_backward,
     maxpool1d_forward,
+    softmax,
     softmax_cross_entropy_batch,
 )
 
@@ -363,3 +364,15 @@ class TestSoftmaxCrossEntropy:
         assert np.isfinite(losses[0])
         assert np.all(np.isfinite(grad))
         assert abs(probs.sum() - 1.0) < 1e-6
+
+    def test_underflowing_true_class_gives_finite_loss(self):
+        # The true class's probability is exp(-2e3), 0 in float64.
+        logits = np.array([[1e3, -1e3, 0, 0, 0, 0]])
+        losses, _, probs = softmax_cross_entropy_batch(logits, np.array([1]))
+        assert probs[0, 1] == 0.0
+        assert losses[0] == 2e3
+
+    def test_probabilities_are_softmax_bits(self):
+        logits = np.random.default_rng(12).standard_normal((7, 6)).astype(np.float32)
+        probs = softmax_cross_entropy_batch(logits, np.zeros(7, dtype=int))[2]
+        assert np.array_equal(probs, softmax(logits))

@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from conftest import held_until_a_worker_runs
@@ -93,3 +94,12 @@ class TestMapBlocks:
             map_blocks(held_until_a_worker_runs(lambda i, on_worker: 1 // 0 if i == 3 else i),
                        range(20))
         assert threading.active_count() == before
+
+    def test_workers_run_under_the_callers_numpy_error_state(self, four_cpus):
+        def state(i, on_worker):
+            return on_worker, np.geterr()["over"]
+
+        with np.errstate(over="raise"):
+            seen = map_blocks(held_until_a_worker_runs(state), range(8))
+        assert any(on_worker for on_worker, _ in seen)
+        assert {over for _, over in seen} == {"raise"}
