@@ -23,9 +23,7 @@ from .dataset import (
 )
 from .dsp import WelchConfig
 from .features import (
-    DEFAULT_EPSILON,
     FeatureSet,
-    check_epsilon,
     extract_split,
     fit_normalizer_arrays,
     normalize_set,
@@ -66,7 +64,6 @@ class RunConfig:
     output_dir: str = "out"
     strict_counts: bool = True
     subset: int | None = None
-    normalizer_epsilon: float = DEFAULT_EPSILON
     welch: WelchConfig = WelchConfig()
     model: ModelSpec = DEFAULT_MODEL_SPEC
     train: TrainConfig = TrainConfig()
@@ -74,7 +71,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.subset is not None and self.subset < 1:
             raise ValueError(f"subset must be null or an integer >= 1, got {self.subset!r}")
-        check_epsilon("normalizer_epsilon", self.normalizer_epsilon)
         if self.welch.segment_len > WINDOW_LEN:
             raise ValueError(f"welch.segment_len must be <= the window length {WINDOW_LEN}, "
                              f"got {self.welch.segment_len}")
@@ -111,7 +107,7 @@ def _load_features_for(cfg: RunConfig, split: str, welch: WelchConfig) -> Featur
     manifest = load_split(cfg.dataset_root, split, strict_counts=cfg.strict_counts)
     keep = slice(cfg.subset)  # slice(None) keeps every window
     manifest = replace(manifest, windows=manifest.windows[keep], labels=manifest.labels[keep],
-                       subjects=manifest.subjects[keep], per_class_counts={})
+                       subjects=manifest.subjects[keep])
     return extract_split(manifest, welch)
 
 
@@ -121,8 +117,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     for split in SPLITS:
         manifest = load_split(cfg.dataset_root, split, strict_counts=False)
         print(f"{split}: {len(manifest)} samples")
-        for activity in Activity:
-            got = manifest.per_class_counts[activity]
+        for activity, got in manifest.per_class_counts.items():
             expected = EXPECTED_COUNTS[split][activity]
             marker = "" if got == expected else f"  (expected {expected})"
             print(f"  {activity.short}: {got}{marker}")
@@ -145,7 +140,7 @@ def cmd_extract(cfg: RunConfig) -> int:
         print(f"{split}: cached {len(features)} samples "
               f"(freq {features.freq.shape[1:]}, power {features.power.shape[1:]})")
         if split == "train":
-            norm = fit_normalizer_arrays(features.freq, features.power, cfg.normalizer_epsilon)
+            norm = fit_normalizer_arrays(features.freq, features.power)
             save_norm_stats(out_dir / NORM_NAME, norm)
             print(f"normalization stats fitted on {len(features)} training samples")
         del features  # free this split before the next one is parsed

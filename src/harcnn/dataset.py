@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 
@@ -54,6 +54,7 @@ class Activity(IntEnum):
 
 
 _SHORT_LABELS = ("Wlk", "WUp", "WDn", "Sit", "Stn", "Lay")
+N_CLASSES = len(Activity)
 
 # Published per-class window counts for each split.
 EXPECTED_COUNTS = {
@@ -79,19 +80,16 @@ EXPECTED_TOTALS = {split: sum(counts.values()) for split, counts in EXPECTED_COU
 
 @dataclass
 class SplitManifest:
-    """All windows of one split as contiguous arrays, plus per-class counts."""
+    """All windows of one split as contiguous arrays."""
 
     split: str
     windows: np.ndarray  # (n, 9, 128) float64
     labels: np.ndarray  # (n,) int64, values 1..6
     subjects: np.ndarray  # (n,) int64, values 1..30
-    per_class_counts: dict[Activity, int] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if not self.per_class_counts:
-            self.per_class_counts = {
-                a: int(np.count_nonzero(self.labels == a.value)) for a in Activity
-            }
+    @property
+    def per_class_counts(self) -> dict[Activity, int]:
+        return {a: int(np.count_nonzero(self.labels == a.value)) for a in Activity}
 
     def __len__(self) -> int:
         return self.windows.shape[0]
@@ -192,8 +190,7 @@ def table_count_mismatches(manifest: SplitManifest) -> list[str]:
         diffs.append(
             f"{manifest.split}: total {total} != expected {EXPECTED_TOTALS[manifest.split]}"
         )
-    for activity in Activity:
-        got = manifest.per_class_counts.get(activity, 0)
+    for activity, got in manifest.per_class_counts.items():
         if got != expected[activity]:
             diffs.append(
                 f"{manifest.split}/{activity.short}: {got} != expected {expected[activity]}"
@@ -238,7 +235,7 @@ def load_split(root: str | Path, split: str, strict_counts: bool = True) -> Spli
     for path in (label_path, subject_path):
         if not path.is_file():
             raise DatasetError(f"missing file: {path}")
-    labels = _parse_int_column(label_path, 1, len(Activity), "activity id")
+    labels = _parse_int_column(label_path, 1, N_CLASSES, "activity id")
     subjects = _parse_int_column(subject_path, 1, N_SUBJECTS, "subject id")
 
     n_rows = windows.shape[0]

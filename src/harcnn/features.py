@@ -16,7 +16,7 @@ import numpy as np
 
 from .binio import FormatError, atomic_write_bytes
 from .config import from_json
-from .dataset import N_STREAMS, WINDOW_LEN, Activity, SplitManifest
+from .dataset import N_CLASSES, N_STREAMS, WINDOW_LEN, SplitManifest
 from .dsp import WelchConfig, fft_real, magnitude_onesided, welch_psd
 from .parallel import map_blocks
 
@@ -182,11 +182,11 @@ def read_feature_cache(path: str | Path) -> FeatureSet:
         raise FormatError(f"{path}: cache size {len(data)} != expected {expected}")
     records = np.frombuffer(data, dtype=dtype, count=n, offset=20)
     labels = records["label"]
-    bad = (labels < 1) | (labels > len(Activity))
+    bad = (labels < 1) | (labels > N_CLASSES)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise FormatError(
-            f"{path}: record {i} has label {labels[i]}, not a class id in 1..{len(Activity)}"
+            f"{path}: record {i} has label {labels[i]}, not a class id in 1..{N_CLASSES}"
         )
     if not (np.isfinite(records["freq"]).all() and np.isfinite(records["power"]).all()):
         raise FormatError(f"{path}: feature cache holds non-finite values")

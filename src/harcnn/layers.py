@@ -1,5 +1,6 @@
-"""From-scratch layer math: dense, strided 1-D convolution, max pooling,
-and softmax cross-entropy, each with an exact backward pass.
+"""From-scratch layer math: dense (ReLU or identity), strided 1-D
+convolution with ReLU, max pooling and softmax cross-entropy, each with
+an exact backward pass.
 
 All forwards take a batch-major input, keep the dtype they are given
 (float32 in training, float64 in gradient checks), and return the cache
@@ -18,15 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-ACTIVATIONS = ("relu", "sigmoid", "identity")
-
 
 def activate(name: str, pre: np.ndarray) -> np.ndarray:
-    """Applies the activation; relu overwrites `pre` in place."""
+    """Applies "relu" (overwriting `pre` in place) or "identity"."""
     if name == "relu":
         return np.maximum(pre, 0.0, out=pre)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-pre))
     if name == "identity":
         return pre
     raise ValueError(f"unknown activation {name!r}")
@@ -36,8 +33,6 @@ def activation_grad(name: str, out: np.ndarray) -> np.ndarray:
     """Derivative w.r.t. the pre-activation, expressed through the output."""
     if name == "relu":
         return (out > 0.0).astype(out.dtype)
-    if name == "sigmoid":
-        return out * (1.0 - out)
     if name == "identity":
         return np.ones_like(out)
     raise ValueError(f"unknown activation {name!r}")
@@ -69,11 +64,11 @@ def _conv_windows(x: np.ndarray, kernel_len: int, stride: int) -> np.ndarray:
     return view.transpose(0, 2, 1, 3).reshape(x.shape[0], view.shape[2], -1)
 
 
-def conv1d_forward(x, weights, bias, stride=1, activation="relu"):
-    """Valid multi-stream 1-D convolution with stride.
+def conv1d_forward(x, weights, bias, stride=1):
+    """Valid multi-stream 1-D convolution with stride, followed by ReLU.
 
     x: (batch, streams, L_in) in any memory layout; weights: (filters, streams, kernel_len);
-    output h[b, n, s] = act(sum_{r,i} w[n, r, i] * x[b, r, s*stride + i] + b[n]),
+    output h[b, n, s] = relu(sum_{r,i} w[n, r, i] * x[b, r, s*stride + i] + b[n]),
     a (batch, filters, L_out) view of a channels-last (batch, L_out, filters) array.
     """
     batch, streams, in_len = x.shape
@@ -87,16 +82,16 @@ def conv1d_forward(x, weights, bias, stride=1, activation="relu"):
     windows = _conv_windows(x, kernel_len, stride)
     pre = windows @ weights.reshape(filters, -1).T  # (batch, L_out, filters)
     pre += bias
-    out = activate(activation, pre)
-    return out.transpose(0, 2, 1), (windows, out, x.shape, stride, activation)
+    out = activate("relu", pre)
+    return out.transpose(0, 2, 1), (windows, out, x.shape, stride)
 
 
 def conv1d_backward(d_out, cache, weights):
     """Returns (d_x, d_weights, d_bias) for the cached conv forward; d_x is channels-last."""
-    windows, out, x_shape, stride, activation = cache
+    windows, out, x_shape, stride = cache
     filters, streams, kernel_len = weights.shape
     batch, _, out_len = d_out.shape
-    d_pre = activation_grad(activation, out)  # (batch, L_out, filters), a fresh array
+    d_pre = activation_grad("relu", out)  # (batch, L_out, filters), a fresh array
     d_pre *= d_out.transpose(0, 2, 1)
     flat = d_pre.reshape(-1, filters)
     d_weights = (flat.T @ windows.reshape(-1, streams * kernel_len)).reshape(weights.shape)

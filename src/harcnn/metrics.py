@@ -7,11 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Activity
+from .dataset import N_CLASSES, Activity
 from .features import FeatureSet, normalize_set
 from .model import ModelParams, predict_batch
-
-N_CLASSES = len(Activity)
 
 
 def confusion(preds, truth) -> np.ndarray:
@@ -35,8 +33,8 @@ def accuracy_of(cm: np.ndarray) -> float:
 
 
 def per_class_accuracy(cm: np.ndarray) -> np.ndarray:
-    row_sums = cm.sum(axis=1)
-    return np.where(row_sums > 0, np.diag(cm) / np.maximum(row_sums, 1), 0.0)
+    """Each class's recall: the share of its true instances predicted as it."""
+    return _per_class_precision_recall(cm)[1]
 
 
 def _per_class_precision_recall(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -3,9 +3,11 @@
 The frequency channel consumes the 9x65 magnitude matrix and the power
 channel the 9x33 PSD matrix; their dense outputs are concatenated and
 fused into 6 class logits. Both channels run the same conv/pool/dense
-hyperparameters. `param_shapes` alone fixes the name, shape and order of
-every weight and bias; `ModelParams` holds them in one name->array dict
-and checks it against that layout at construction.
+hyperparameters. The 9 input streams and the 6 classes come from the
+dataset, and every conv and channel dense layer is ReLU, so a `ModelSpec`
+holds only the free architecture choices. `param_shapes` alone fixes the
+name, shape and order of every weight and bias; `ModelParams` holds them
+in one name->array dict and checks it against that layout at construction.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import N_STREAMS
+from .dataset import N_CLASSES, N_STREAMS
 from .features import NormStats
 from .layers import (
-    ACTIVATIONS,
     conv1d_backward,
     conv1d_forward,
     conv_output_len,
@@ -30,22 +31,16 @@ from .layers import (
 )
 from .parallel import map_blocks
 
-N_CLASSES = 6
-
 
 @dataclass(frozen=True)
 class ConvLayerSpec:
-    in_streams: int
     filters: int
     kernel_len: int
     stride: int = 1
-    activation: str = "relu"
 
     def __post_init__(self) -> None:
-        if min(self.in_streams, self.filters, self.kernel_len) < 1 or self.stride < 1:
+        if min(self.filters, self.kernel_len, self.stride) < 1:
             raise ValueError(f"conv spec dimensions must be positive: {self}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 @dataclass(frozen=True)
@@ -55,8 +50,6 @@ class ModelSpec:
     convs: tuple[ConvLayerSpec, ...]
     pool_widths: tuple[int, ...]
     dense_units: int
-    dense_activation: str = "relu"
-    classes: int = N_CLASSES
 
     def __post_init__(self) -> None:
         if not self.convs:
@@ -65,16 +58,8 @@ class ModelSpec:
             raise ValueError("pool_widths must have one entry per conv layer")
         if any(w < 1 for w in self.pool_widths):
             raise ValueError("pool widths must be >= 1")
-        for prev, nxt in zip(self.convs, self.convs[1:]):
-            if nxt.in_streams != prev.filters:
-                raise ValueError(
-                    f"conv chain mismatch: layer expects {nxt.in_streams} streams "
-                    f"after one producing {prev.filters}"
-                )
-        if self.dense_units < 1 or self.classes < 1:
-            raise ValueError("dense_units and classes must be positive")
-        if self.dense_activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.dense_activation!r}")
+        if self.dense_units < 1:
+            raise ValueError("dense_units must be positive")
 
     def flat_dim(self, bins: int) -> int:
         """Flattened width after the conv/pool stack on a `bins`-wide input."""
@@ -91,8 +76,8 @@ class ModelSpec:
 
 DEFAULT_MODEL_SPEC = ModelSpec(
     convs=(
-        ConvLayerSpec(in_streams=N_STREAMS, filters=32, kernel_len=7),
-        ConvLayerSpec(in_streams=32, filters=64, kernel_len=5),
+        ConvLayerSpec(filters=32, kernel_len=7),
+        ConvLayerSpec(filters=64, kernel_len=5),
     ),
     pool_widths=(2, 2),
     dense_units=128,
@@ -103,13 +88,15 @@ def param_shapes(spec: ModelSpec, freq_bins: int, power_bins: int) -> dict[str, 
     """Name and shape of every weight and bias, in the fixed (init, update, checkpoint) order."""
     shapes = {}
     for prefix, bins in (("freq", freq_bins), ("power", power_bins)):
+        in_streams = N_STREAMS
         for i, conv in enumerate(spec.convs):
-            shapes[f"{prefix}.conv{i}.w"] = (conv.filters, conv.in_streams, conv.kernel_len)
+            shapes[f"{prefix}.conv{i}.w"] = (conv.filters, in_streams, conv.kernel_len)
             shapes[f"{prefix}.conv{i}.b"] = (conv.filters,)
+            in_streams = conv.filters
         shapes[f"{prefix}.dense.w"] = (spec.dense_units, spec.flat_dim(bins))
         shapes[f"{prefix}.dense.b"] = (spec.dense_units,)
-    shapes["fusion.w"] = (spec.classes, 2 * spec.dense_units)
-    shapes["fusion.b"] = (spec.classes,)
+    shapes["fusion.w"] = (N_CLASSES, 2 * spec.dense_units)
+    shapes["fusion.b"] = (N_CLASSES,)
     return shapes
 
 
@@ -151,11 +138,10 @@ def init_model(
     """Seeded initialization: zero biases, one PCG64 uniform draw per weight in layout order.
 
     An (out, in, *kernel) weight has fan-in in*K and fan-out out*K (K = prod(kernel));
-    relu layers get He fan-in scaling, the others a symmetric fan-average.
+    the relu layers get He fan-in scaling, the identity fusion layer a symmetric
+    fan-average.
     """
     rng = np.random.default_rng(seed)
-    activations = {f"conv{i}": conv.activation for i, conv in enumerate(spec.convs)}
-    activations.update(dense=spec.dense_activation, fusion="identity")
     arrays = {}
     for name, shape in param_shapes(spec, freq_bins, power_bins).items():
         if name.endswith(".b"):
@@ -163,10 +149,10 @@ def init_model(
             continue
         receptive = math.prod(shape[2:])
         fan_in, fan_out = shape[1] * receptive, shape[0] * receptive
-        if activations[name.split(".")[-2]] == "relu":
-            limit = np.sqrt(6.0 / fan_in)
-        else:
+        if name.startswith("fusion."):
             limit = np.sqrt(6.0 / (fan_in + fan_out))
+        else:
+            limit = np.sqrt(6.0 / fan_in)
         arrays[name] = rng.uniform(-limit, limit, size=shape).astype(dtype)
     return ModelParams(spec, freq_bins, power_bins, arrays, rng_seed=seed, norm=norm)
 
@@ -182,7 +168,7 @@ def _channel_forward(x, params: ModelParams, prefix: str, want_cache: bool):
     h = x
     for i, (conv, pool_w) in enumerate(zip(params.spec.convs, params.spec.pool_widths)):
         w, b = arrays[f"{prefix}.conv{i}.w"], arrays[f"{prefix}.conv{i}.b"]
-        h, conv_cache = conv1d_forward(h, w, b, conv.stride, conv.activation)
+        h, conv_cache = conv1d_forward(h, w, b, conv.stride)
         pool_cache = None
         if pool_w > 1:
             h, pool_cache = maxpool1d_forward(h, pool_w)
@@ -190,9 +176,7 @@ def _channel_forward(x, params: ModelParams, prefix: str, want_cache: bool):
             caches.append((conv_cache, pool_cache))
     pre_flatten_shape = h.shape
     flat = h.reshape(h.shape[0], -1)
-    out, dense_cache = dense_forward(
-        flat, arrays[f"{prefix}.dense.w"], arrays[f"{prefix}.dense.b"], params.spec.dense_activation
-    )
+    out, dense_cache = dense_forward(flat, arrays[f"{prefix}.dense.w"], arrays[f"{prefix}.dense.b"])
     return out, (caches, pre_flatten_shape, dense_cache) if want_cache else None
 
 
@@ -222,15 +206,10 @@ def forward_batch(params: ModelParams, freq, power, want_cache: bool = False):
     dtype = params.dtype
     freq = np.ascontiguousarray(freq, dtype=dtype)
     power = np.ascontiguousarray(power, dtype=dtype)
-    streams = params.spec.convs[0].in_streams
-    if freq.shape[1:] != (streams, params.freq_bins) or power.shape[1:] != (
-        streams,
-        params.power_bins,
-    ):
-        raise ValueError(
-            f"feature shapes {freq.shape[1:]}/{power.shape[1:]} do not match model "
-            f"({streams}, {params.freq_bins})/({streams}, {params.power_bins})"
-        )
+    want = (N_STREAMS, params.freq_bins), (N_STREAMS, params.power_bins)
+    if (freq.shape[1:], power.shape[1:]) != want:
+        raise ValueError(f"feature shapes {freq.shape[1:]}/{power.shape[1:]} "
+                         f"do not match model {want[0]}/{want[1]}")
     f_out, f_cache = _channel_forward(freq, params, "freq", want_cache)
     p_out, p_cache = _channel_forward(power, params, "power", want_cache)
     concat = np.concatenate([f_out, p_out], axis=1)
@@ -259,7 +238,7 @@ def backward_batch(params: ModelParams, cache, d_logits) -> dict[str, np.ndarray
 
 
 def predict_batch(params: ModelParams, freq, power, chunk: int = 512) -> np.ndarray:
-    """Probabilities (n, classes) computed in chunks to bound memory.
+    """Probabilities (n, 6) computed in chunks to bound memory.
 
     The chunks run on every available CPU (see parallel.map_blocks). The
     chunk size fixes the GEMM shapes, and with them the output bits.

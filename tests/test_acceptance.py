@@ -15,7 +15,7 @@ import pytest
 from conftest import real_dataset_root
 from harcnn import cli
 from harcnn.cli import RunConfig
-from harcnn.dataset import Activity, load_split
+from harcnn.dataset import N_STREAMS, Activity, load_split
 from harcnn.dsp import WelchConfig, fft_real, welch_psd
 from harcnn.features import FeatureSet, extract_split, fit_normalizer_arrays, normalize_set
 from harcnn.layers import softmax_cross_entropy_batch
@@ -190,14 +190,14 @@ class TestCriterion06GradientCorrectness:
 
     def test_small_two_channel_model(self):
         spec = ModelSpec(
-            convs=(ConvLayerSpec(in_streams=2, filters=2, kernel_len=3),),
+            convs=(ConvLayerSpec(filters=2, kernel_len=3),),
             pool_widths=(2,),
             dense_units=4,
         )
         params = init_model(spec, freq_bins=8, power_bins=8, seed=20240512, dtype=np.float64)
         rng = np.random.default_rng(63)
-        freq = rng.standard_normal((3, 2, 8))
-        power = rng.standard_normal((3, 2, 8))
+        freq = rng.standard_normal((3, N_STREAMS, 8))
+        power = rng.standard_normal((3, N_STREAMS, 8))
         labels = np.array([0, 3, 5])
 
         def mean_loss():

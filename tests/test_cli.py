@@ -1,6 +1,9 @@
+import copy
 import json
+import re
 import struct
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +18,8 @@ from harcnn.train import TrainConfig
 
 SMOKE_MODEL = ModelSpec(
     convs=(
-        ConvLayerSpec(in_streams=9, filters=8, kernel_len=7),
-        ConvLayerSpec(in_streams=8, filters=16, kernel_len=5),
+        ConvLayerSpec(filters=8, kernel_len=7),
+        ConvLayerSpec(filters=16, kernel_len=5),
     ),
     pool_widths=(2, 2),
     dense_units=32,
@@ -32,6 +35,30 @@ def smoke_config(root, out_dir, epochs=4, seed=3):
         model=SMOKE_MODEL,
         train=TrainConfig(epochs=epochs, batch_size=16, seed=seed),
     )
+
+
+# The default config as written before the model block lost its fixed values
+# (streams in, classes out, activations) and the config its normalizer epsilon.
+OLD_DEFAULT_CONFIG = {
+    "dataset_root": "data/UCI HAR Dataset",
+    "model": {
+        "classes": 6,
+        "convs": [
+            {"activation": "relu", "filters": 32, "in_streams": 9, "kernel_len": 7, "stride": 1},
+            {"activation": "relu", "filters": 64, "in_streams": 32, "kernel_len": 5, "stride": 1},
+        ],
+        "dense_activation": "relu",
+        "dense_units": 128,
+        "pool_widths": [2, 2],
+    },
+    "normalizer_epsilon": 1e-08,
+    "output_dir": "out",
+    "strict_counts": True,
+    "subset": None,
+    "train": {"adam_eps": 1e-08, "batch_size": 64, "beta1": 0.9, "beta2": 0.999, "epochs": 40,
+              "learning_rate": 0.001, "seed": 42},
+    "welch": {"overlap": 32, "segment_len": 64, "window_kind": "hamming"},
+}
 
 
 def write_config(path, cfg):
@@ -79,8 +106,18 @@ class TestConfig:
         assert d["train"]["epochs"] == 40
         assert d["train"]["batch_size"] == 64
         assert d["train"]["learning_rate"] == 1e-3
-        assert d["model"]["dense_units"] == 128
-        assert [c["filters"] for c in d["model"]["convs"]] == [32, 64]
+        assert d["model"] == {
+            "convs": [{"filters": 32, "kernel_len": 7, "stride": 1},
+                      {"filters": 64, "kernel_len": 5, "stride": 1}],
+            "dense_units": 128,
+            "pool_widths": [2, 2],
+        }
+        assert "normalizer_epsilon" not in d
+
+    def test_readme_shows_the_default_config(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"```json\n(.*?)```", readme, re.S)  # the first JSON block
+        assert json.loads(block.group(1)) == json.loads(default_config_json())
 
 
 def one_line_error(capsys, argv):
@@ -100,11 +137,6 @@ class TestConfigValues:
             ("subset", "5", "subset must be an integer, got '5'"),
             ("subset", True, "subset must be an integer, got True"),
             ("strict_counts", "false", "strict_counts must be true or false, got 'false'"),
-            ("normalizer_epsilon", True, "normalizer_epsilon must be a number, got True"),
-            ("normalizer_epsilon", "1e-8", "normalizer_epsilon must be a number, got '1e-8'"),
-            ("normalizer_epsilon", -1.0, "normalizer_epsilon must be finite and > 0, got -1.0"),
-            ("normalizer_epsilon", 0, "normalizer_epsilon must be finite and > 0, got 0"),
-            ("normalizer_epsilon", float("inf"), "normalizer_epsilon must be finite and > 0, got inf"),
             ("train.seed", 1.5, "train.seed must be an integer, got 1.5"),
             ("train.batch_size", 2.5, "train.batch_size must be an integer, got 2.5"),
             ("train.epochs", 1.5, "train.epochs must be an integer, got 1.5"),
@@ -113,7 +145,6 @@ class TestConfigValues:
             ("train.adam_eps", 0.0, "train: learning_rate and adam_eps must be finite and positive"),
             ("model.pool_widths", [2.0, 2], "model.pool_widths.0 must be an integer, got 2.0"),
             ("model.dense_units", 8.5, "model.dense_units must be an integer, got 8.5"),
-            ("model.classes", True, "model.classes must be an integer, got True"),
             ("model.convs.0.stride", 1.0, "model.convs.0.stride must be an integer, got 1.0"),
             ("welch.segment_len", 64.0, "welch.segment_len must be an integer, got 64.0"),
             ("welch.overlap", False, "welch.overlap must be an integer, got False"),
@@ -131,7 +162,6 @@ class TestConfigValues:
             ("model.convs.1.strides", 2, "model.convs.1 has unknown key 'strides'"),
             # Range checks name the object that failed them.
             ("welch.segment_len", 63, "welch: segment_len must be a power of two >= 2, got 63"),
-            ("model.convs.1.in_streams", 16, "model: conv chain mismatch"),
         ],
     )
     def test_bad_value_in_config_is_one_line_error(self, tmp_path, capsys, key, value, message):
@@ -153,7 +183,7 @@ class TestConfigValues:
             ("subset", "top level lacks key 'subset'"),
             ("train.seed", "train lacks key 'seed'"),
             ("welch.overlap", "welch lacks key 'overlap'"),
-            ("model.classes", "model lacks key 'classes'"),
+            ("model.dense_units", "model lacks key 'dense_units'"),
             ("model.convs.0.stride", "model.convs.0 lacks key 'stride'"),
         ],
     )
@@ -168,6 +198,35 @@ class TestConfigValues:
         path.write_text(json.dumps(d))
         err = one_line_error(capsys, ["extract", "--config", str(path)])
         assert f"invalid config file {path}: {message}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "dropped, changes, message",
+        [
+            ((), {}, "top level has unknown key 'normalizer_epsilon'"),
+            (("normalizer_epsilon",), {}, "model has unknown key 'classes'"),
+            (("normalizer_epsilon",), {"classes": 5}, "model has unknown key 'classes'"),
+            (("normalizer_epsilon", "classes", "dense_activation"), {},
+             "model.convs.0 has unknown key 'activation'"),
+            (("normalizer_epsilon", "classes", "dense_activation", "activation"), {},
+             "model.convs.0 has unknown key 'in_streams'"),
+        ],
+        ids=["as-written", "no-epsilon", "classes-5", "no-model-extras", "no-activations"],
+    )
+    def test_old_default_config_fails_train_before_any_file_is_read(
+        self, tmp_path, capsys, monkeypatch, dropped, changes, message
+    ):
+        d = copy.deepcopy(OLD_DEFAULT_CONFIG)
+        d["model"].update(changes)
+        for obj in (d, d["model"], *d["model"]["convs"]):
+            for key in dropped:
+                obj.pop(key, None)
+        d["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(d))
+        monkeypatch.setattr(cli, "load_split", lambda *args, **kwargs: pytest.fail("dataset read"))
+        err = one_line_error(capsys, ["train", "--config", str(path)])
+        assert err == f"error: invalid config file {path}: {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["validate", "extract", "train", "evaluate"])
@@ -395,6 +454,26 @@ class TestEvaluate:
         assert err.count("\n") == 1
         assert "lacks key 'architecture'" in err
 
+
+    def test_checkpoint_with_old_architecture_metadata_is_one_line_error(
+        self, trained_pipeline, tmp_path, capsys
+    ):
+        _, out_dir, cfg_path = trained_pipeline
+        data = (out_dir / "checkpoint.bin").read_bytes()
+        (meta_len,) = struct.unpack("<I", data[10:14])
+        meta = json.loads(data[14 : 14 + meta_len])
+        architecture = meta["architecture"]
+        architecture.update(classes=6, dense_activation="relu")
+        for conv, in_streams in zip(architecture["convs"], [9, 8]):
+            conv.update(activation="relu", in_streams=in_streams)
+        meta_bytes = json.dumps(meta, sort_keys=True).encode()
+        old = tmp_path / "old_meta.bin"
+        old.write_bytes(data[:10] + struct.pack("<I", len(meta_bytes)) + meta_bytes + data[14 + meta_len :])
+        err = one_line_error(capsys, ["evaluate", "--config", str(cfg_path), "--checkpoint", str(old),
+                                      "--out", str(tmp_path / "eval")])
+        assert err == (f"error: {old}: malformed checkpoint metadata: "
+                       "metadata.architecture has unknown key 'classes'\n")
+        assert not (tmp_path / "eval" / "report.json").exists()
 
     def test_checkpoint_segment_longer_than_window_is_one_line_error(
         self, trained_pipeline, tmp_path, capsys

@@ -20,13 +20,7 @@ from harcnn.features import NormStats
 from harcnn.model import DEFAULT_MODEL_SPEC, ConvLayerSpec, ModelSpec, init_model
 from harcnn.train import TrainConfig
 
-SMALL_SPEC = ModelSpec(
-    convs=(ConvLayerSpec(9, 4, 5, stride=2, activation="identity"),),
-    pool_widths=(3,),
-    dense_units=8,
-    dense_activation="sigmoid",
-    classes=6,
-)
+SMALL_SPEC = ModelSpec(convs=(ConvLayerSpec(4, 5, stride=2),), pool_widths=(3,), dense_units=8)
 
 
 def make_norm():
@@ -53,7 +47,7 @@ class TestRoundTrip:
         [
             RunConfig(),
             RunConfig(dataset_root="d", output_dir="o", strict_counts=False, subset=7,
-                      normalizer_epsilon=1e-5, welch=WelchConfig(32, 0, "rectangular"),
+                      welch=WelchConfig(32, 0, "rectangular"),
                       model=SMALL_SPEC, train=TrainConfig(epochs=2, learning_rate=0.5, seed=9)),
             TrainConfig(),
             DEFAULT_MODEL_SPEC,

@@ -28,7 +28,7 @@ from harcnn.model import ConvLayerSpec, ModelSpec  # noqa: E402
 from harcnn.train import TrainConfig  # noqa: E402
 
 TINY_MODEL = ModelSpec(
-    convs=(ConvLayerSpec(in_streams=9, filters=4, kernel_len=5),), pool_widths=(2,), dense_units=8
+    convs=(ConvLayerSpec(filters=4, kernel_len=5),), pool_widths=(2,), dense_units=8
 )
 # Each damaged artifact and the command that reads it.
 COMMANDS = {"train_features.bin": "train", "norm_stats.bin": "train", "checkpoint.bin": "evaluate"}

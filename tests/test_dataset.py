@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,16 @@ class TestTableCounts:
         )
         assert table_count_mismatches(manifest) == []
         assert len(manifest) == total
+
+    def test_counts_follow_the_labels_of_a_sliced_manifest(self):
+        labels = np.repeat(np.arange(1, 7, dtype=np.int64), 3)
+        manifest = SplitManifest(split="test", windows=np.zeros((18, 9, 128)), labels=labels,
+                                 subjects=np.ones(18, dtype=np.int64))
+        cut = replace(manifest, windows=manifest.windows[:4], labels=labels[:4],
+                      subjects=manifest.subjects[:4])
+        assert manifest.per_class_counts == dict.fromkeys(Activity, 3)
+        assert cut.per_class_counts == {**dict.fromkeys(Activity, 0), Activity.WALKING: 3,
+                                        Activity.WALKING_UPSTAIRS: 1}
 
     def test_totals_sum_to_published_figure(self):
         assert EXPECTED_TOTALS["train"] == 7352

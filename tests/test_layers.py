@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from harcnn.layers import (
-    ACTIVATIONS,
     activate,
     activation_grad,
     conv1d_backward,
@@ -17,8 +16,8 @@ from harcnn.layers import (
 )
 
 
-def brute_force_conv1d(x, weights, bias, stride, activation):
-    """Triple-loop reference: h[b,n,s] = act(sum_r sum_i w[n,r,i]*x[b,r,s*z+i] + b[n])."""
+def brute_force_conv1d(x, weights, bias, stride):
+    """Triple-loop reference: h[b,n,s] = relu(sum_r sum_i w[n,r,i]*x[b,r,s*z+i] + b[n])."""
     batch, streams, in_len = x.shape
     filters, _, kernel_len = weights.shape
     out_len = (in_len - kernel_len) // stride + 1
@@ -31,14 +30,10 @@ def brute_force_conv1d(x, weights, bias, stride, activation):
                     for i in range(kernel_len):
                         acc += weights[n, r, i] * x[b, r, s * stride + i]
                 out[b, n, s] = acc
-    if activation == "relu":
-        out = np.maximum(out, 0.0)
-    elif activation == "sigmoid":
-        out = 1.0 / (1.0 + np.exp(-out))
-    return out
+    return np.maximum(out, 0.0)
 
 
-def reference_conv1d_forward(x, weights, bias, stride=1, activation="relu"):
+def reference_conv1d_forward(x, weights, bias, stride=1):
     """Channels-first conv forward: the bit-exact reference for conv1d_forward.
 
     conv1d_forward runs the same GEMMs in a channels-last layout, so the two
@@ -49,15 +44,15 @@ def reference_conv1d_forward(x, weights, bias, stride=1, activation="relu"):
     view = view[:, :, ::stride, :]  # (batch, streams, L_out, m)
     windows = view.transpose(0, 2, 1, 3).reshape(x.shape[0], view.shape[2], -1)
     pre = windows @ weights.reshape(filters, -1).T + bias  # (batch, L_out, filters)
-    out = activate(activation, pre).transpose(0, 2, 1)
-    return np.ascontiguousarray(out), (windows, out, x.shape, stride, activation)
+    out = activate("relu", pre).transpose(0, 2, 1)
+    return np.ascontiguousarray(out), (windows, out, x.shape, stride)
 
 
 def reference_conv1d_backward(d_out, cache, weights):
-    windows, out, x_shape, stride, activation = cache
+    windows, out, x_shape, stride = cache
     filters, streams, kernel_len = weights.shape
     batch, _, out_len = d_out.shape
-    d_pre = (d_out * activation_grad(activation, out)).transpose(0, 2, 1)  # (b, L_out, n)
+    d_pre = (d_out * activation_grad("relu", out)).transpose(0, 2, 1)  # (b, L_out, n)
     flat = d_pre.reshape(-1, filters)
     d_weights = (flat.T @ windows.reshape(-1, streams * kernel_len)).reshape(weights.shape)
     d_bias = flat.sum(axis=0)
@@ -100,6 +95,9 @@ def in_layout(a, layout):
 
 DTYPES = [np.float32, np.float64]
 LAYOUTS = ["channels_first", "channels_last"]
+# The sign every conv product and bias takes, so the ReLU passes everything
+# (+1), nothing (-1) or a mix (None).
+RELU_REGIMES = {"mixed": None, "all_active": 1.0, "all_dead": -1.0}
 
 
 class TestAgainstSeedReferences:
@@ -107,16 +105,25 @@ class TestAgainstSeedReferences:
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("kernel_len", [1, 2, 3])
     @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("activation", ACTIVATIONS)
-    def test_conv_matches_bitwise(self, dtype, layout, kernel_len, stride, activation):
+    @pytest.mark.parametrize("regime", RELU_REGIMES)
+    def test_conv_matches_bitwise(self, dtype, layout, kernel_len, stride, regime):
         rng = np.random.default_rng(12)
-        x = in_layout(rng.standard_normal((3, 4, 11)).astype(dtype), layout)
-        w = rng.standard_normal((5, 4, kernel_len)).astype(dtype)
-        b = rng.standard_normal(5).astype(dtype)
-        out, cache = conv1d_forward(x, w, b, stride, activation)
-        ref_out, ref_cache = reference_conv1d_forward(x, w, b, stride, activation)
+        x = rng.standard_normal((3, 4, 11))
+        w = rng.standard_normal((5, 4, kernel_len))
+        b = rng.standard_normal(5)
+        sign = RELU_REGIMES[regime]
+        if sign is not None:
+            x, w, b = np.abs(x), sign * np.abs(w), sign * np.abs(b)
+        x = in_layout(x.astype(dtype), layout)
+        w, b = w.astype(dtype), b.astype(dtype)
+        out, cache = conv1d_forward(x, w, b, stride)
+        ref_out, ref_cache = reference_conv1d_forward(x, w, b, stride)
         assert out.dtype == dtype
         assert np.array_equal(out, ref_out)
+        if regime == "all_active":
+            assert np.all(out > 0)
+        elif regime == "all_dead":
+            assert not np.any(out)
         assert not np.shares_memory(out, x)
         d_out = in_layout(rng.standard_normal(out.shape).astype(dtype), layout)
         got = conv1d_backward(d_out, cache, w)
@@ -147,12 +154,12 @@ class TestAgainstSeedReferences:
 
 
 class TestDense:
-    def test_zero_weights_sigmoid_gives_sigmoid_of_bias(self):
+    def test_zero_weights_relu_gives_relu_of_bias(self):
         x = np.random.default_rng(0).standard_normal((4, 7))
         w = np.zeros((5, 7))
-        b = np.full(5, 0.3)
-        out, _ = dense_forward(x, w, b, "sigmoid")
-        assert np.allclose(out, 1.0 / (1.0 + np.exp(-0.3)))
+        b = np.array([0.3, -0.3, 0.0, 1.5, -2.0])
+        out, _ = dense_forward(x, w, b, "relu")
+        assert np.array_equal(out, np.tile([0.3, 0.0, 0.0, 1.5, 0.0], (4, 1)))
 
     def test_identity_layer_passes_input_through(self):
         x = np.random.default_rng(1).standard_normal((3, 6))
@@ -181,7 +188,7 @@ class TestDense:
         w = rng.standard_normal((3, 6))
         b = rng.standard_normal(3)
         d_out = rng.standard_normal((4, 3))
-        out, cache = dense_forward(x, w, b, "sigmoid")
+        out, cache = dense_forward(x, w, b, "relu")
         d_x, d_w, d_b = dense_backward(d_out, cache, w)
         h = 1e-6
         for arr, grad in ((w, d_w), (b, d_b), (x, d_x)):
@@ -190,35 +197,35 @@ class TestDense:
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                lhs = dense_forward(x, w, b, "sigmoid")[0]
+                lhs = dense_forward(x, w, b, "relu")[0]
                 arr[idx] = orig - h
-                rhs = dense_forward(x, w, b, "sigmoid")[0]
+                rhs = dense_forward(x, w, b, "relu")[0]
                 arr[idx] = orig
                 fd = np.sum((lhs - rhs) / (2 * h) * d_out)
                 assert abs(grad[idx] - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
 class TestConv1d:
-    def test_identity_kernel(self):
+    def test_identity_kernel_gives_relu_of_input(self):
         x = np.random.default_rng(4).standard_normal((2, 1, 10))
         w = np.ones((1, 1, 1))
-        out, _ = conv1d_forward(x, w, np.zeros(1), stride=1, activation="identity")
-        assert np.allclose(out, x)
+        out, _ = conv1d_forward(x, w, np.zeros(1), stride=1)
+        assert np.array_equal(out, np.maximum(x, 0.0))
 
     def test_hand_evaluable_strided_sum(self):
         x = np.array([[[1.0, 2.0, 3.0, 4.0]]])
         w = np.array([[[1.0, 1.0]]])
-        out, _ = conv1d_forward(x, w, np.zeros(1), stride=2, activation="identity")
+        out, _ = conv1d_forward(x, w, np.zeros(1), stride=2)
         assert np.allclose(out, [[[3.0, 7.0]]])
 
-    @pytest.mark.parametrize("stride,activation", [(1, "identity"), (2, "relu"), (3, "sigmoid")])
-    def test_matches_brute_force_oracle(self, stride, activation):
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_matches_brute_force_oracle(self, stride):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((2, 3, 20))
         w = rng.standard_normal((4, 3, 5))
         b = rng.standard_normal(4)
-        out, _ = conv1d_forward(x, w, b, stride=stride, activation=activation)
-        expected = brute_force_conv1d(x, w, b, stride, activation)
+        out, _ = conv1d_forward(x, w, b, stride=stride)
+        expected = brute_force_conv1d(x, w, b, stride)
         assert out.shape == expected.shape
         assert np.max(np.abs(out - expected)) <= 1e-6 * max(1.0, np.max(np.abs(expected)))
 
@@ -228,7 +235,7 @@ class TestConv1d:
     def test_output_length_formula(self, in_len, kernel, stride):
         x = np.zeros((1, 2, in_len))
         w = np.zeros((3, 2, kernel))
-        out, _ = conv1d_forward(x, w, np.zeros(3), stride=stride, activation="identity")
+        out, _ = conv1d_forward(x, w, np.zeros(3), stride=stride)
         assert out.shape[2] == (in_len - kernel) // stride + 1
         assert out.shape[2] == conv_output_len(in_len, kernel, stride)
 
@@ -241,9 +248,9 @@ class TestConv1d:
         x = rng.standard_normal((2, 3, 12))
         w = rng.standard_normal((4, 3, 3))
         b = rng.standard_normal(4)
-        d_out_shape = conv1d_forward(x, w, b, stride=2, activation="sigmoid")[0].shape
+        d_out_shape = conv1d_forward(x, w, b, stride=2)[0].shape
         d_out = rng.standard_normal(d_out_shape)
-        out, cache = conv1d_forward(x, w, b, stride=2, activation="sigmoid")
+        out, cache = conv1d_forward(x, w, b, stride=2)
         d_x, d_w, d_b = conv1d_backward(d_out, cache, w)
         h = 1e-6
         for arr, grad in ((w, d_w), (b, d_b), (x, d_x)):
@@ -252,9 +259,9 @@ class TestConv1d:
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                lhs = conv1d_forward(x, w, b, stride=2, activation="sigmoid")[0]
+                lhs = conv1d_forward(x, w, b, stride=2)[0]
                 arr[idx] = orig - h
-                rhs = conv1d_forward(x, w, b, stride=2, activation="sigmoid")[0]
+                rhs = conv1d_forward(x, w, b, stride=2)[0]
                 arr[idx] = orig
                 fd = np.sum((lhs - rhs) / (2 * h) * d_out)
                 assert abs(grad[idx] - fd) <= 1e-5 * max(1.0, abs(fd))

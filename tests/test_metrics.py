@@ -66,6 +66,15 @@ class TestMacroMetrics:
         assert r == pytest.approx(np.mean(recall))
         assert f1 == pytest.approx(2 * p * r / (p + r))
 
+    def test_per_class_accuracy_is_recall_as_row_share(self):
+        rng = np.random.default_rng(4)
+        cm = rng.integers(0, 50, size=(6, 6))
+        cm[2] = 0  # a class without true instances scores 0
+        rows = cm.sum(axis=1)
+        expected = np.where(rows > 0, np.diag(cm) / np.maximum(rows, 1), 0.0)
+        assert np.array_equal(per_class_accuracy(cm), expected)
+        assert per_class_accuracy(cm)[2] == 0.0
+
     def test_lenient_two_class_toy(self):
         # Only classes 1 and 2 occur: recall_1 = 0.5, precision_1 = 1.0,
         # recall_2 = 1.0, precision_2 = 0.5 -> both macros 0.75.

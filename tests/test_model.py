@@ -7,6 +7,7 @@ import pytest
 from conftest import nan_in_worker_chunks
 from harcnn import model
 from harcnn.config import from_json, to_json
+from harcnn.dataset import N_STREAMS
 from harcnn.layers import softmax_cross_entropy_batch
 from harcnn.model import (
     DEFAULT_MODEL_SPEC,
@@ -20,14 +21,14 @@ from harcnn.model import (
 )
 
 TINY_SPEC = ModelSpec(
-    convs=(ConvLayerSpec(in_streams=2, filters=2, kernel_len=3),),
+    convs=(ConvLayerSpec(filters=2, kernel_len=3),),
     pool_widths=(2,),
     dense_units=4,
 )
 
 
-def tiny_model(seed=0, dtype=np.float64, activation_spec=TINY_SPEC):
-    return init_model(activation_spec, freq_bins=8, power_bins=8, seed=seed, dtype=dtype)
+def tiny_model(seed=0, dtype=np.float64):
+    return init_model(TINY_SPEC, freq_bins=8, power_bins=8, seed=seed, dtype=dtype)
 
 
 def mean_loss(params, freq, power, labels):
@@ -41,20 +42,24 @@ class TestModelSpec:
         assert DEFAULT_MODEL_SPEC.flat_dim(65) == 64 * 12
         assert DEFAULT_MODEL_SPEC.flat_dim(33) == 64 * 4
 
-    def test_conv_chain_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="conv chain mismatch"):
-            ModelSpec(
-                convs=(ConvLayerSpec(9, 32, 7), ConvLayerSpec(16, 64, 5)),
-                pool_widths=(2, 2),
-                dense_units=8,
-            )
+    def test_conv_input_streams_follow_the_previous_filters(self):
+        spec = ModelSpec(
+            convs=(ConvLayerSpec(4, 3), ConvLayerSpec(6, 2), ConvLayerSpec(5, 2)),
+            pool_widths=(1, 1, 1),
+            dense_units=8,
+        )
+        shapes = model.param_shapes(spec, freq_bins=16, power_bins=16)
+        for prefix in ("freq", "power"):
+            assert shapes[f"{prefix}.conv0.w"] == (4, N_STREAMS, 3)
+            assert shapes[f"{prefix}.conv1.w"] == (6, 4, 2)
+            assert shapes[f"{prefix}.conv2.w"] == (5, 6, 2)
 
     def test_pool_width_count_must_match(self):
         with pytest.raises(ValueError, match="one entry per conv"):
-            ModelSpec(convs=(ConvLayerSpec(9, 4, 3),), pool_widths=(2, 2), dense_units=8)
+            ModelSpec(convs=(ConvLayerSpec(4, 3),), pool_widths=(2, 2), dense_units=8)
 
     def test_collapsing_input_rejected(self):
-        spec = ModelSpec(convs=(ConvLayerSpec(9, 4, 9),), pool_widths=(4,), dense_units=8)
+        spec = ModelSpec(convs=(ConvLayerSpec(4, 9),), pool_widths=(4,), dense_units=8)
         with pytest.raises(ValueError, match="collapses"):
             spec.flat_dim(10)
 
@@ -219,18 +224,11 @@ class TestForward:
 
 
 class TestBackward:
-    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
-    def test_every_gradient_matches_finite_differences(self, activation):
-        spec = ModelSpec(
-            convs=(ConvLayerSpec(in_streams=2, filters=2, kernel_len=3, activation=activation),),
-            pool_widths=(2,),
-            dense_units=4,
-            dense_activation=activation,
-        )
-        params = init_model(spec, freq_bins=8, power_bins=8, seed=20240512, dtype=np.float64)
+    def test_every_gradient_matches_finite_differences(self):
+        params = init_model(TINY_SPEC, freq_bins=8, power_bins=8, seed=20240512, dtype=np.float64)
         rng = np.random.default_rng(63)
-        freq = rng.standard_normal((3, 2, 8))
-        power = rng.standard_normal((3, 2, 8))
+        freq = rng.standard_normal((3, N_STREAMS, 8))
+        power = rng.standard_normal((3, N_STREAMS, 8))
         labels = np.array([0, 3, 5])
 
         _, d_logits, cache = mean_loss(params, freq, power, labels)
@@ -258,8 +256,8 @@ class TestBackward:
         params = tiny_model(seed=0)
         for name, arr in params.arrays.items():
             arr[...] = 0.0
-        freq = np.zeros((2, 2, 8))
-        power = np.zeros((2, 2, 8))
+        freq = np.zeros((2, N_STREAMS, 8))
+        power = np.zeros((2, N_STREAMS, 8))
         labels = np.array([1, 2])
         _, d_logits, cache = mean_loss(params, freq, power, labels)
         grads = backward_batch(params, cache, d_logits)
@@ -270,8 +268,8 @@ class TestBackward:
     def test_batch_gradient_is_mean_of_per_sample_gradients(self):
         params = tiny_model(seed=4)
         rng = np.random.default_rng(17)
-        freq = rng.standard_normal((5, 2, 8))
-        power = rng.standard_normal((5, 2, 8))
+        freq = rng.standard_normal((5, N_STREAMS, 8))
+        power = rng.standard_normal((5, N_STREAMS, 8))
         labels = rng.integers(0, 6, size=5)
 
         _, d_logits, cache = mean_loss(params, freq, power, labels)
@@ -298,7 +296,7 @@ class TestDebugFiniteHook:
     def test_debug_mode_catches_non_finite_forward(self):
         params = tiny_model(seed=2)
         params.arrays["fusion.w"][0, 0] = np.inf
-        freq = np.ones((1, 2, 8))
-        power = np.ones((1, 2, 8))
+        freq = np.ones((1, N_STREAMS, 8))
+        power = np.ones((1, N_STREAMS, 8))
         with pytest.raises(ValueError, match="non-finite"):
             forward_batch(params, freq, power)

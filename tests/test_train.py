@@ -27,8 +27,8 @@ class ArrayHolder:
 
 SMALL_SPEC = ModelSpec(
     convs=(
-        ConvLayerSpec(in_streams=9, filters=8, kernel_len=7),
-        ConvLayerSpec(in_streams=8, filters=16, kernel_len=5),
+        ConvLayerSpec(filters=8, kernel_len=7),
+        ConvLayerSpec(filters=16, kernel_len=5),
     ),
     pool_widths=(2, 2),
     dense_units=32,
