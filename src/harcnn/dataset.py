@@ -169,16 +169,17 @@ def _first_bad_token(tokens: list[str]) -> tuple[str, int]:
 
 
 def _parse_int_column(path: Path, lo: int, hi: int, what: str) -> np.ndarray:
+    """Integers in lo..hi, one per line; checked as floats, so the int64 cast cannot overflow."""
     values = parse_signal_file(path, columns=1)[:, 0]
-    ints = values.astype(np.int64)
-    if np.any(ints != values):
-        row = int(np.flatnonzero(ints != values)[0]) + 1
+    fractional = values != np.floor(values)
+    if np.any(fractional):
+        row = int(np.flatnonzero(fractional)[0]) + 1
         raise DatasetError(f"{path}: line {row}: {what} must be an integer")
-    out_of_range = (ints < lo) | (ints > hi)
+    out_of_range = (values < lo) | (values > hi)
     if np.any(out_of_range):
         row = int(np.flatnonzero(out_of_range)[0])
-        raise DatasetError(f"{path}: line {row + 1}: unknown {what} {ints[row]}")
-    return ints
+        raise DatasetError(f"{path}: line {row + 1}: unknown {what} {values[row]:.15g}")
+    return values.astype(np.int64)
 
 
 def table_count_mismatches(manifest: SplitManifest) -> list[str]:

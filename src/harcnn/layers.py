@@ -1,4 +1,4 @@
-"""From-scratch layer math: dense (ReLU or identity), strided 1-D
+"""From-scratch layer math: dense with optional ReLU, strided 1-D
 convolution with ReLU, max pooling and softmax cross-entropy, each with
 an exact backward pass.
 
@@ -20,36 +20,20 @@ from __future__ import annotations
 import numpy as np
 
 
-def activate(name: str, pre: np.ndarray) -> np.ndarray:
-    """Applies "relu" (overwriting `pre` in place) or "identity"."""
-    if name == "relu":
-        return np.maximum(pre, 0.0, out=pre)
-    if name == "identity":
-        return pre
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def activation_grad(name: str, out: np.ndarray) -> np.ndarray:
-    """Derivative w.r.t. the pre-activation, expressed through the output."""
-    if name == "relu":
-        return (out > 0.0).astype(out.dtype)
-    if name == "identity":
-        return np.ones_like(out)
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def dense_forward(x, weights, bias, activation="relu"):
-    """h = act(x @ W.T + b) for x of shape (batch, in_dim), W of (out, in_dim)."""
+def dense_forward(x, weights, bias, relu=True):
+    """h = x @ W.T + b, then ReLU when `relu`, for x of shape (batch, in_dim), W of (out, in_dim)."""
     if x.ndim != 2 or weights.ndim != 2 or x.shape[1] != weights.shape[1]:
         raise ValueError(f"dense shape mismatch: x {x.shape} vs weights {weights.shape}")
-    out = activate(activation, x @ weights.T + bias)
-    return out, (x, out, activation)
+    out = x @ weights.T + bias
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    return out, (x, out, relu)
 
 
 def dense_backward(d_out, cache, weights):
     """Returns (d_x, d_weights, d_bias) for the cached dense forward."""
-    x, out, activation = cache
-    d_pre = d_out * activation_grad(activation, out)
+    x, out, relu = cache
+    d_pre = d_out * (out > 0.0).astype(out.dtype) if relu else d_out
     return d_pre @ weights, d_pre.T @ x, d_pre.sum(axis=0)
 
 
@@ -82,7 +66,7 @@ def conv1d_forward(x, weights, bias, stride=1):
     windows = _conv_windows(x, kernel_len, stride)
     pre = windows @ weights.reshape(filters, -1).T  # (batch, L_out, filters)
     pre += bias
-    out = activate("relu", pre)
+    out = np.maximum(pre, 0.0, out=pre)
     return out.transpose(0, 2, 1), (windows, out, x.shape, stride)
 
 
@@ -91,7 +75,9 @@ def conv1d_backward(d_out, cache, weights):
     windows, out, x_shape, stride = cache
     filters, streams, kernel_len = weights.shape
     batch, _, out_len = d_out.shape
-    d_pre = activation_grad("relu", out)  # (batch, L_out, filters), a fresh array
+    # ReLU's derivative as a 0/1 multiplier, (batch, L_out, filters): a negative
+    # gradient at a dead unit becomes -0.0, as a select would not give.
+    d_pre = (out > 0.0).astype(out.dtype)
     d_pre *= d_out.transpose(0, 2, 1)
     flat = d_pre.reshape(-1, filters)
     d_weights = (flat.T @ windows.reshape(-1, streams * kernel_len)).reshape(weights.shape)

@@ -49,19 +49,10 @@ def _per_class_precision_recall(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def macro_prf(cm: np.ndarray) -> tuple[float, float, float]:
     """Unweighted macro precision/recall and their harmonic-mean F1.
 
-    Precision of a class with an empty predicted column counts as 0.
+    Both means run over the classes present in the truth, so a training
+    subset that lacks a class still scores. Precision of a class with an
+    empty predicted column counts as 0.
     """
-    cm = np.asarray(cm)
-    if cm.sum() == 0:
-        raise ValueError("empty confusion matrix")
-    if np.any(cm.sum(axis=1) == 0):
-        missing = [Activity(i + 1).short for i in np.flatnonzero(cm.sum(axis=1) == 0)]
-        raise ValueError(f"classes without true instances: {', '.join(missing)}")
-    return macro_prf_lenient(cm)
-
-
-def macro_prf_lenient(cm: np.ndarray) -> tuple[float, float, float]:
-    """macro_prf over only the classes present in the truth (smoke subsets)."""
     present = cm.sum(axis=1) > 0
     precision, recall = _per_class_precision_recall(cm)
     p = float(precision[present].mean())
@@ -142,6 +133,9 @@ def report_from_predictions(probs: np.ndarray, truth) -> EvalReport:
     """Assemble the full report from class probabilities and true ids."""
     preds = np.argmax(probs, axis=1) + 1
     cm = confusion(preds, truth)
+    missing = [Activity(i + 1).short for i in np.flatnonzero(cm.sum(axis=1) == 0)]
+    if missing:
+        raise ValueError(f"classes without true instances: {', '.join(missing)}")
     p, r, f1 = macro_prf(cm)
     roc = {}
     for activity in Activity:
@@ -162,12 +156,7 @@ def report_from_predictions(probs: np.ndarray, truth) -> EvalReport:
 
 
 def evaluate(params: ModelParams, features: FeatureSet) -> EvalReport:
-    """Evaluate a model on raw (unnormalized) features of one split.
-
-    Normalization uses the stats carried by the model; a model without
-    stats treats the features as already normalized.
-    """
-    if params.norm is not None:
-        features = normalize_set(features, params.norm)
+    """Report of a model on one split's raw features, normalized with the model's stats."""
+    features = normalize_set(features, params.norm)
     probs = predict_batch(params, features.freq, features.power)
     return report_from_predictions(probs, features.labels)

@@ -107,7 +107,7 @@ class ModelParams:
     power_bins: int
     arrays: dict[str, np.ndarray]
     rng_seed: int
-    norm: NormStats | None = None
+    norm: NormStats
 
     def __post_init__(self) -> None:
         expected = param_shapes(self.spec, self.freq_bins, self.power_bins)
@@ -132,7 +132,8 @@ def init_model(
     freq_bins: int = 65,
     power_bins: int = 33,
     seed: int = 0,
-    norm: NormStats | None = None,
+    *,
+    norm: NormStats,
     dtype=np.float32,
 ) -> ModelParams:
     """Seeded initialization: zero biases, one PCG64 uniform draw per weight in layout order.
@@ -214,7 +215,7 @@ def forward_batch(params: ModelParams, freq, power, want_cache: bool = False):
     p_out, p_cache = _channel_forward(power, params, "power", want_cache)
     concat = np.concatenate([f_out, p_out], axis=1)
     logits, fusion_cache = dense_forward(
-        concat, params.arrays["fusion.w"], params.arrays["fusion.b"], "identity"
+        concat, params.arrays["fusion.w"], params.arrays["fusion.b"], relu=False
     )
     if not np.isfinite(logits).all():
         raise ValueError("model produced non-finite logits (NaN or inf in the features or weights)")

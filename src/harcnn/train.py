@@ -13,7 +13,7 @@ import numpy as np
 
 from .features import FeatureSet, NormStats
 from .layers import softmax_cross_entropy_batch
-from .metrics import accuracy_of, confusion, macro_prf_lenient
+from .metrics import accuracy_of, confusion, macro_prf
 from .model import ModelParams, ModelSpec, backward_batch, forward_batch, init_model, predict_batch
 
 
@@ -90,7 +90,7 @@ def split_metrics(params: ModelParams, features: FeatureSet) -> tuple[float, flo
     loss = float(np.mean(-np.log(np.maximum(probs[rows, true_idx], 1e-30))))
     preds = np.argmax(probs, axis=1) + 1
     cm = confusion(preds, features.labels)
-    p, r, f1 = macro_prf_lenient(cm)
+    p, r, f1 = macro_prf(cm)
     return loss, accuracy_of(cm), p, r, f1
 
 
@@ -99,12 +99,12 @@ def train(
     test_set: FeatureSet,
     spec: ModelSpec,
     cfg: TrainConfig,
-    norm: NormStats | None = None,
+    norm: NormStats,
 ) -> tuple[ModelParams, TrainRun]:
     """Train on normalized feature sets; returns the best-test-accuracy params.
 
     Both feature sets must already be normalized with the training-split
-    stats (pass those stats as `norm` so they travel with the model).
+    stats `norm`, which travel with the model.
     """
     if len(train_set) == 0 or len(test_set) == 0:
         raise ValueError("cannot train on an empty split")

@@ -15,6 +15,7 @@ import pytest
 
 from harcnn import model
 from harcnn.dataset import Activity, N_STREAMS, STREAM_NAMES, WINDOW_LEN
+from harcnn.features import NormStats
 
 # Dominant frequency bin and amplitude profile per class.
 _CLASS_BINS = {
@@ -78,6 +79,17 @@ def build_synthetic_dataset(root, train_per_class=8, test_per_class=4, seed=1234
     write_uci_split(root, "train", *make_split_arrays(rng, train_counts))
     write_uci_split(root, "test", *make_split_arrays(rng, test_counts))
     return root
+
+
+def make_norm(freq_bins=65, power_bins=33, seed=0):
+    """Seeded normalization stats, with non-negative stds, for (9, bins) features."""
+    rng = np.random.default_rng(seed)
+    return NormStats(
+        freq_mean=rng.standard_normal((N_STREAMS, freq_bins)).astype(np.float32),
+        freq_std=np.abs(rng.standard_normal((N_STREAMS, freq_bins))).astype(np.float32),
+        power_mean=rng.standard_normal((N_STREAMS, power_bins)).astype(np.float32),
+        power_std=np.abs(rng.standard_normal((N_STREAMS, power_bins))).astype(np.float32),
+    )
 
 
 @pytest.fixture(scope="session")

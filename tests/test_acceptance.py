@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import real_dataset_root
+from conftest import make_norm, real_dataset_root
 from harcnn import cli
 from harcnn.cli import RunConfig
 from harcnn.dataset import N_STREAMS, Activity, load_split
@@ -194,7 +194,8 @@ class TestCriterion06GradientCorrectness:
             pool_widths=(2,),
             dense_units=4,
         )
-        params = init_model(spec, freq_bins=8, power_bins=8, seed=20240512, dtype=np.float64)
+        params = init_model(spec, freq_bins=8, power_bins=8, seed=20240512,
+                            norm=make_norm(8, 8), dtype=np.float64)
         rng = np.random.default_rng(63)
         freq = rng.standard_normal((3, N_STREAMS, 8))
         power = rng.standard_normal((3, N_STREAMS, 8))

@@ -6,10 +6,10 @@ import struct
 import numpy as np
 import pytest
 
-from harcnn.binio import pack_tensor_record, unpack_tensor_records
+from conftest import make_norm
+from harcnn.binio import FormatError, pack_tensor_record, unpack_tensor_records
 from harcnn.checkpoint import (
     CHECKPOINT_MAGIC,
-    CheckpointError,
     load_checkpoint,
     load_norm_stats,
     save_checkpoint,
@@ -17,7 +17,6 @@ from harcnn.checkpoint import (
 )
 from harcnn.cli import main
 from harcnn.dsp import WelchConfig
-from harcnn.features import NormStats
 from harcnn.model import DEFAULT_MODEL_SPEC, init_model, predict_batch
 
 
@@ -26,16 +25,6 @@ def with_meta(path, meta_bytes):
     data = path.read_bytes()
     (meta_len,) = struct.unpack("<I", data[10:14])
     path.write_bytes(data[:10] + struct.pack("<I", len(meta_bytes)) + meta_bytes + data[14 + meta_len :])
-
-
-def make_norm(seed=0):
-    rng = np.random.default_rng(seed)
-    return NormStats(
-        freq_mean=rng.standard_normal((9, 65)).astype(np.float32),
-        freq_std=np.abs(rng.standard_normal((9, 65))).astype(np.float32),
-        power_mean=rng.standard_normal((9, 33)).astype(np.float32),
-        power_std=np.abs(rng.standard_normal((9, 33))).astype(np.float32),
-    )
 
 
 class TestCheckpointRoundTrip:
@@ -58,7 +47,7 @@ class TestCheckpointRoundTrip:
         assert np.array_equal(loaded.norm.freq_mean, params.norm.freq_mean)
 
     def test_predictions_bit_identical_after_round_trip(self, tmp_path):
-        params = init_model(seed=3, norm=make_norm(1))
+        params = init_model(seed=3, norm=make_norm(seed=1))
         path = tmp_path / "model.harmcnn"
         save_checkpoint(path, params, WelchConfig(), epoch=1)
         loaded, _, _ = load_checkpoint(path)
@@ -70,7 +59,7 @@ class TestCheckpointRoundTrip:
         )
 
     def test_save_is_deterministic(self, tmp_path):
-        params = init_model(seed=5, norm=make_norm(2))
+        params = init_model(seed=5, norm=make_norm(seed=2))
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
         save_checkpoint(a, params, WelchConfig(), epoch=2)
         save_checkpoint(b, params, WelchConfig(), epoch=2)
@@ -83,39 +72,31 @@ class TestCheckpointRoundTrip:
         digest = hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest()
         assert digest == "768afddee988dc991583aebd78cae84a"
 
-    def test_model_without_stats_round_trips(self, tmp_path):
-        params = init_model(seed=9)
-        path = tmp_path / "bare.bin"
-        save_checkpoint(path, params, WelchConfig(), epoch=0)
-        loaded, _, _ = load_checkpoint(path)
-        assert loaded.norm is None
 
-
-class TestCheckpointErrors:
+class TestBadCheckpoints:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"WHATEVER" + b"\x00" * 20)
-        with pytest.raises(CheckpointError, match="bad checkpoint magic"):
+        with pytest.raises(FormatError, match="bad checkpoint magic"):
             load_checkpoint(path)
 
     def test_version_mismatch_is_explicit(self, tmp_path):
-        params = init_model(seed=1)
+        params = init_model(seed=1, norm=make_norm())
         path = tmp_path / "v2.bin"
         save_checkpoint(path, params, WelchConfig(), epoch=0)
         data = bytearray(path.read_bytes())
         data[8:10] = struct.pack("<H", 2)
         path.write_bytes(bytes(data))
-        with pytest.raises(CheckpointError, match="unsupported checkpoint format version 2"):
+        with pytest.raises(FormatError, match="unsupported checkpoint format version 2"):
             load_checkpoint(path)
 
-    def test_missing_record_named(self, tmp_path):
-        params = init_model(seed=1)
+    @pytest.mark.parametrize("name", ["fusion.b", "norm.freq_mean"])
+    def test_missing_record_named(self, tmp_path, name):
+        params = init_model(seed=1, norm=make_norm())
         path = tmp_path / "cut.bin"
         save_checkpoint(path, params, WelchConfig(), epoch=0)
-        # Drop the trailing record (fusion.b) by truncating its payload.
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) - (4 + 8 + 4 + 4 + 4 * 6)])
-        with pytest.raises(CheckpointError, match="missing tensor record 'fusion.b'"):
+        without_record(path, name)
+        with pytest.raises(FormatError, match=f"missing tensor record '{name}'"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
@@ -128,23 +109,23 @@ class TestCheckpointErrors:
     )
     def test_bad_metadata_is_checkpoint_error(self, tmp_path, meta_bytes, message):
         path = tmp_path / "meta.bin"
-        save_checkpoint(path, init_model(seed=1), WelchConfig(), epoch=0)
+        save_checkpoint(path, init_model(seed=1, norm=make_norm()), WelchConfig(), epoch=0)
         with_meta(path, meta_bytes)
-        with pytest.raises(CheckpointError, match=message):
+        with pytest.raises(FormatError, match=message):
             load_checkpoint(path)
 
     def test_malformed_metadata_value_is_checkpoint_error(self, tmp_path):
         path = tmp_path / "seed.bin"
-        save_checkpoint(path, init_model(seed=1), WelchConfig(), epoch=0)
+        save_checkpoint(path, init_model(seed=1, norm=make_norm()), WelchConfig(), epoch=0)
         _, _, meta = load_checkpoint(path)
         with_meta(path, json.dumps(dict(meta, seed=None)).encode())
-        with pytest.raises(CheckpointError, match="malformed checkpoint metadata"):
+        with pytest.raises(FormatError, match="malformed checkpoint metadata"):
             load_checkpoint(path)
 
     def test_interrupted_write_leaves_no_file(self, tmp_path, monkeypatch):
         import harcnn.binio as binio
 
-        params = init_model(seed=1)
+        params = init_model(seed=1, norm=make_norm())
         path = tmp_path / "atomic.bin"
 
         def boom(*args, **kwargs):
@@ -159,7 +140,7 @@ class TestCheckpointErrors:
 
 class TestNormSidecar:
     def test_round_trip(self, tmp_path):
-        norm = make_norm(7)
+        norm = make_norm(seed=7)
         path = tmp_path / "stats.bin"
         save_norm_stats(path, norm)
         loaded = load_norm_stats(path)
@@ -171,7 +152,7 @@ class TestNormSidecar:
         params = init_model(seed=2, norm=make_norm())
         path = tmp_path / "model.bin"
         save_checkpoint(path, params, WelchConfig(), epoch=0)
-        with pytest.raises(CheckpointError, match="bad stats sidecar magic"):
+        with pytest.raises(FormatError, match="bad stats sidecar magic"):
             load_norm_stats(path)
         assert path.read_bytes()[:8] == CHECKPOINT_MAGIC
 
@@ -215,19 +196,29 @@ class TestErrorsNameThePath:
             load = load_norm_stats
         damage_fn, message = DAMAGE[damage]
         path.write_bytes(damage_fn(path.read_bytes()))
-        with pytest.raises(CheckpointError, match=message) as info:
+        with pytest.raises(FormatError, match=message) as info:
             load(path)
         assert str(info.value).startswith(f"{path}: ")
 
 
-def with_record(path, name, change):
-    """Rewrite one tensor record of a saved checkpoint or stats file as change(record)."""
+def rewrite_records(path, change):
+    """Rewrite the tensor records of a saved checkpoint or stats file as change(records)."""
     data = path.read_bytes()
     offset = 14 + _meta_len(data)
-    records = unpack_tensor_records(memoryview(data)[offset:])
-    records[name] = np.asarray(change(records[name]), dtype=np.float32)
+    records = change(unpack_tensor_records(memoryview(data)[offset:]))
     packed = b"".join(pack_tensor_record(key, arr) for key, arr in records.items())
     path.write_bytes(data[:offset] + packed)
+
+
+def with_record(path, name, change):
+    """Rewrite one tensor record of a saved checkpoint or stats file as change(record)."""
+    rewrite_records(path, lambda records: {
+        **records, name: np.asarray(change(records[name]), dtype=np.float32)})
+
+
+def without_record(path, name):
+    """Drop one tensor record of a saved checkpoint or stats file."""
+    rewrite_records(path, lambda records: {k: v for k, v in records.items() if k != name})
 
 
 class TestWrongShapedRecords:
@@ -245,7 +236,7 @@ class TestWrongShapedRecords:
         save_checkpoint(path, init_model(seed=1, norm=make_norm()), WelchConfig(), epoch=0)
         with_record(path, name, lambda record: np.zeros(shape))
         message = f"'{name}' has shape {shape}"
-        with pytest.raises(CheckpointError, match=re.escape(message)) as info:
+        with pytest.raises(FormatError, match=re.escape(message)) as info:
             load_checkpoint(path)
         assert str(info.value).startswith(f"{path}: ")
 
@@ -282,6 +273,6 @@ class TestRecordValues:
             return record
 
         with_record(path, name, change)
-        with pytest.raises(CheckpointError, match=re.escape(message)) as info:
+        with pytest.raises(FormatError, match=re.escape(message)) as info:
             load(path)
         assert str(info.value).startswith(f"{path}: ")

@@ -475,6 +475,23 @@ class TestEvaluate:
                        "metadata.architecture has unknown key 'classes'\n")
         assert not (tmp_path / "eval" / "report.json").exists()
 
+    def test_checkpoint_without_stats_is_one_line_error(self, trained_pipeline, tmp_path, capsys):
+        # The layout of a model saved without stats: a null epsilon and no "norm.*" records.
+        _, out_dir, cfg_path = trained_pipeline
+        data = (out_dir / "checkpoint.bin").read_bytes()
+        (meta_len,) = struct.unpack("<I", data[10:14])
+        meta = dict(json.loads(data[14 : 14 + meta_len]), norm_epsilon=None)
+        meta_bytes = json.dumps(meta, sort_keys=True).encode()
+        # The norm records close the file; the first starts with its u32 name length.
+        records = data[14 + meta_len : data.index(b"norm.freq_mean") - 4]
+        bare = tmp_path / "bare.bin"
+        bare.write_bytes(data[:10] + struct.pack("<I", len(meta_bytes)) + meta_bytes + records)
+        err = one_line_error(capsys, ["evaluate", "--config", str(cfg_path), "--checkpoint",
+                                      str(bare), "--out", str(tmp_path / "eval")])
+        assert err == (f"error: {bare}: malformed checkpoint metadata: "
+                       "metadata.norm_epsilon must be a number, got None\n")
+        assert not (tmp_path / "eval" / "report.json").exists()
+
     def test_checkpoint_segment_longer_than_window_is_one_line_error(
         self, trained_pipeline, tmp_path, capsys
     ):

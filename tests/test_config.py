@@ -1,11 +1,11 @@
 import json
 import struct
 
-import numpy as np
 import pytest
 
+from conftest import make_norm
+from harcnn.binio import FormatError
 from harcnn.checkpoint import (
-    CheckpointError,
     CheckpointMeta,
     load_checkpoint,
     load_norm_stats,
@@ -16,21 +16,10 @@ from harcnn.cli import RunConfig, default_config_json, load_config, main
 from harcnn.config import from_json, to_json
 from harcnn.dataset import STREAM_NAMES
 from harcnn.dsp import WelchConfig
-from harcnn.features import NormStats
 from harcnn.model import DEFAULT_MODEL_SPEC, ConvLayerSpec, ModelSpec, init_model
 from harcnn.train import TrainConfig
 
 SMALL_SPEC = ModelSpec(convs=(ConvLayerSpec(4, 5, stride=2),), pool_widths=(3,), dense_units=8)
-
-
-def make_norm():
-    rng = np.random.default_rng(0)
-    return NormStats(
-        freq_mean=rng.standard_normal((9, 65)).astype(np.float32),
-        freq_std=np.abs(rng.standard_normal((9, 65))).astype(np.float32),
-        power_mean=rng.standard_normal((9, 33)).astype(np.float32),
-        power_std=np.abs(rng.standard_normal((9, 33))).astype(np.float32),
-    )
 
 
 def update_meta(path, **changes):
@@ -54,7 +43,7 @@ class TestRoundTrip:
             SMALL_SPEC,
             WelchConfig(),
             CheckpointMeta(DEFAULT_MODEL_SPEC, 65, 33, WelchConfig(), STREAM_NAMES, 12, 3, 1e-8),
-            CheckpointMeta(SMALL_SPEC, 65, 17, WelchConfig(32, 16), STREAM_NAMES, 0, 1, None),
+            CheckpointMeta(SMALL_SPEC, 65, 17, WelchConfig(32, 16), STREAM_NAMES, 0, 1, 0.5),
         ],
         ids=lambda v: type(v).__name__,
     )
@@ -122,6 +111,7 @@ class TestCheckpointMeta:
             ({"seed": "12"}, "metadata.seed must be an integer, got '12'"),
             ({"epoch": "x"}, "metadata.epoch must be an integer, got 'x'"),
             ({"norm_epsilon": True}, "metadata.norm_epsilon must be a number, got True"),
+            ({"norm_epsilon": None}, "metadata.norm_epsilon must be a number, got None"),
             ({"extra": 1}, "metadata has unknown key 'extra'"),
             ({"welch": {"segment_len": 64}}, "metadata.welch lacks key 'overlap'"),
             ({"welch": {"segment_len": 6, "overlap": 0, "window_kind": "hamming"}},
@@ -130,25 +120,21 @@ class TestCheckpointMeta:
     )
     def test_wrong_value_is_one_checkpoint_error(self, tmp_path, changes, message):
         path = self.saved(tmp_path, **changes)
-        with pytest.raises(CheckpointError) as info:
+        with pytest.raises(FormatError) as info:
             load_checkpoint(path)
         assert str(info.value) == f"{path}: malformed checkpoint metadata: {message}"
 
-    @pytest.mark.parametrize(
-        "epsilon, message",
-        [(None, "must be a number, got None"), (-1.0, "must be finite and > 0, got -1.0")],
-    )
-    def test_bad_epsilon_beside_stats_records_is_one_checkpoint_error(
-        self, tmp_path, epsilon, message
-    ):
-        path = self.saved(tmp_path, norm_epsilon=epsilon)
-        with pytest.raises(CheckpointError) as info:
+    def test_bad_epsilon_beside_stats_records_is_one_checkpoint_error(self, tmp_path):
+        # A null epsilon is a metadata type error, in test_wrong_value_is_one_checkpoint_error.
+        path = self.saved(tmp_path, norm_epsilon=-1.0)
+        with pytest.raises(FormatError) as info:
             load_checkpoint(path)
-        assert str(info.value) == f"{path}: inconsistent checkpoint: epsilon {message}"
+        message = "inconsistent checkpoint: epsilon must be finite and > 0, got -1.0"
+        assert str(info.value) == f"{path}: {message}"
 
     def test_reversed_stream_order_is_rejected(self, tmp_path, capsys):
         path = self.saved(tmp_path, stream_order=list(reversed(STREAM_NAMES)))
-        with pytest.raises(CheckpointError, match="stream order") as info:
+        with pytest.raises(FormatError, match="stream order") as info:
             load_checkpoint(path)
         assert str(info.value).startswith(f"{path}: ")
 
@@ -172,12 +158,12 @@ class TestDeeplyNestedJson:
 
     def test_checkpoint_metadata_is_checkpoint_error(self, tmp_path):
         path = tmp_path / "model.bin"
-        save_checkpoint(path, init_model(seed=1), WelchConfig(), epoch=0)
+        save_checkpoint(path, init_model(seed=1, norm=make_norm()), WelchConfig(), epoch=0)
         data = path.read_bytes()
         (meta_len,) = struct.unpack("<I", data[10:14])
         meta_bytes = b"[" * 100_000
         path.write_bytes(data[:10] + struct.pack("<I", len(meta_bytes)) + meta_bytes + data[14 + meta_len :])
-        with pytest.raises(CheckpointError, match="unreadable checkpoint metadata") as info:
+        with pytest.raises(FormatError, match="unreadable checkpoint metadata") as info:
             load_checkpoint(path)
         assert str(info.value).startswith(f"{path}: ")
 
@@ -196,7 +182,7 @@ class TestStatsEpsilon:
         path = tmp_path / "stats.bin"
         save_norm_stats(path, make_norm())
         update_meta(path, epsilon=epsilon)
-        with pytest.raises(CheckpointError) as info:
+        with pytest.raises(FormatError) as info:
             load_norm_stats(path)
         assert str(info.value) == f"{path}: inconsistent stats sidecar: epsilon {message}"
 

@@ -1,9 +1,11 @@
-"""Property test: a cut or flipped artifact gives exit 0 or one stderr line.
+"""Property test: a cut or flipped file gives exit 0 or one stderr line.
 
-Each example copies the artifacts of one tiny synthetic run, damages one
-of them (cuts it at an offset, flips one bit, or writes bytes over it),
-runs the command that reads it in-process and requires exit 0, or exit 1
-with exactly one stderr line. A traceback or a printed warning fails.
+Each example copies the artifacts and the dataset of one tiny synthetic
+run, damages one artifact or one training label or subject file (cuts it
+at an offset, flips one bit, or writes bytes over it), runs the command
+that reads it in-process and requires exit 0, or exactly one stderr line
+with exit 1 for an artifact or exit 2 for a dataset file. A traceback or
+a printed warning fails.
 """
 
 import contextlib
@@ -30,9 +32,13 @@ from harcnn.train import TrainConfig  # noqa: E402
 TINY_MODEL = ModelSpec(
     convs=(ConvLayerSpec(filters=4, kernel_len=5),), pool_widths=(2,), dense_units=8
 )
-# Each damaged artifact and the command that reads it.
-COMMANDS = {"train_features.bin": "train", "norm_stats.bin": "train", "checkpoint.bin": "evaluate"}
+# Each damaged file and the command that reads it.
+COMMANDS = {
+    "train_features.bin": "train", "test_features.bin": "train", "norm_stats.bin": "train",
+    "checkpoint.bin": "evaluate", "y_train.txt": "extract", "subject_train.txt": "extract",
+}
 ARTIFACTS = ("train_features.bin", "test_features.bin", "norm_stats.bin", "checkpoint.bin")
+DATASET_FILES = ("y_train.txt", "subject_train.txt")
 
 INF = struct.pack("<f", np.inf)
 HUGE = struct.pack("<f", 3e38)
@@ -49,7 +55,7 @@ LAST_STD = -4
 
 @pytest.fixture(scope="module")
 def pristine(tmp_path_factory):
-    """Config path and output directory of one extract + 1-epoch train run."""
+    """Config path, dataset root and output directory of one extract + 1-epoch train run."""
     base = tmp_path_factory.mktemp("corruption")
     root = build_synthetic_dataset(base / "data", train_per_class=4, test_per_class=2)
     cfg = RunConfig(dataset_root=str(root), output_dir=str(base / "out"), strict_counts=False,
@@ -59,7 +65,7 @@ def pristine(tmp_path_factory):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["extract", "--config", str(cfg_path)]) == 0
         assert main(["train", "--config", str(cfg_path)]) == 0
-    return cfg_path, base / "out"
+    return cfg_path, root, base / "out"
 
 
 def damage(data: bytes, offset: int, change) -> bytes:
@@ -93,17 +99,23 @@ def damage(data: bytes, offset: int, change) -> bytes:
 # Huge but finite values that overflow the float32 arithmetic.
 @example(name="train_features.bin", offset=21, change=HUGE)
 @example(name="norm_stats.bin", offset=FIRST_MEAN, change=HUGE)
+# Ids beyond the int64 range.
+@example(name="y_train.txt", offset=0, change=b"1e300")
+@example(name="subject_train.txt", offset=0, change=b"1e300")
 def test_damaged_artifact_exits_0_or_with_one_line(pristine, name, offset, change):
-    cfg_path, out_dir = pristine
+    cfg_path, root, out_dir = pristine
     with tempfile.TemporaryDirectory() as work:
         for artifact in ARTIFACTS:
             shutil.copy(out_dir / artifact, work)
-        path = Path(work) / name
+        data = shutil.copytree(root, Path(work) / "data")
+        path = (data / "train" if name in DATASET_FILES else Path(work)) / name
         path.write_bytes(damage(path.read_bytes(), offset, change))
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
-            code = main([COMMANDS[name], "--config", str(cfg_path), "--out", work])
+            code = main([COMMANDS[name], "--config", str(cfg_path), "--out", work,
+                         "--dataset", str(data)])
     assert not caught, [str(w.message) for w in caught]
-    assert code == 0 or (code == 1 and err.getvalue().count("\n") == 1), (code, err.getvalue())
+    failed = 2 if name in DATASET_FILES else 1
+    assert code == 0 or (code == failed and err.getvalue().count("\n") == 1), (code, err.getvalue())

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -216,22 +217,33 @@ class TestLoadSplit:
         with pytest.raises(DatasetError, match="labels for"):
             load_split(root, "train", strict_counts=False)
 
-    def test_unknown_activity_id_rejected(self, tmp_path):
+    # Values beyond the int64 range are checked as floats: no cast warning.
+    @pytest.mark.parametrize(
+        "value, shown",
+        [("7", "7"), ("1e300", "1e+300"), ("1e19", "1e+19"),
+         ("9223372036854775808", "9.22337203685478e+18")],
+    )
+    def test_unknown_activity_id_rejected(self, tmp_path, value, shown):
         root = build_synthetic_dataset(tmp_path / "badlbl", train_per_class=2, test_per_class=1)
         label_file = root / "train" / "y_train.txt"
         lines = label_file.read_text().splitlines()
-        lines[3] = "7"
+        lines[3] = value
         label_file.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetError, match="line 4: unknown activity id 7"):
+        with pytest.raises(DatasetError, match=f"line 4: unknown activity id {re.escape(shown)}$"):
             load_split(root, "train", strict_counts=False)
 
-    def test_out_of_range_subject_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "value, shown",
+        [("31", "31"), ("1e300", "1e+300"), ("1e19", "1e+19"),
+         ("9223372036854775808", "9.22337203685478e+18")],
+    )
+    def test_out_of_range_subject_rejected(self, tmp_path, value, shown):
         root = build_synthetic_dataset(tmp_path / "badsub", train_per_class=2, test_per_class=1)
         subject_file = root / "train" / "subject_train.txt"
         lines = subject_file.read_text().splitlines()
-        lines[0] = "31"
+        lines[0] = value
         subject_file.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetError, match="unknown subject id 31"):
+        with pytest.raises(DatasetError, match=f"line 1: unknown subject id {re.escape(shown)}$"):
             load_split(root, "train", strict_counts=False)
 
     def test_unknown_split_rejected(self, synthetic_root):

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from harcnn.layers import (
-    activate,
-    activation_grad,
     conv1d_backward,
     conv1d_forward,
     conv_output_len,
@@ -44,7 +42,7 @@ def reference_conv1d_forward(x, weights, bias, stride=1):
     view = view[:, :, ::stride, :]  # (batch, streams, L_out, m)
     windows = view.transpose(0, 2, 1, 3).reshape(x.shape[0], view.shape[2], -1)
     pre = windows @ weights.reshape(filters, -1).T + bias  # (batch, L_out, filters)
-    out = activate("relu", pre).transpose(0, 2, 1)
+    out = np.maximum(pre, 0.0, out=pre).transpose(0, 2, 1)
     return np.ascontiguousarray(out), (windows, out, x.shape, stride)
 
 
@@ -52,7 +50,7 @@ def reference_conv1d_backward(d_out, cache, weights):
     windows, out, x_shape, stride = cache
     filters, streams, kernel_len = weights.shape
     batch, _, out_len = d_out.shape
-    d_pre = (d_out * activation_grad("relu", out)).transpose(0, 2, 1)  # (b, L_out, n)
+    d_pre = (d_out * (out > 0.0).astype(out.dtype)).transpose(0, 2, 1)  # (b, L_out, n)
     flat = d_pre.reshape(-1, filters)
     d_weights = (flat.T @ windows.reshape(-1, streams * kernel_len)).reshape(weights.shape)
     d_bias = flat.sum(axis=0)
@@ -158,12 +156,12 @@ class TestDense:
         x = np.random.default_rng(0).standard_normal((4, 7))
         w = np.zeros((5, 7))
         b = np.array([0.3, -0.3, 0.0, 1.5, -2.0])
-        out, _ = dense_forward(x, w, b, "relu")
+        out, _ = dense_forward(x, w, b)
         assert np.array_equal(out, np.tile([0.3, 0.0, 0.0, 1.5, 0.0], (4, 1)))
 
     def test_identity_layer_passes_input_through(self):
         x = np.random.default_rng(1).standard_normal((3, 6))
-        out, _ = dense_forward(x, np.eye(6), np.zeros(6), "identity")
+        out, _ = dense_forward(x, np.eye(6), np.zeros(6), relu=False)
         assert np.allclose(out, x)
 
     def test_matches_double_loop_oracle(self):
@@ -171,7 +169,7 @@ class TestDense:
         x = rng.standard_normal((3, 7))
         w = rng.standard_normal((5, 7))
         b = rng.standard_normal(5)
-        out, _ = dense_forward(x, w, b, "identity")
+        out, _ = dense_forward(x, w, b, relu=False)
         expected = np.zeros((3, 5))
         for i in range(3):
             for n in range(5):
@@ -188,7 +186,7 @@ class TestDense:
         w = rng.standard_normal((3, 6))
         b = rng.standard_normal(3)
         d_out = rng.standard_normal((4, 3))
-        out, cache = dense_forward(x, w, b, "relu")
+        out, cache = dense_forward(x, w, b)
         d_x, d_w, d_b = dense_backward(d_out, cache, w)
         h = 1e-6
         for arr, grad in ((w, d_w), (b, d_b), (x, d_x)):
@@ -197,9 +195,9 @@ class TestDense:
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                lhs = dense_forward(x, w, b, "relu")[0]
+                lhs = dense_forward(x, w, b)[0]
                 arr[idx] = orig - h
-                rhs = dense_forward(x, w, b, "relu")[0]
+                rhs = dense_forward(x, w, b)[0]
                 arr[idx] = orig
                 fd = np.sum((lhs - rhs) / (2 * h) * d_out)
                 assert abs(grad[idx] - fd) <= 1e-5 * max(1.0, abs(fd))

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import nan_in_worker_chunks
+from conftest import make_norm, nan_in_worker_chunks
 from harcnn import model
 from harcnn.config import from_json, to_json
 from harcnn.dataset import N_STREAMS
@@ -28,7 +28,8 @@ TINY_SPEC = ModelSpec(
 
 
 def tiny_model(seed=0, dtype=np.float64):
-    return init_model(TINY_SPEC, freq_bins=8, power_bins=8, seed=seed, dtype=dtype)
+    return init_model(TINY_SPEC, freq_bins=8, power_bins=8, seed=seed, norm=make_norm(8, 8),
+                      dtype=dtype)
 
 
 def mean_loss(params, freq, power, labels):
@@ -70,7 +71,7 @@ class TestModelSpec:
 
 class TestInitModel:
     def test_default_shapes(self):
-        params = init_model(seed=7)
+        params = init_model(seed=7, norm=make_norm())
         shapes = dict((name, arr.shape) for name, arr in params.arrays.items())
         assert shapes["freq.conv0.w"] == (32, 9, 7)
         assert shapes["freq.conv1.w"] == (64, 32, 5)
@@ -80,13 +81,13 @@ class TestInitModel:
         assert params.dtype == np.float32
 
     def test_seed_reproducibility(self):
-        a, b = init_model(seed=3), init_model(seed=3)
+        a, b = init_model(seed=3, norm=make_norm()), init_model(seed=3, norm=make_norm())
         for (name_a, arr_a), (name_b, arr_b) in zip(a.arrays.items(), b.arrays.items()):
             assert name_a == name_b
             assert np.array_equal(arr_a, arr_b)
 
     def test_channels_share_hyperparameters(self):
-        params = init_model(seed=1)
+        params = init_model(seed=1, norm=make_norm())
         for i in range(len(params.spec.convs)):
             for kind in ("w", "b"):
                 freq, power = (params.arrays[f"{c}.conv{i}.{kind}"] for c in ("freq", "power"))
@@ -94,7 +95,7 @@ class TestInitModel:
         assert params.arrays["freq.dense.b"].shape == params.arrays["power.dense.b"].shape
 
     def test_mismatched_channel_construction_rejected(self):
-        params = init_model(seed=1)
+        params = init_model(seed=1, norm=make_norm())
         arrays = dict(params.arrays)
         arrays["freq.conv0.w"] = arrays["freq.conv0.w"][:16]
         with pytest.raises(ValueError, match="do not match spec"):
@@ -104,13 +105,14 @@ class TestInitModel:
                 power_bins=params.power_bins,
                 arrays=arrays,
                 rng_seed=params.rng_seed,
+                norm=params.norm,
             )
 
 
 class TestForward:
     def test_probs_form_simplex(self):
         rng = np.random.default_rng(12)
-        params = init_model(seed=5)
+        params = init_model(seed=5, norm=make_norm())
         freq = rng.standard_normal((8, 9, 65))
         power = rng.standard_normal((8, 9, 33))
         _, probs = forward_batch(params, freq, power)
@@ -123,7 +125,7 @@ class TestForward:
         rng = np.random.default_rng(99)
         means = []
         for seed in range(100):
-            params = init_model(seed=seed)
+            params = init_model(seed=seed, norm=make_norm())
             freq = rng.standard_normal((10, 9, 65))
             power = rng.standard_normal((10, 9, 33))
             means.append(predict_batch(params, freq, power).mean(axis=0))
@@ -135,13 +137,13 @@ class TestForward:
         rng = np.random.default_rng(2)
         freq = rng.standard_normal((4, 9, 65)).astype(np.float32)
         power = rng.standard_normal((4, 9, 33)).astype(np.float32)
-        probs_a = forward_batch(init_model(seed=21), freq, power)[1]
-        probs_b = forward_batch(init_model(seed=21), freq, power)[1]
+        probs_a = forward_batch(init_model(seed=21, norm=make_norm()), freq, power)[1]
+        probs_b = forward_batch(init_model(seed=21, norm=make_norm()), freq, power)[1]
         assert np.array_equal(probs_a, probs_b)
 
     def test_single_sample_matches_batch(self):
         rng = np.random.default_rng(6)
-        params = init_model(seed=9)
+        params = init_model(seed=9, norm=make_norm())
         freq = rng.standard_normal((3, 9, 65)).astype(np.float32)
         power = rng.standard_normal((3, 9, 33)).astype(np.float32)
         _, batch_probs = forward_batch(params, freq, power)
@@ -151,7 +153,7 @@ class TestForward:
             assert np.allclose(single[0], batch_probs[i], atol=1e-7)
 
     def test_shape_mismatch_rejected(self):
-        params = init_model(seed=1)
+        params = init_model(seed=1, norm=make_norm())
         with pytest.raises(ValueError, match="do not match model"):
             forward_batch(params, np.zeros((2, 9, 33)), np.zeros((2, 9, 65)))
 
@@ -159,7 +161,7 @@ class TestForward:
         # Different chunk sizes reorder BLAS accumulation, so compare to
         # float32 round-off rather than bit-for-bit.
         rng = np.random.default_rng(31)
-        params = init_model(seed=2)
+        params = init_model(seed=2, norm=make_norm())
         freq = rng.standard_normal((20, 9, 65)).astype(np.float32)
         power = rng.standard_normal((20, 9, 33)).astype(np.float32)
         chunked = predict_batch(params, freq, power, chunk=7)
@@ -168,7 +170,7 @@ class TestForward:
 
     def test_predict_chunks_match_a_serial_forward_loop(self, four_cpus):
         rng = np.random.default_rng(33)
-        params = init_model(seed=2)
+        params = init_model(seed=2, norm=make_norm())
         freq = rng.standard_normal((20, 9, 65)).astype(np.float32)
         power = rng.standard_normal((20, 9, 33)).astype(np.float32)
         serial = np.concatenate(
@@ -180,7 +182,7 @@ class TestForward:
         self, monkeypatch, four_cpus
     ):
         rng = np.random.default_rng(34)
-        params = init_model(seed=2)
+        params = init_model(seed=2, norm=make_norm())
         freq = rng.standard_normal((20, 9, 65)).astype(np.float32)
         power = rng.standard_normal((20, 9, 33)).astype(np.float32)
         threaded = predict_batch(params, freq, power, chunk=7)
@@ -200,7 +202,7 @@ class TestForward:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN fed on purpose
     def test_nan_in_a_worker_chunk_raises_the_serial_error(self, monkeypatch, four_cpus):
         rng = np.random.default_rng(35)
-        params = init_model(seed=2)
+        params = init_model(seed=2, norm=make_norm())
         freq = rng.standard_normal((20, 9, 65)).astype(np.float32)
         power = rng.standard_normal((20, 9, 33)).astype(np.float32)
         bad = freq[:7].copy()
@@ -215,7 +217,7 @@ class TestForward:
 
     def test_predict_is_deterministic_across_calls(self):
         rng = np.random.default_rng(32)
-        params = init_model(seed=2)
+        params = init_model(seed=2, norm=make_norm())
         freq = rng.standard_normal((20, 9, 65)).astype(np.float32)
         power = rng.standard_normal((20, 9, 33)).astype(np.float32)
         assert np.array_equal(
@@ -225,7 +227,8 @@ class TestForward:
 
 class TestBackward:
     def test_every_gradient_matches_finite_differences(self):
-        params = init_model(TINY_SPEC, freq_bins=8, power_bins=8, seed=20240512, dtype=np.float64)
+        params = init_model(TINY_SPEC, freq_bins=8, power_bins=8, seed=20240512,
+                            norm=make_norm(8, 8), dtype=np.float64)
         rng = np.random.default_rng(63)
         freq = rng.standard_normal((3, N_STREAMS, 8))
         power = rng.standard_normal((3, N_STREAMS, 8))
@@ -285,7 +288,7 @@ class TestBackward:
             assert np.max(np.abs(accum[name] - batch_grads[name])) <= 1e-6 * scale
 
     def test_copy_is_deep(self):
-        params = init_model(seed=8)
+        params = init_model(seed=8, norm=make_norm())
         clone = params.copy()
         clone.arrays["fusion.w"][0, 0] += 1.0
         assert params.arrays["fusion.w"][0, 0] != clone.arrays["fusion.w"][0, 0]

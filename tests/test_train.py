@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import harcnn.model
-from conftest import make_split_arrays
+from conftest import make_norm, make_split_arrays
 from harcnn.checkpoint import save_checkpoint
 from harcnn.dataset import Activity
 from harcnn.dsp import WelchConfig
@@ -51,7 +51,7 @@ def synthetic_feature_sets(n_train_per_class=10, n_test_per_class=4, seed=5):
 
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
-        params = init_model(SMALL_SPEC, seed=3)
+        params = init_model(SMALL_SPEC, seed=3, norm=make_norm())
         before = {name: arr.copy() for name, arr in params.arrays.items()}
         state = AdamState(params)
         grads = {name: np.zeros_like(arr) for name, arr in params.arrays.items()}
