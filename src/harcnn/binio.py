@@ -43,8 +43,6 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
 def pack_tensor_record(name: str, array: np.ndarray) -> bytes:
     """Encode one named float32 tensor record."""
     arr = np.asarray(array, dtype="<f4")
-    if arr.ndim:  # ascontiguousarray would promote 0-d to 1-d
-        arr = np.ascontiguousarray(arr)
     name_bytes = name.encode("utf-8")
     parts = [struct.pack("<I", len(name_bytes)), name_bytes]
     parts.append(struct.pack("<I", arr.ndim))
@@ -77,7 +75,7 @@ def unpack_tensor_records(buf: memoryview, where: str = "") -> dict[str, np.ndar
             raise FormatError(f"{where}record name {bytes(raw)!r} is not UTF-8") from None
         (rank,) = struct.unpack("<I", take(4, "record rank"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "record dims"))
-        count = int(np.prod(dims, dtype=np.int64)) if rank else 1
+        count = int(np.prod(dims, dtype=np.int64))
         raw = take(4 * count, f"data of record {name!r}")
         records[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
     return records

@@ -23,6 +23,7 @@ from .dataset import (
 )
 from .dsp import WelchConfig
 from .features import (
+    FREQ_BINS,
     FeatureSet,
     extract_split,
     fit_normalizer_arrays,
@@ -74,6 +75,8 @@ class RunConfig:
         if self.welch.segment_len > WINDOW_LEN:
             raise ValueError(f"welch.segment_len must be <= the window length {WINDOW_LEN}, "
                              f"got {self.welch.segment_len}")
+        self.model.flat_dim(FREQ_BINS)
+        self.model.flat_dim(self.welch.n_bins)
 
     def to_json_dict(self) -> dict:
         return to_json(self)

@@ -15,14 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from .binio import FormatError, atomic_write_bytes
-from .config import from_json
 from .dataset import N_CLASSES, N_STREAMS, WINDOW_LEN, SplitManifest
 from .dsp import WelchConfig, fft_real, magnitude_onesided, welch_psd
 from .parallel import map_blocks
 
-DEFAULT_WELCH = WelchConfig(segment_len=64, overlap=32, window_kind="hamming")
 FREQ_BINS = WINDOW_LEN // 2 + 1  # 65
-DEFAULT_EPSILON = 1e-8
+# Added to every std before dividing, so a constant position maps to 0.
+EPSILON = 1e-8
 # Windows per FFT/Welch pass in extract_features_batch. At 32 each FFT
 # buffer is about 0.5 MB and stays in cache; a sweep over a whole split
 # found 32 as fast as 64, and 128 and 256 slower. Every thread holds one
@@ -30,12 +29,6 @@ DEFAULT_EPSILON = 1e-8
 BLOCK_WINDOWS = 32
 
 CACHE_MAGIC = b"HARFEAT1"
-
-
-def check_epsilon(name: str, value: object) -> None:
-    """Raise ValueError unless `value` is a finite number > 0 (a bool is not a number)."""
-    if not 0 < from_json(float, value, name) < float("inf"):
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass
@@ -50,7 +43,20 @@ class NormStats:
     freq_std: np.ndarray
     power_mean: np.ndarray
     power_std: np.ndarray
-    epsilon: float = DEFAULT_EPSILON
+
+    def __post_init__(self) -> None:
+        for prefix in ("freq", "power"):
+            mean, std = getattr(self, f"{prefix}_mean"), getattr(self, f"{prefix}_std")
+            if mean.ndim != 2 or mean.shape[0] != N_STREAMS or std.shape != mean.shape:
+                raise ValueError(f"{prefix} stats have shapes {mean.shape}/{std.shape}, "
+                                 f"not one ({N_STREAMS}, bins) shape")
+            if (std < 0).any():
+                raise ValueError(f"{prefix}_std holds a negative std")
+
+    @property
+    def bins(self) -> tuple[int, int]:
+        """(freq, power) widths of the arrays, which are the model's input widths."""
+        return self.freq_mean.shape[1], self.power_mean.shape[1]
 
 
 @dataclass
@@ -66,7 +72,7 @@ class FeatureSet:
 
 
 def extract_features_batch(
-    windows: np.ndarray, cfg: WelchConfig = DEFAULT_WELCH
+    windows: np.ndarray, cfg: WelchConfig = WelchConfig()
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized extraction over (n, 9, 128) windows; returns (freq, power) stacks.
 
@@ -90,15 +96,13 @@ def extract_features_batch(
     return freq, power
 
 
-def extract_split(manifest: SplitManifest, cfg: WelchConfig = DEFAULT_WELCH) -> FeatureSet:
+def extract_split(manifest: SplitManifest, cfg: WelchConfig = WelchConfig()) -> FeatureSet:
     """Feature set of a whole split, labels carried through."""
     freq, power = extract_features_batch(manifest.windows, cfg)
     return FeatureSet(freq=freq, power=power, labels=manifest.labels.copy())
 
 
-def fit_normalizer_arrays(
-    freq: np.ndarray, power: np.ndarray, epsilon: float = DEFAULT_EPSILON
-) -> NormStats:
+def fit_normalizer_arrays(freq: np.ndarray, power: np.ndarray) -> NormStats:
     """Per-position mean and population std over the first axis of (n,9,F)/(n,9,P) stacks."""
     if freq.shape[0] == 0:
         raise ValueError("cannot fit a normalizer on an empty sequence")
@@ -109,12 +113,11 @@ def fit_normalizer_arrays(
         freq_std=freq.std(axis=0).astype(np.float32),
         power_mean=power.mean(axis=0).astype(np.float32),
         power_std=power.std(axis=0).astype(np.float32),
-        epsilon=float(epsilon),
     )
 
 
 def normalize_set(features: FeatureSet, stats: NormStats) -> FeatureSet:
-    """Normalized copy of a whole feature set: (x - mean) / (std + epsilon) in float64.
+    """Normalized copy of a whole feature set: (x - mean) / (std + EPSILON) in float64.
 
     Each stack is copied to float64 once and normalized in place, so no
     full-size temporary is made.
@@ -127,11 +130,10 @@ def normalize_set(features: FeatureSet, stats: NormStats) -> FeatureSet:
         )
     freq = np.array(features.freq, dtype=np.float64)
     power = np.array(features.power, dtype=np.float64)
-    eps = stats.epsilon
     freq -= stats.freq_mean.astype(np.float64)
-    freq /= stats.freq_std.astype(np.float64) + eps
+    freq /= stats.freq_std.astype(np.float64) + EPSILON
     power -= stats.power_mean.astype(np.float64)
-    power /= stats.power_std.astype(np.float64) + eps
+    power /= stats.power_std.astype(np.float64) + EPSILON
     return FeatureSet(freq=freq, power=power, labels=features.labels.copy())
 
 

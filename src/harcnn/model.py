@@ -5,9 +5,10 @@ channel the 9x33 PSD matrix; their dense outputs are concatenated and
 fused into 6 class logits. Both channels run the same conv/pool/dense
 hyperparameters. The 9 input streams and the 6 classes come from the
 dataset, and every conv and channel dense layer is ReLU, so a `ModelSpec`
-holds only the free architecture choices. `param_shapes` alone fixes the
-name, shape and order of every weight and bias; `ModelParams` holds them
-in one name->array dict and checks it against that layout at construction.
+holds only the free architecture choices; the input widths are those of
+the normalization stats every model carries. `param_shapes` alone fixes
+the name, shape and order of every weight and bias; `ModelParams` holds
+them in one name->array dict and checks it against that layout.
 """
 
 from __future__ import annotations
@@ -102,15 +103,15 @@ def param_shapes(spec: ModelSpec, freq_bins: int, power_bins: int) -> dict[str, 
 
 @dataclass
 class ModelParams:
+    """Weights and biases of one model, and the stats whose widths are its input widths."""
+
     spec: ModelSpec
-    freq_bins: int
-    power_bins: int
     arrays: dict[str, np.ndarray]
     rng_seed: int
     norm: NormStats
 
     def __post_init__(self) -> None:
-        expected = param_shapes(self.spec, self.freq_bins, self.power_bins)
+        expected = param_shapes(self.spec, *self.norm.bins)
         got = {name: arr.shape for name, arr in self.arrays.items()}
         for name in [*expected, *got]:
             if got.get(name) != expected.get(name):
@@ -128,13 +129,7 @@ class ModelParams:
 
 
 def init_model(
-    spec: ModelSpec = DEFAULT_MODEL_SPEC,
-    freq_bins: int = 65,
-    power_bins: int = 33,
-    seed: int = 0,
-    *,
-    norm: NormStats,
-    dtype=np.float32,
+    spec: ModelSpec = DEFAULT_MODEL_SPEC, seed: int = 0, *, norm: NormStats, dtype=np.float32
 ) -> ModelParams:
     """Seeded initialization: zero biases, one PCG64 uniform draw per weight in layout order.
 
@@ -144,7 +139,7 @@ def init_model(
     """
     rng = np.random.default_rng(seed)
     arrays = {}
-    for name, shape in param_shapes(spec, freq_bins, power_bins).items():
+    for name, shape in param_shapes(spec, *norm.bins).items():
         if name.endswith(".b"):
             arrays[name] = np.zeros(shape, dtype=dtype)
             continue
@@ -155,7 +150,7 @@ def init_model(
         else:
             limit = np.sqrt(6.0 / fan_in)
         arrays[name] = rng.uniform(-limit, limit, size=shape).astype(dtype)
-    return ModelParams(spec, freq_bins, power_bins, arrays, rng_seed=seed, norm=norm)
+    return ModelParams(spec, arrays, rng_seed=seed, norm=norm)
 
 
 def _channel_forward(x, params: ModelParams, prefix: str, want_cache: bool):
@@ -207,7 +202,7 @@ def forward_batch(params: ModelParams, freq, power, want_cache: bool = False):
     dtype = params.dtype
     freq = np.ascontiguousarray(freq, dtype=dtype)
     power = np.ascontiguousarray(power, dtype=dtype)
-    want = (N_STREAMS, params.freq_bins), (N_STREAMS, params.power_bins)
+    want = tuple((N_STREAMS, bins) for bins in params.norm.bins)
     if (freq.shape[1:], power.shape[1:]) != want:
         raise ValueError(f"feature shapes {freq.shape[1:]}/{power.shape[1:]} "
                          f"do not match model {want[0]}/{want[1]}")

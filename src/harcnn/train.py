@@ -109,13 +109,7 @@ def train(
     if len(train_set) == 0 or len(test_set) == 0:
         raise ValueError("cannot train on an empty split")
     n = len(train_set)
-    params = init_model(
-        spec,
-        freq_bins=train_set.freq.shape[-1],
-        power_bins=train_set.power.shape[-1],
-        seed=cfg.seed,
-        norm=norm,
-    )
+    params = init_model(spec, cfg.seed, norm=norm)
     shuffle_rng = np.random.default_rng(cfg.seed + 1)
     adam = AdamState(params)
     train_labels0 = train_set.labels - 1

@@ -194,8 +194,7 @@ class TestCriterion06GradientCorrectness:
             pool_widths=(2,),
             dense_units=4,
         )
-        params = init_model(spec, freq_bins=8, power_bins=8, seed=20240512,
-                            norm=make_norm(8, 8), dtype=np.float64)
+        params = init_model(spec, 20240512, norm=make_norm(8, 8), dtype=np.float64)
         rng = np.random.default_rng(63)
         freq = rng.standard_normal((3, N_STREAMS, 8))
         power = rng.standard_normal((3, N_STREAMS, 8))

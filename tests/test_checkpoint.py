@@ -15,6 +15,7 @@ from harcnn.checkpoint import (
     save_checkpoint,
     save_norm_stats,
 )
+from harcnn import cli
 from harcnn.cli import main
 from harcnn.dsp import WelchConfig
 from harcnn.model import DEFAULT_MODEL_SPEC, init_model, predict_batch
@@ -43,7 +44,6 @@ class TestCheckpointRoundTrip:
         assert meta["seed"] == 12
         assert meta["stream_order"][0] == "body_acc_x"
         assert loaded.spec == DEFAULT_MODEL_SPEC
-        assert loaded.norm.epsilon == params.norm.epsilon
         assert np.array_equal(loaded.norm.freq_mean, params.norm.freq_mean)
 
     def test_predictions_bit_identical_after_round_trip(self, tmp_path):
@@ -67,10 +67,31 @@ class TestCheckpointRoundTrip:
 
     def test_saved_bytes_are_pinned(self, tmp_path):
         # Fails on any change to the init draws, the record order, a record name or the metadata.
+        # The records digest is also that of checkpoints that still stored the input widths and
+        # the normalizer epsilon in their metadata: dropping those changed only the JSON.
         path = tmp_path / "pinned.bin"
         save_checkpoint(path, init_model(seed=0, norm=make_norm()), WelchConfig(), epoch=1)
-        digest = hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest()
-        assert digest == "768afddee988dc991583aebd78cae84a"
+        data = path.read_bytes()
+        meta_end = 14 + _meta_len(data)
+        assert json.loads(data[14:meta_end]).keys() == {
+            "architecture", "epoch", "seed", "stream_order", "welch"}
+        digest = hashlib.blake2b(data[meta_end:], digest_size=16).hexdigest()
+        assert digest == "4c303136fd8c194dd69578132d69a8d6"
+        digest = hashlib.blake2b(data, digest_size=16).hexdigest()
+        assert digest == "ab2e118d0e04335a67017d1c742e9d12"
+
+    def test_old_checkpoint_is_one_line_error(self, tmp_path, capsys):
+        # The metadata every checkpoint held while it also stored the input widths and epsilon.
+        path = tmp_path / "old.bin"
+        save_checkpoint(path, init_model(seed=0, norm=make_norm()), WelchConfig(), epoch=1)
+        _, _, meta = load_checkpoint(path)
+        with_meta(path, json.dumps(
+            dict(meta, freq_bins=65, power_bins=33, norm_epsilon=1e-8), sort_keys=True).encode())
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(path), "--out", str(tmp_path / "eval")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: malformed checkpoint metadata: metadata has unknown key 'freq_bins'\n")
+        assert not (tmp_path / "eval" / "report.json").exists()
 
 
 class TestBadCheckpoints:
@@ -139,6 +160,16 @@ class TestBadCheckpoints:
 
 
 class TestNormSidecar:
+    def test_metadata_is_empty_and_old_epsilon_is_ignored(self, tmp_path):
+        norm = make_norm(seed=3)
+        path = tmp_path / "stats.bin"
+        save_norm_stats(path, norm)
+        data = path.read_bytes()
+        assert data[14 : 14 + _meta_len(data)] == b"{}"
+        # Sidecars once stored the normalizer epsilon as their metadata.
+        with_meta(path, b'{"epsilon": 1e-08}')
+        assert np.array_equal(load_norm_stats(path).power_std, norm.power_std)
+
     def test_round_trip(self, tmp_path):
         norm = make_norm(seed=7)
         path = tmp_path / "stats.bin"
@@ -146,7 +177,8 @@ class TestNormSidecar:
         loaded = load_norm_stats(path)
         assert np.array_equal(loaded.freq_mean, norm.freq_mean)
         assert np.array_equal(loaded.power_std, norm.power_std)
-        assert loaded.epsilon == norm.epsilon
+        assert np.array_equal(loaded.freq_std, norm.freq_std)
+        assert np.array_equal(loaded.power_mean, norm.power_mean)
 
     def test_checkpoint_magic_is_not_a_sidecar(self, tmp_path):
         params = init_model(seed=2, norm=make_norm())
@@ -169,7 +201,8 @@ DAMAGE = {
         lambda data: data[:8] + struct.pack("<H", 2) + data[10:],
         "unsupported .* format version 2",
     ),
-    "truncated-metadata": (lambda data: data[:20], "truncated .* metadata"),
+    # The sidecar's metadata is only "{}", so cut one byte into it.
+    "truncated-metadata": (lambda data: data[: 13 + _meta_len(data)], "truncated .* metadata"),
     "unreadable-metadata": (
         lambda data: data[:10] + struct.pack("<I", 9) + b"{not json" + data[14 + _meta_len(data) :],
         "unreadable .* metadata",
@@ -247,6 +280,47 @@ class TestWrongShapedRecords:
         assert message in err
 
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("norm.freq_mean", "freq stats have shapes (9, 10)/(9, 65)"),
+            ("norm.power_std", "power stats have shapes (9, 33)/(9, 10)"),
+        ],
+    )
+    def test_wrong_shaped_stats_fail_before_any_dataset_read(
+        self, tmp_path, capsys, monkeypatch, name, message
+    ):
+        path = tmp_path / "stats_shape.bin"
+        save_checkpoint(path, init_model(seed=1, norm=make_norm()), WelchConfig(), epoch=0)
+        with_record(path, name, lambda record: np.ones((9, 10)))
+        with pytest.raises(FormatError) as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: inconsistent checkpoint: {message}")
+
+        monkeypatch.setattr(cli, "load_split", lambda *args, **kwargs: pytest.fail("dataset read"))
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(path), "--out", str(tmp_path / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: inconsistent checkpoint: {message}")
+        assert err.count("\n") == 1
+
+    def test_welch_config_that_disagrees_with_the_stats_is_rejected(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A checkpoint trained on 33-bin caches under a config whose Welch gives 17 bins.
+        path = tmp_path / "welch.bin"
+        save_checkpoint(path, init_model(seed=1, norm=make_norm()), WelchConfig(32, 16), epoch=0)
+        message = f"{path}: inconsistent checkpoint: stats for (65, 33) bins, welch gives (65, 17)"
+        with pytest.raises(FormatError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == message
+
+        monkeypatch.setattr(cli, "load_split", lambda *args, **kwargs: pytest.fail("dataset read"))
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(path), "--out", str(tmp_path / "eval")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestRecordValues:
     @pytest.mark.parametrize(
         "kind, name, value, message",
@@ -254,9 +328,11 @@ class TestRecordValues:
             ("checkpoint", "fusion.w", np.inf, "record 'fusion.w' holds non-finite values"),
             ("checkpoint", "freq.conv0.b", np.nan, "record 'freq.conv0.b' holds non-finite values"),
             ("checkpoint", "norm.power_std", np.inf, "record 'norm.power_std' holds non-finite values"),
-            ("checkpoint", "norm.power_std", -1.0, "record 'norm.power_std' holds a negative std"),
+            ("checkpoint", "norm.power_std", -1.0,
+             "inconsistent checkpoint: power_std holds a negative std"),
             ("stats", "norm.power_std", -np.inf, "record 'norm.power_std' holds non-finite values"),
-            ("stats", "norm.freq_std", -1e-30, "record 'norm.freq_std' holds a negative std"),
+            ("stats", "norm.freq_std", -1e-30,
+             "inconsistent stats sidecar: freq_std holds a negative std"),
         ],
     )
     def test_bad_value_is_rejected_with_path(self, tmp_path, kind, name, value, message):

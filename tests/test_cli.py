@@ -162,6 +162,11 @@ class TestConfigValues:
             ("model.convs.1.strides", 2, "model.convs.1 has unknown key 'strides'"),
             # Range checks name the object that failed them.
             ("welch.segment_len", 63, "welch: segment_len must be a power of two >= 2, got 63"),
+            # A model the FFT or Welch width collapses, once accepted until train.
+            ("welch", {"segment_len": 4, "overlap": 2, "window_kind": "hamming"},
+             "input of 3 bins collapses inside the conv stack"),
+            ("model.convs.0.kernel_len", 66, "input of 65 bins collapses inside the conv stack"),
+            ("model.pool_widths", [2, 16], "input of 33 bins collapses inside the pool stack"),
         ],
     )
     def test_bad_value_in_config_is_one_line_error(self, tmp_path, capsys, key, value, message):
@@ -476,20 +481,15 @@ class TestEvaluate:
         assert not (tmp_path / "eval" / "report.json").exists()
 
     def test_checkpoint_without_stats_is_one_line_error(self, trained_pipeline, tmp_path, capsys):
-        # The layout of a model saved without stats: a null epsilon and no "norm.*" records.
+        # The layout of a model saved without stats: no "norm.*" records.
         _, out_dir, cfg_path = trained_pipeline
         data = (out_dir / "checkpoint.bin").read_bytes()
-        (meta_len,) = struct.unpack("<I", data[10:14])
-        meta = dict(json.loads(data[14 : 14 + meta_len]), norm_epsilon=None)
-        meta_bytes = json.dumps(meta, sort_keys=True).encode()
         # The norm records close the file; the first starts with its u32 name length.
-        records = data[14 + meta_len : data.index(b"norm.freq_mean") - 4]
         bare = tmp_path / "bare.bin"
-        bare.write_bytes(data[:10] + struct.pack("<I", len(meta_bytes)) + meta_bytes + records)
+        bare.write_bytes(data[: data.index(b"norm.freq_mean") - 4])
         err = one_line_error(capsys, ["evaluate", "--config", str(cfg_path), "--checkpoint",
                                       str(bare), "--out", str(tmp_path / "eval")])
-        assert err == (f"error: {bare}: malformed checkpoint metadata: "
-                       "metadata.norm_epsilon must be a number, got None\n")
+        assert err == f"error: {bare}: missing tensor record 'norm.freq_mean'\n"
         assert not (tmp_path / "eval" / "report.json").exists()
 
     def test_checkpoint_segment_longer_than_window_is_one_line_error(
@@ -505,7 +505,9 @@ class TestEvaluate:
         bad.write_bytes(data[:10] + struct.pack("<I", len(meta_bytes)) + meta_bytes + data[14 + meta_len :])
         err = one_line_error(capsys, ["evaluate", "--config", str(cfg_path), "--checkpoint", str(bad),
                                       "--out", str(tmp_path / "eval")])
-        assert err == "error: segment_len 256 exceeds signal length 128\n"
+        # The stats' 33 power bins are not the 129 a 256-sample segment gives.
+        assert err == (f"error: {bad}: inconsistent checkpoint: "
+                       "stats for (65, 33) bins, welch gives (65, 129)\n")
 
 
 class TestNonFiniteLogits:
@@ -573,7 +575,7 @@ CORRUPTIONS = {
     ),
     "negative-checkpoint-std": (
         "checkpoint.bin", "evaluate", lambda data: len(data) - 4, struct.pack("<f", -1.0),
-        "record 'norm.power_std' holds a negative std",
+        "inconsistent checkpoint: power_std holds a negative std",
     ),
     "inf-stats": (
         "norm_stats.bin", "train", lambda data: len(data) - 4, INF,

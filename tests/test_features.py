@@ -6,11 +6,12 @@ import pytest
 
 from harcnn import features
 from harcnn.binio import FormatError
-from harcnn.dsp import fft_real, magnitude_onesided, welch_psd
+from harcnn.dsp import WelchConfig, fft_real, magnitude_onesided, welch_psd
 from harcnn.features import (
     BLOCK_WINDOWS,
-    DEFAULT_WELCH,
+    EPSILON,
     FeatureSet,
+    NormStats,
     extract_features_batch,
     fit_normalizer_arrays,
     normalize_set,
@@ -65,7 +66,7 @@ class TestExtractFeatures:
         freq, power = extract_features_batch(windows)
         for i in range(4):
             assert np.array_equal(freq[i], magnitude_onesided(fft_real(windows[i])))
-            assert np.array_equal(power[i], welch_psd(windows[i], DEFAULT_WELCH))
+            assert np.array_equal(power[i], welch_psd(windows[i], WelchConfig()))
 
     def test_batch_across_block_boundaries_matches_per_window(self):
         n = 2 * BLOCK_WINDOWS + 5
@@ -75,7 +76,7 @@ class TestExtractFeatures:
         assert power.shape == (n, 9, 33)
         for i in range(n):
             assert np.array_equal(freq[i], magnitude_onesided(fft_real(windows[i])))
-            assert np.array_equal(power[i], welch_psd(windows[i], DEFAULT_WELCH))
+            assert np.array_equal(power[i], welch_psd(windows[i], WelchConfig()))
 
     def test_one_cpu_starts_no_thread_and_gives_the_same_bytes(self, monkeypatch, four_cpus):
         windows = np.random.default_rng(23).standard_normal((3 * BLOCK_WINDOWS + 1, 9, 128))
@@ -151,6 +152,30 @@ class TestFitNormalizer:
         assert np.allclose(stats.freq_std, np.sqrt(m2 / 50), atol=1e-5)
 
 
+class TestNormStats:
+    def test_bins_are_the_array_widths(self):
+        assert fit_normalizer_arrays(np.ones((2, 9, 65)), np.ones((2, 9, 17))).bins == (65, 17)
+
+    @pytest.mark.parametrize(
+        "shapes, message",
+        [
+            (((9, 65), (9, 64), (9, 33), (9, 33)), r"freq stats have shapes \(9, 65\)/\(9, 64\)"),
+            (((9, 65), (9, 65), (8, 33), (8, 33)), r"power stats have shapes \(8, 33\)/\(8, 33\)"),
+            (((9, 65), (9, 65), (33,), (33,)), r"power stats have shapes \(33,\)/\(33,\)"),
+        ],
+    )
+    def test_each_pair_needs_one_stream_by_bins_shape(self, shapes, message):
+        with pytest.raises(ValueError, match=message):
+            NormStats(*(np.ones(shape, dtype=np.float32) for shape in shapes))
+
+    def test_negative_std_rejected(self):
+        power_std = np.ones((9, 33), dtype=np.float32)
+        power_std[4, 7] = -1e-30
+        ones = np.ones((9, 65), dtype=np.float32)
+        with pytest.raises(ValueError, match="power_std holds a negative std"):
+            NormStats(ones, ones, np.ones((9, 33), dtype=np.float32), power_std)
+
+
 class TestApplyNormalizer:
     def test_mean_input_maps_to_zero(self):
         rng = np.random.default_rng(3)
@@ -176,7 +201,7 @@ class TestApplyNormalizer:
         stats = fit_normalizer_arrays(*stacked(tensors))
         t_freq = tensors[3][0]
         out = normalize_set(one_window_set(*tensors[3]), stats)
-        scale = stats.freq_std.astype(np.float64) + stats.epsilon
+        scale = stats.freq_std.astype(np.float64) + EPSILON
         freq_back = out.freq[0] * scale + stats.freq_mean
         assert np.max(np.abs(freq_back - t_freq)) <= 1e-9 * max(1.0, np.max(np.abs(t_freq)))
 
@@ -193,7 +218,7 @@ class TestApplyNormalizer:
             (power, stats.power_mean, stats.power_std, out.power),
         ):
             f64 = np.float64
-            ref = (x.astype(f64) - mean.astype(f64)) / (std.astype(f64) + stats.epsilon)
+            ref = (x.astype(f64) - mean.astype(f64)) / (std.astype(f64) + EPSILON)
             assert got.dtype == f64 and np.array_equal(got, ref)
         assert np.array_equal(freq, kept[0]) and np.array_equal(power, kept[1])
 
@@ -205,7 +230,7 @@ class TestApplyNormalizer:
         norm = normalize_set(
             FeatureSet(freq=freq, power=power, labels=np.ones(200, dtype=np.int64)), stats
         )
-        live = stats.freq_std.astype(np.float64) > stats.epsilon
+        live = stats.freq_std.astype(np.float64) > EPSILON
         assert np.max(np.abs(norm.freq.mean(axis=0))) <= 1e-6
         assert np.max(np.abs(norm.freq.std(axis=0)[live] - 1.0)) <= 1e-3
         assert np.max(np.abs(norm.power.std(axis=0) - 1.0)) <= 1e-3
@@ -259,6 +284,7 @@ class TestFeatureCache:
             read_feature_cache(path)
 
     def test_default_welch_shapes(self):
-        assert DEFAULT_WELCH.segment_len == 64
-        assert DEFAULT_WELCH.overlap == 32
-        assert DEFAULT_WELCH.n_bins == 33
+        welch = WelchConfig()
+        assert welch.segment_len == 64
+        assert welch.overlap == 32
+        assert welch.n_bins == 33

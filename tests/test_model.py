@@ -28,8 +28,7 @@ TINY_SPEC = ModelSpec(
 
 
 def tiny_model(seed=0, dtype=np.float64):
-    return init_model(TINY_SPEC, freq_bins=8, power_bins=8, seed=seed, norm=make_norm(8, 8),
-                      dtype=dtype)
+    return init_model(TINY_SPEC, seed, norm=make_norm(8, 8), dtype=dtype)
 
 
 def mean_loss(params, freq, power, labels):
@@ -101,8 +100,6 @@ class TestInitModel:
         with pytest.raises(ValueError, match="do not match spec"):
             ModelParams(
                 spec=params.spec,
-                freq_bins=params.freq_bins,
-                power_bins=params.power_bins,
                 arrays=arrays,
                 rng_seed=params.rng_seed,
                 norm=params.norm,
@@ -227,8 +224,7 @@ class TestForward:
 
 class TestBackward:
     def test_every_gradient_matches_finite_differences(self):
-        params = init_model(TINY_SPEC, freq_bins=8, power_bins=8, seed=20240512,
-                            norm=make_norm(8, 8), dtype=np.float64)
+        params = init_model(TINY_SPEC, 20240512, norm=make_norm(8, 8), dtype=np.float64)
         rng = np.random.default_rng(63)
         freq = rng.standard_normal((3, N_STREAMS, 8))
         power = rng.standard_normal((3, N_STREAMS, 8))
