@@ -27,7 +27,6 @@ from .features import (
     FeatureSet,
     extract_split,
     fit_normalizer_arrays,
-    normalize_set,
     read_feature_cache,
     write_feature_cache,
 )
@@ -171,8 +170,7 @@ def cmd_train(cfg: RunConfig) -> int:
     # Always train on the cached float32 values, so a run that extracted
     # first trains exactly like one that found the caches.
     norm = load_norm_stats(out_dir / NORM_NAME)
-    train_set = normalize_set(read_feature_cache(cache_paths["train"]), norm)
-    test_set = normalize_set(read_feature_cache(cache_paths["test"]), norm)
+    train_set, test_set = (read_feature_cache(cache_paths[split]) for split in SPLITS)
     params, run = train(train_set, test_set, cfg.model, cfg.train, norm)
     for e in run.epochs:
         print(
@@ -187,21 +185,17 @@ def cmd_train(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_SHORT_TO_ACTIVITY = {a.short: a for a in Activity}
-
-
 def _report_json_dict(report: EvalReport, split: str) -> dict:
     d = report.to_json_dict()
     d["split"] = split
     if split == "test":
-        gaps = {
-            label: round(100.0 * report.per_class_accuracy[_SHORT_TO_ACTIVITY[label].value - 1], 2)
-            - ref
-            for label, ref in REFERENCE_PER_CLASS_ACCURACY.items()
-        }
+        # Rounded after subtracting, so each gap is the console's +.2f figure.
         d["reference_gap"] = {
-            "accuracy": round(100.0 * report.accuracy, 2) - REFERENCE_TEST_ACCURACY,
-            "per_class_accuracy": gaps,
+            "accuracy": round(100.0 * report.accuracy - REFERENCE_TEST_ACCURACY, 2),
+            "per_class_accuracy": {
+                a.short: round(100.0 * acc - REFERENCE_PER_CLASS_ACCURACY[a.short], 2)
+                for a, acc in zip(Activity, report.per_class_accuracy)
+            },
         }
     return d
 

@@ -58,10 +58,18 @@ class NormStats:
         """(freq, power) widths of the arrays, which are the model's input widths."""
         return self.freq_mean.shape[1], self.power_mean.shape[1]
 
+    def check_shapes(self, freq, power) -> None:
+        """Raise ValueError unless (n,9,F)/(n,9,P) stacks have these stats' widths."""
+        got = np.shape(freq)[1:], np.shape(power)[1:]
+        want = self.freq_mean.shape, self.power_mean.shape
+        if got != want:
+            raise ValueError(f"feature shapes {got[0]}/{got[1]} do not match stats "
+                             f"{want[0]}/{want[1]}")
+
 
 @dataclass
 class FeatureSet:
-    """Stacked features of one split: freq (n,9,F), power (n,9,P), labels (n,) in 1..6."""
+    """Raw stacked features of one split: freq (n,9,F), power (n,9,P), labels (n,) in 1..6."""
 
     freq: np.ndarray
     power: np.ndarray
@@ -116,25 +124,20 @@ def fit_normalizer_arrays(freq: np.ndarray, power: np.ndarray) -> NormStats:
     )
 
 
-def normalize_set(features: FeatureSet, stats: NormStats) -> FeatureSet:
-    """Normalized copy of a whole feature set: (x - mean) / (std + EPSILON) in float64.
+def normalize_set(freq, power, stats: NormStats) -> tuple[np.ndarray, np.ndarray]:
+    """(x - mean) / (std + EPSILON) of raw (n,9,F)/(n,9,P) stacks, as float64 copies.
 
     Each stack is copied to float64 once and normalized in place, so no
-    full-size temporary is made.
+    full-size temporary is made. The caller's arrays are left unchanged.
     """
-    freq_shape, power_shape = np.shape(features.freq)[-2:], np.shape(features.power)[-2:]
-    if freq_shape != stats.freq_mean.shape or power_shape != stats.power_mean.shape:
-        raise ValueError(
-            f"feature shapes {freq_shape}/{power_shape} do not match stats "
-            f"{stats.freq_mean.shape}/{stats.power_mean.shape}"
-        )
-    freq = np.array(features.freq, dtype=np.float64)
-    power = np.array(features.power, dtype=np.float64)
+    stats.check_shapes(freq, power)
+    freq = np.array(freq, dtype=np.float64)
+    power = np.array(power, dtype=np.float64)
     freq -= stats.freq_mean.astype(np.float64)
     freq /= stats.freq_std.astype(np.float64) + EPSILON
     power -= stats.power_mean.astype(np.float64)
     power /= stats.power_std.astype(np.float64) + EPSILON
-    return FeatureSet(freq=freq, power=power, labels=features.labels.copy())
+    return freq, power
 
 
 def _record_dtype(freq_bins: int, power_bins: int) -> np.dtype:

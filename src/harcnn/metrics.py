@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import N_CLASSES, Activity
-from .features import FeatureSet, normalize_set
+from .features import FeatureSet
 from .model import ModelParams, predict_batch
 
 
@@ -156,7 +156,6 @@ def report_from_predictions(probs: np.ndarray, truth) -> EvalReport:
 
 
 def evaluate(params: ModelParams, features: FeatureSet) -> EvalReport:
-    """Report of a model on one split's raw features, normalized with the model's stats."""
-    features = normalize_set(features, params.norm)
+    """Report of a model on one split's raw features."""
     probs = predict_batch(params, features.freq, features.power)
     return report_from_predictions(probs, features.labels)

@@ -6,9 +6,10 @@ fused into 6 class logits. Both channels run the same conv/pool/dense
 hyperparameters. The 9 input streams and the 6 classes come from the
 dataset, and every conv and channel dense layer is ReLU, so a `ModelSpec`
 holds only the free architecture choices; the input widths are those of
-the normalization stats every model carries. `param_shapes` alone fixes
-the name, shape and order of every weight and bias; `ModelParams` holds
-them in one name->array dict and checks it against that layout.
+the normalization stats every model carries and applies to its raw
+input. `param_shapes` alone fixes the name, shape and order of every
+weight and bias; `ModelParams` holds them in one name->array dict and
+checks it against that layout.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import N_CLASSES, N_STREAMS
-from .features import NormStats
+from .features import NormStats, normalize_set
 from .layers import (
     conv1d_backward,
     conv1d_forward,
@@ -194,18 +195,15 @@ def _channel_backward(d_out, cache, params: ModelParams, prefix: str, grads):
 
 
 def forward_batch(params: ModelParams, freq, power, want_cache: bool = False):
-    """Class logits and probabilities for batched (n,9,F)/(n,9,P) features.
+    """Class logits and probabilities for batched raw (n,9,F)/(n,9,P) features.
 
+    They are normalized with the model's stats, then cast to its dtype.
     Raises ValueError when any logit is non-finite (NaN or inf in the
     features or the weights), so a broken input never yields predictions.
     """
-    dtype = params.dtype
-    freq = np.ascontiguousarray(freq, dtype=dtype)
-    power = np.ascontiguousarray(power, dtype=dtype)
-    want = tuple((N_STREAMS, bins) for bins in params.norm.bins)
-    if (freq.shape[1:], power.shape[1:]) != want:
-        raise ValueError(f"feature shapes {freq.shape[1:]}/{power.shape[1:]} "
-                         f"do not match model {want[0]}/{want[1]}")
+    freq, power = normalize_set(freq, power, params.norm)
+    freq = np.ascontiguousarray(freq, dtype=params.dtype)
+    power = np.ascontiguousarray(power, dtype=params.dtype)
     f_out, f_cache = _channel_forward(freq, params, "freq", want_cache)
     p_out, p_cache = _channel_forward(power, params, "power", want_cache)
     concat = np.concatenate([f_out, p_out], axis=1)
@@ -234,7 +232,7 @@ def backward_batch(params: ModelParams, cache, d_logits) -> dict[str, np.ndarray
 
 
 def predict_batch(params: ModelParams, freq, power, chunk: int = 512) -> np.ndarray:
-    """Probabilities (n, 6) computed in chunks to bound memory.
+    """Probabilities (n, 6) of raw features, computed in chunks to bound memory.
 
     The chunks run on every available CPU (see parallel.map_blocks). The
     chunk size fixes the GEMM shapes, and with them the output bits.

@@ -83,7 +83,7 @@ def adam_step(
 
 
 def split_metrics(params: ModelParams, features: FeatureSet) -> tuple[float, float, float, float, float]:
-    """(loss, accuracy, precision, recall, f1) of normalized features."""
+    """(loss, accuracy, precision, recall, f1) of the model on raw features."""
     probs = predict_batch(params, features.freq, features.power)
     rows = np.arange(len(features))
     true_idx = features.labels - 1
@@ -101,13 +101,16 @@ def train(
     cfg: TrainConfig,
     norm: NormStats,
 ) -> tuple[ModelParams, TrainRun]:
-    """Train on normalized feature sets; returns the best-test-accuracy params.
+    """Train on raw feature sets; returns the best-test-accuracy params.
 
-    Both feature sets must already be normalized with the training-split
-    stats `norm`, which travel with the model.
+    The model carries the training-split stats `norm` and normalizes every
+    batch with them. Both sets must have the stats' widths, which is
+    checked before the first step; the caller's arrays are left unchanged.
     """
     if len(train_set) == 0 or len(test_set) == 0:
         raise ValueError("cannot train on an empty split")
+    for features in (train_set, test_set):
+        norm.check_shapes(features.freq, features.power)
     n = len(train_set)
     params = init_model(spec, cfg.seed, norm=norm)
     shuffle_rng = np.random.default_rng(cfg.seed + 1)

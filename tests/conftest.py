@@ -81,15 +81,19 @@ def build_synthetic_dataset(root, train_per_class=8, test_per_class=4, seed=1234
     return root
 
 
-def make_norm(freq_bins=65, power_bins=33, seed=0):
-    """Seeded normalization stats, with non-negative stds, for (9, bins) features."""
+def make_norm(freq_bins=65, power_bins=33, seed=0, min_std=0.0):
+    """Seeded normalization stats, with stds of at least `min_std`, for (9, bins) features.
+
+    The default lets a std come near 0, which magnifies that position's
+    input; tests that need well-conditioned inputs pass a `min_std` of 1.
+    """
     rng = np.random.default_rng(seed)
-    return NormStats(
-        freq_mean=rng.standard_normal((N_STREAMS, freq_bins)).astype(np.float32),
-        freq_std=np.abs(rng.standard_normal((N_STREAMS, freq_bins))).astype(np.float32),
-        power_mean=rng.standard_normal((N_STREAMS, power_bins)).astype(np.float32),
-        power_std=np.abs(rng.standard_normal((N_STREAMS, power_bins))).astype(np.float32),
-    )
+    stats = {}
+    for prefix, bins in (("freq", freq_bins), ("power", power_bins)):
+        stats[f"{prefix}_mean"] = rng.standard_normal((N_STREAMS, bins)).astype(np.float32)
+        std = np.abs(rng.standard_normal((N_STREAMS, bins))) + min_std
+        stats[f"{prefix}_std"] = std.astype(np.float32)
+    return NormStats(**stats)
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from harcnn import cli
 from harcnn.cli import RunConfig
 from harcnn.dataset import N_STREAMS, Activity, load_split
 from harcnn.dsp import WelchConfig, fft_real, welch_psd
-from harcnn.features import FeatureSet, extract_split, fit_normalizer_arrays, normalize_set
+from harcnn.features import FeatureSet, extract_split, fit_normalizer_arrays
 from harcnn.layers import softmax_cross_entropy_batch
 from harcnn.metrics import report_from_predictions, roc_curve
 from harcnn.model import (
@@ -194,7 +194,7 @@ class TestCriterion06GradientCorrectness:
             pool_widths=(2,),
             dense_units=4,
         )
-        params = init_model(spec, 20240512, norm=make_norm(8, 8), dtype=np.float64)
+        params = init_model(spec, 20240512, norm=make_norm(8, 8, min_std=1.0), dtype=np.float64)
         rng = np.random.default_rng(63)
         freq = rng.standard_normal((3, N_STREAMS, 8))
         power = rng.standard_normal((3, N_STREAMS, 8))
@@ -248,9 +248,8 @@ class TestCriterion07CapacitySanity:
             freq=features.freq[picks], power=features.power[picks], labels=features.labels[picks]
         )
         norm = fit_normalizer_arrays(subset.freq, subset.power)
-        subset_n = normalize_set(subset, norm)
         cfg = TrainConfig(epochs=200, batch_size=64, seed=42)
-        _, run = train(subset_n, subset_n, DEFAULT_MODEL_SPEC, cfg, norm)
+        _, run = train(subset, subset, DEFAULT_MODEL_SPEC, cfg, norm)
         hit = next((e.epoch for e in run.epochs if e.train_acc == 1.0), None)
         assert hit is not None, "train accuracy never reached 100%"
         passed(7, self.NAME, f"100% at epoch {hit}")

@@ -420,6 +420,20 @@ class TestEvaluate:
         assert set(report["auc"]) == {"Wlk", "WUp", "WDn", "Sit", "Stn", "Lay"}
         assert "reference_gap" in report
 
+    def test_reference_gap_is_the_consoles_two_decimal_gap(self):
+        # Rounding each term before subtracting wrote round(87.34, 2) - 95.25 = -7.909999999999997.
+        per_class = np.array([0.9738, 0.9490, 0.9548, 0.9015, 0.9624, 0.9981])
+        report = metrics.EvalReport(accuracy=0.8734, confusion=np.eye(6, dtype=np.int64),
+                                    per_class_accuracy=per_class, macro_precision=0.0,
+                                    macro_recall=0.0, macro_f1=0.0, f1_macro_per_class=0.0,
+                                    roc={}, zero_precision_classes=[])
+        gap = cli._report_json_dict(report, "test")["reference_gap"]
+        assert gap["accuracy"] == -7.91
+        assert gap["per_class_accuracy"]["Sit"] == 2.98
+        for short, acc in zip(report.to_json_dict()["class_order"], 100.0 * per_class):
+            console = f"{acc - cli.REFERENCE_PER_CLASS_ACCURACY[short]:+.2f}"
+            assert gap["per_class_accuracy"][short] == float(console)
+
     def test_roc_files_written(self, trained_pipeline):
         _, out_dir, _ = trained_pipeline
         for label in ("Wlk", "WUp", "WDn", "Sit", "Stn", "Lay"):

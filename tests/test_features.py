@@ -30,8 +30,9 @@ def stacked(pairs):
     return np.stack([f for f, _ in pairs]), np.stack([p for _, p in pairs])
 
 
-def one_window_set(freq, power):
-    return FeatureSet(freq=freq[None], power=power[None], labels=np.ones(1, dtype=np.int64))
+def one_window(freq, power):
+    """(1, 9, F) and (1, 9, P) stacks of one window's matrices."""
+    return freq[None], power[None]
 
 
 class TestExtractFeatures:
@@ -181,28 +182,28 @@ class TestApplyNormalizer:
         rng = np.random.default_rng(3)
         tensors = [random_pair(rng) for _ in range(10)]
         stats = fit_normalizer_arrays(*stacked(tensors))
-        mean_set = one_window_set(
-            stats.freq_mean.astype(np.float64), stats.power_mean.astype(np.float64)
+        freq, power = normalize_set(
+            *one_window(stats.freq_mean.astype(np.float64), stats.power_mean.astype(np.float64)),
+            stats,
         )
-        out = normalize_set(mean_set, stats)
-        assert np.allclose(out.freq, 0.0, atol=1e-12)
-        assert np.allclose(out.power, 0.0, atol=1e-12)
+        assert np.allclose(freq, 0.0, atol=1e-12)
+        assert np.allclose(power, 0.0, atol=1e-12)
 
     def test_zero_std_position_stays_finite_zero(self):
         t = (np.ones((9, 65)), np.ones((9, 33)))
         stats = fit_normalizer_arrays(*stacked([t, t]))
-        out = normalize_set(one_window_set(*t), stats)
-        assert np.all(out.freq == 0.0)
-        assert np.all(np.isfinite(out.freq))
+        freq, _ = normalize_set(*one_window(*t), stats)
+        assert np.all(freq == 0.0)
+        assert np.all(np.isfinite(freq))
 
     def test_round_trip_recovers_input(self):
         rng = np.random.default_rng(13)
         tensors = [random_pair(rng, scale=10.0) for _ in range(8)]
         stats = fit_normalizer_arrays(*stacked(tensors))
         t_freq = tensors[3][0]
-        out = normalize_set(one_window_set(*tensors[3]), stats)
+        freq, _ = normalize_set(*one_window(*tensors[3]), stats)
         scale = stats.freq_std.astype(np.float64) + EPSILON
-        freq_back = out.freq[0] * scale + stats.freq_mean
+        freq_back = freq[0] * scale + stats.freq_mean
         assert np.max(np.abs(freq_back - t_freq)) <= 1e-9 * max(1.0, np.max(np.abs(t_freq)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -212,10 +213,10 @@ class TestApplyNormalizer:
         power = np.abs(rng.standard_normal((30, 9, 33))).astype(dtype)
         stats = fit_normalizer_arrays(freq, power)
         kept = freq.copy(), power.copy()
-        out = normalize_set(FeatureSet(freq, power, np.ones(30, dtype=np.int64)), stats)
+        out = normalize_set(freq, power, stats)
         for x, mean, std, got in (
-            (freq, stats.freq_mean, stats.freq_std, out.freq),
-            (power, stats.power_mean, stats.power_std, out.power),
+            (freq, stats.freq_mean, stats.freq_std, out[0]),
+            (power, stats.power_mean, stats.power_std, out[1]),
         ):
             f64 = np.float64
             ref = (x.astype(f64) - mean.astype(f64)) / (std.astype(f64) + EPSILON)
@@ -227,20 +228,17 @@ class TestApplyNormalizer:
         freq = rng.standard_normal((200, 9, 65)) * 5.0 - 2.0
         power = np.abs(rng.standard_normal((200, 9, 33))) * 2.0
         stats = fit_normalizer_arrays(freq, power)
-        norm = normalize_set(
-            FeatureSet(freq=freq, power=power, labels=np.ones(200, dtype=np.int64)), stats
-        )
+        norm_freq, norm_power = normalize_set(freq, power, stats)
         live = stats.freq_std.astype(np.float64) > EPSILON
-        assert np.max(np.abs(norm.freq.mean(axis=0))) <= 1e-6
-        assert np.max(np.abs(norm.freq.std(axis=0)[live] - 1.0)) <= 1e-3
-        assert np.max(np.abs(norm.power.std(axis=0) - 1.0)) <= 1e-3
+        assert np.max(np.abs(norm_freq.mean(axis=0))) <= 1e-6
+        assert np.max(np.abs(norm_freq.std(axis=0)[live] - 1.0)) <= 1e-3
+        assert np.max(np.abs(norm_power.std(axis=0) - 1.0)) <= 1e-3
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(1)
         stats = fit_normalizer_arrays(*stacked([random_pair(rng)]))
-        bad = one_window_set(np.zeros((9, 33)), np.zeros((9, 65)))
         with pytest.raises(ValueError, match="do not match"):
-            normalize_set(bad, stats)
+            normalize_set(*one_window(np.zeros((9, 33)), np.zeros((9, 65))), stats)
 
 
 class TestFeatureCache:

@@ -8,6 +8,7 @@ from conftest import make_norm, nan_in_worker_chunks
 from harcnn import model
 from harcnn.config import from_json, to_json
 from harcnn.dataset import N_STREAMS
+from harcnn.features import EPSILON
 from harcnn.layers import softmax_cross_entropy_batch
 from harcnn.model import (
     DEFAULT_MODEL_SPEC,
@@ -151,14 +152,62 @@ class TestForward:
 
     def test_shape_mismatch_rejected(self):
         params = init_model(seed=1, norm=make_norm())
-        with pytest.raises(ValueError, match="do not match model"):
+        with pytest.raises(ValueError, match="do not match stats"):
             forward_batch(params, np.zeros((2, 9, 33)), np.zeros((2, 9, 65)))
+
+    def test_unbatched_input_rejected_with_one_line(self):
+        params = init_model(seed=1, norm=make_norm())
+        with pytest.raises(ValueError) as info:
+            forward_batch(params, np.zeros((9, 65)), np.zeros((9, 33)))
+        assert str(info.value) == "feature shapes (65,)/(33,) do not match stats (9, 65)/(9, 33)"
+
+    def test_channels_get_the_features_normalized_with_the_models_stats(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        params = init_model(seed=3, norm=make_norm(seed=4))
+        freq = rng.standard_normal((5, 9, 65)).astype(np.float32)
+        power = rng.standard_normal((5, 9, 33)).astype(np.float32)
+        seen = {}
+        real = model._channel_forward
+
+        def channel_forward(x, params, prefix, want_cache):
+            seen[prefix] = x
+            return real(x, params, prefix, want_cache)
+
+        monkeypatch.setattr(model, "_channel_forward", channel_forward)
+        forward_batch(params, freq, power)
+        for prefix, x in (("freq", freq), ("power", power)):
+            mean, std = (getattr(params.norm, f"{prefix}_{k}").astype(np.float64)
+                         for k in ("mean", "std"))
+            want = ((x.astype(np.float64) - mean) / (std + EPSILON)).astype(np.float32)
+            assert seen[prefix].dtype == np.float32 and seen[prefix].flags.c_contiguous
+            assert np.array_equal(seen[prefix], want)
+
+    def test_raw_float32_and_float64_features_give_the_same_bits(self):
+        # The cache path feeds float32 values, the extract path the same values as float64.
+        rng = np.random.default_rng(37)
+        params = init_model(seed=2, norm=make_norm())
+        freq = (np.abs(rng.standard_normal((20, 9, 65))) * 5.0).astype(np.float32)
+        power = (np.abs(rng.standard_normal((20, 9, 33))) * 0.1).astype(np.float32)
+        from32 = predict_batch(params, freq, power, chunk=7)
+        from64 = predict_batch(params, freq.astype(np.float64), power.astype(np.float64), chunk=7)
+        assert np.array_equal(from32, from64)
+
+    def test_predict_leaves_the_callers_raw_features_unchanged(self):
+        rng = np.random.default_rng(38)
+        params = init_model(seed=2, norm=make_norm())
+        for dtype in (np.float32, np.float64):
+            freq = rng.standard_normal((20, 9, 65)).astype(dtype)
+            power = rng.standard_normal((20, 9, 33)).astype(dtype)
+            kept = freq.copy(), power.copy()
+            predict_batch(params, freq, power, chunk=7)
+            assert np.array_equal(freq, kept[0]) and np.array_equal(power, kept[1])
 
     def test_predict_chunking_matches_single_pass(self):
         # Different chunk sizes reorder BLAS accumulation, so compare to
-        # float32 round-off rather than bit-for-bit.
+        # float32 round-off rather than bit-for-bit. Stds of at least 1 keep
+        # the normalized inputs, and with them that round-off, at unit scale.
         rng = np.random.default_rng(31)
-        params = init_model(seed=2, norm=make_norm())
+        params = init_model(seed=2, norm=make_norm(min_std=1.0))
         freq = rng.standard_normal((20, 9, 65)).astype(np.float32)
         power = rng.standard_normal((20, 9, 33)).astype(np.float32)
         chunked = predict_batch(params, freq, power, chunk=7)
@@ -224,7 +273,8 @@ class TestForward:
 
 class TestBackward:
     def test_every_gradient_matches_finite_differences(self):
-        params = init_model(TINY_SPEC, 20240512, norm=make_norm(8, 8), dtype=np.float64)
+        norm = make_norm(8, 8, min_std=1.0)
+        params = init_model(TINY_SPEC, 20240512, norm=norm, dtype=np.float64)
         rng = np.random.default_rng(63)
         freq = rng.standard_normal((3, N_STREAMS, 8))
         power = rng.standard_normal((3, N_STREAMS, 8))

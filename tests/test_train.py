@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import harcnn.model
+import harcnn.train
 from conftest import make_norm, make_split_arrays
 from harcnn.checkpoint import save_checkpoint
 from harcnn.dataset import Activity
 from harcnn.dsp import WelchConfig
-from harcnn.features import FeatureSet, extract_features_batch, fit_normalizer_arrays, normalize_set
+from harcnn.features import FeatureSet, extract_features_batch, fit_normalizer_arrays
 from harcnn.model import ConvLayerSpec, ModelSpec, init_model
 from harcnn.train import AdamState, TrainConfig, adam_step, train
 from test_layers import (
@@ -44,9 +45,8 @@ def synthetic_feature_sets(n_train_per_class=10, n_test_per_class=4, seed=5):
     train_freq, train_power = extract_features_batch(train_w)
     test_freq, test_power = extract_features_batch(test_w)
     norm = fit_normalizer_arrays(train_freq, train_power)
-    train_set = normalize_set(FeatureSet(train_freq, train_power, train_y), norm)
-    test_set = normalize_set(FeatureSet(test_freq, test_power, test_y), norm)
-    return train_set, test_set, norm
+    train_set = FeatureSet(train_freq, train_power, train_y)
+    return train_set, FeatureSet(test_freq, test_power, test_y), norm
 
 
 class TestAdam:
@@ -125,6 +125,35 @@ class TestTrain:
         )
         with pytest.raises(ValueError, match="empty"):
             train(empty, test_set, SMALL_SPEC, TrainConfig(epochs=1), norm)
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_width_mismatch_stops_before_the_first_step(self, split, monkeypatch):
+        # A stale cache of another Welch width must fail before an epoch is spent on it.
+        train_set, test_set, norm = synthetic_feature_sets()
+        sets = {"train": train_set, "test": test_set}
+        stale = sets[split]
+        sets[split] = FeatureSet(stale.freq, stale.power[:, :, :17], stale.labels)
+        steps = []
+        real = harcnn.train.adam_step
+
+        def counted(*args):
+            steps.append(1)
+            real(*args)
+
+        monkeypatch.setattr(harcnn.train, "adam_step", counted)
+        with pytest.raises(ValueError) as info:
+            train(sets["train"], sets["test"], SMALL_SPEC, TrainConfig(epochs=1), norm)
+        message = "feature shapes (9, 65)/(9, 17) do not match stats (9, 65)/(9, 33)"
+        assert str(info.value) == message
+        assert steps == []
+
+    def test_leaves_the_callers_raw_features_unchanged(self):
+        train_set, test_set, norm = synthetic_feature_sets()
+        kept = [(s.freq.copy(), s.power.copy(), s.labels.copy()) for s in (train_set, test_set)]
+        train(train_set, test_set, SMALL_SPEC, TrainConfig(epochs=1, batch_size=16), norm)
+        for s, (freq, power, labels) in zip((train_set, test_set), kept):
+            assert np.array_equal(s.freq, freq) and np.array_equal(s.power, power)
+            assert np.array_equal(s.labels, labels)
 
     def test_epoch_log_fields_are_complete(self):
         train_set, test_set, norm = synthetic_feature_sets()
