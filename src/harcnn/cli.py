@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from .features import (
 )
 from .metrics import EvalReport, evaluate
 from .model import DEFAULT_MODEL_SPEC, ModelSpec
-from .train import TrainConfig, TrainRun, train
+from .train import EpochStats, TrainConfig, TrainRun, train
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -171,12 +172,22 @@ def cmd_train(cfg: RunConfig) -> int:
     # first trains exactly like one that found the caches.
     norm = load_norm_stats(out_dir / NORM_NAME)
     train_set, test_set = (read_feature_cache(cache_paths[split]) for split in SPLITS)
-    params, run = train(train_set, test_set, cfg.model, cfg.train, norm)
-    for e in run.epochs:
+
+    # Each line ends in the wall seconds since the previous one (the first
+    # also counts the model set-up, which is negligible beside an epoch).
+    epoch_start = time.perf_counter()
+
+    def print_epoch(e: EpochStats) -> None:
+        nonlocal epoch_start
+        now = time.perf_counter()
         print(
             f"epoch {e.epoch:3d}: train_loss {e.train_loss:.4f} "
-            f"train_acc {e.train_acc:.4f} test_acc {e.test_acc:.4f}"
+            f"train_acc {e.train_acc:.4f} test_acc {e.test_acc:.4f} ({now - epoch_start:.1f} s)",
+            flush=True,
         )
+        epoch_start = now
+
+    params, run = train(train_set, test_set, cfg.model, cfg.train, norm, on_epoch=print_epoch)
     save_checkpoint(out_dir / CHECKPOINT_NAME, params, cfg.welch, run.best_epoch)
     atomic_write_bytes(out_dir / EPOCHS_NAME, _epochs_csv(run).encode())
     best = run.epochs[run.best_epoch - 1]

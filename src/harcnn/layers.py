@@ -42,18 +42,27 @@ def conv_output_len(in_len: int, kernel_len: int, stride: int) -> int:
 
 
 def _conv_windows(x: np.ndarray, kernel_len: int, stride: int) -> np.ndarray:
-    """(batch, L_out, streams * kernel_len) view-copy of the valid windows."""
-    view = np.lib.stride_tricks.sliding_window_view(x, kernel_len, axis=2)
-    view = view[:, :, ::stride, :]  # (batch, streams, L_out, m)
-    return view.transpose(0, 2, 1, 3).reshape(x.shape[0], view.shape[2], -1)
+    """Tap-major (batch, L_out, kernel_len, streams) copy of the valid windows.
+
+    In a channels-last sample each window's kernel_len * streams values
+    are contiguous, so all windows are one strided copy of the sample's
+    flat row. A channels-first `x` is copied channels-last first.
+    """
+    batch, streams, in_len = x.shape
+    rows = np.ascontiguousarray(x.transpose(0, 2, 1)).reshape(batch, in_len * streams)
+    view = np.lib.stride_tricks.sliding_window_view(rows, kernel_len * streams, axis=1)
+    view = view[:, :: stride * streams]  # (batch, L_out, kernel_len * streams)
+    return view.reshape(batch, view.shape[1], kernel_len, streams).copy()
 
 
 def conv1d_forward(x, weights, bias, stride=1):
     """Valid multi-stream 1-D convolution with stride, followed by ReLU.
 
     x: (batch, streams, L_in) in any memory layout; weights: (filters, streams, kernel_len);
-    output h[b, n, s] = relu(sum_{r,i} w[n, r, i] * x[b, r, s*stride + i] + b[n]),
+    output h[b, n, s] = relu(sum_{i,r} w[n, r, i] * x[b, r, s*stride + i] + b[n]),
     a (batch, filters, L_out) view of a channels-last (batch, L_out, filters) array.
+    The whole batch is one GEMM over tap-major windows, so each dot product
+    runs over the (tap, stream) pairs in the order the BLAS kernel takes them.
     """
     batch, streams, in_len = x.shape
     filters, w_streams, kernel_len = weights.shape
@@ -64,14 +73,20 @@ def conv1d_forward(x, weights, bias, stride=1):
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     windows = _conv_windows(x, kernel_len, stride)
-    pre = windows @ weights.reshape(filters, -1).T  # (batch, L_out, filters)
+    out_len = windows.shape[1]
+    w_taps = weights.transpose(0, 2, 1).reshape(filters, -1)  # (filters, kernel_len*streams)
+    pre = windows.reshape(batch * out_len, kernel_len * streams) @ w_taps.T
     pre += bias
-    out = np.maximum(pre, 0.0, out=pre)
+    out = np.maximum(pre, 0.0, out=pre).reshape(batch, out_len, filters)
     return out.transpose(0, 2, 1), (windows, out, x.shape, stride)
 
 
-def conv1d_backward(d_out, cache, weights):
-    """Returns (d_x, d_weights, d_bias) for the cached conv forward; d_x is channels-last."""
+def conv1d_backward(d_out, cache, weights, want_d_x=True):
+    """Returns (d_x, d_weights, d_bias) for the cached conv forward.
+
+    d_x is a channels-last view, or None without `want_d_x` (a first layer,
+    whose input gradient nothing reads).
+    """
     windows, out, x_shape, stride = cache
     filters, streams, kernel_len = weights.shape
     batch, _, out_len = d_out.shape
@@ -80,8 +95,14 @@ def conv1d_backward(d_out, cache, weights):
     d_pre = (out > 0.0).astype(out.dtype)
     d_pre *= d_out.transpose(0, 2, 1)
     flat = d_pre.reshape(-1, filters)
-    d_weights = (flat.T @ windows.reshape(-1, streams * kernel_len)).reshape(weights.shape)
+    d_w = flat.T @ windows.reshape(batch * out_len, kernel_len * streams)
+    # Contiguous like the weights, which Adam's in-place updates run over faster.
+    d_weights = np.ascontiguousarray(d_w.reshape(filters, kernel_len, streams).transpose(0, 2, 1))
     d_bias = flat.sum(axis=0)
+    if not want_d_x:
+        return None, d_weights, d_bias
+    # Stream-major, unlike the windows: each tap's slice is then one stride
+    # over a sample's positions and streams, which the scatter reads fastest.
     d_windows = d_pre @ weights.reshape(filters, -1)  # (b, L_out, streams*m)
     d_windows = d_windows.reshape(batch, out_len, streams, kernel_len)
     d_xt = np.zeros((batch, x_shape[2], streams), dtype=d_out.dtype)

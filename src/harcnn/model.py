@@ -188,22 +188,26 @@ def _channel_backward(d_out, cache, params: ModelParams, prefix: str, grads):
         conv_cache, pool_cache = caches[i]
         if pool_cache is not None:
             d_h = maxpool1d_backward(d_h, pool_cache)
-        d_h, d_w, d_b = conv1d_backward(d_h, conv_cache, arrays[f"{prefix}.conv{i}.w"])
+        # The first conv's input gradient would be the features', which nothing reads.
+        w = arrays[f"{prefix}.conv{i}.w"]
+        d_h, d_w, d_b = conv1d_backward(d_h, conv_cache, w, want_d_x=i > 0)
         grads[f"{prefix}.conv{i}.w"] = d_w
         grads[f"{prefix}.conv{i}.b"] = d_b
-    return d_h
 
 
 def forward_batch(params: ModelParams, freq, power, want_cache: bool = False):
     """Class logits and probabilities for batched raw (n,9,F)/(n,9,P) features.
 
-    They are normalized with the model's stats, then cast to its dtype.
+    They are normalized with the model's stats, then cast to its dtype
+    in a channels-last layout.
     Raises ValueError when any logit is non-finite (NaN or inf in the
     features or the weights), so a broken input never yields predictions.
     """
-    freq, power = normalize_set(freq, power, params.norm)
-    freq = np.ascontiguousarray(freq, dtype=params.dtype)
-    power = np.ascontiguousarray(power, dtype=params.dtype)
+    # Channels-last, so the first conv copies its windows without a transpose.
+    freq, power = (
+        np.ascontiguousarray(x.transpose(0, 2, 1), dtype=params.dtype).transpose(0, 2, 1)
+        for x in normalize_set(freq, power, params.norm)
+    )
     f_out, f_cache = _channel_forward(freq, params, "freq", want_cache)
     p_out, p_cache = _channel_forward(power, params, "power", want_cache)
     concat = np.concatenate([f_out, p_out], axis=1)

@@ -7,6 +7,7 @@ whole trajectory is reproducible bit-for-bit.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,11 @@ class AdamState:
 def adam_step(
     params: ModelParams, grads: dict[str, np.ndarray], state: AdamState, cfg: TrainConfig
 ) -> None:
-    """One in-place Adam update; state.t counts completed steps."""
+    """One in-place Adam update; state.t counts completed steps.
+
+    arr -= lr * m_hat / (sqrt(v_hat) + eps), evaluated in that order but
+    in place on the two bias-corrected copies.
+    """
     state.t += 1
     t = state.t
     lr, b1, b2, eps = cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps
@@ -76,10 +81,16 @@ def adam_step(
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
-        v += (1.0 - b2) * g * g
+        g2 = (1.0 - b2) * g
+        g2 *= g
+        v += g2
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
-        arr -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m_hat *= lr
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += eps
+        m_hat /= v_hat
+        arr -= m_hat
 
 
 def split_metrics(params: ModelParams, features: FeatureSet) -> tuple[float, float, float, float, float]:
@@ -100,12 +111,14 @@ def train(
     spec: ModelSpec,
     cfg: TrainConfig,
     norm: NormStats,
+    on_epoch: Callable[[EpochStats], None] | None = None,
 ) -> tuple[ModelParams, TrainRun]:
     """Train on raw feature sets; returns the best-test-accuracy params.
 
     The model carries the training-split stats `norm` and normalizes every
     batch with them. Both sets must have the stats' widths, which is
     checked before the first step; the caller's arrays are left unchanged.
+    `on_epoch`, when given, gets each epoch's stats as that epoch ends.
     """
     if len(train_set) == 0 or len(test_set) == 0:
         raise ValueError("cannot train on an empty split")
@@ -134,17 +147,18 @@ def train(
 
         train_loss, train_acc, *_ = split_metrics(params, train_set)
         _, test_acc, test_p, test_r, test_f1 = split_metrics(params, test_set)
-        history.append(
-            EpochStats(
-                epoch=epoch,
-                train_loss=train_loss,
-                train_acc=train_acc,
-                test_acc=test_acc,
-                test_precision=test_p,
-                test_recall=test_r,
-                test_f1=test_f1,
-            )
+        stats = EpochStats(
+            epoch=epoch,
+            train_loss=train_loss,
+            train_acc=train_acc,
+            test_acc=test_acc,
+            test_precision=test_p,
+            test_recall=test_r,
+            test_f1=test_f1,
         )
+        history.append(stats)
+        if on_epoch is not None:
+            on_epoch(stats)
         if test_acc > best_acc:
             best = params.copy()
             best_epoch = epoch

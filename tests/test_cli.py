@@ -394,6 +394,15 @@ class TestTrain:
         assert (out_dir / "train_features.bin").is_file()
         assert (out_dir / "checkpoint.bin").is_file()
 
+    def test_prints_each_epoch_line_with_its_wall_seconds(self, tmp_path, capsys):
+        root = build_synthetic_dataset(tmp_path / "data", train_per_class=3, test_per_class=2)
+        cfg_path = write_config(tmp_path / "c.json", smoke_config(root, tmp_path / "out", epochs=2))
+        assert main(["train", "--config", cfg_path]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("epoch")]
+        assert len(lines) == 2
+        for n, line in enumerate(lines, 1):
+            pattern = rf"epoch +{n}: train_loss \S+ train_acc \S+ test_acc \S+ \(\d+\.\d s\)"
+            assert re.fullmatch(pattern, line)
 
     def test_extracting_run_trains_like_a_cached_run(self, tmp_path):
         root = build_synthetic_dataset(tmp_path / "data", train_per_class=4, test_per_class=2)

@@ -34,26 +34,33 @@ def brute_force_conv1d(x, weights, bias, stride):
 def reference_conv1d_forward(x, weights, bias, stride=1):
     """Channels-first conv forward: the bit-exact reference for conv1d_forward.
 
-    conv1d_forward runs the same GEMMs in a channels-last layout, so the two
-    must agree bit for bit, not just within a tolerance.
+    Tap-major windows from sliding_window_view, then one GEMM over the
+    flattened batch. conv1d_forward builds the same windows from a
+    channels-last view, so the two must agree bit for bit, not just within
+    a tolerance.
     """
-    filters, _, kernel_len = weights.shape
+    filters, streams, kernel_len = weights.shape
     view = np.lib.stride_tricks.sliding_window_view(x, kernel_len, axis=2)
     view = view[:, :, ::stride, :]  # (batch, streams, L_out, m)
-    windows = view.transpose(0, 2, 1, 3).reshape(x.shape[0], view.shape[2], -1)
-    pre = windows @ weights.reshape(filters, -1).T + bias  # (batch, L_out, filters)
-    out = np.maximum(pre, 0.0, out=pre).transpose(0, 2, 1)
-    return np.ascontiguousarray(out), (windows, out, x.shape, stride)
+    windows = np.ascontiguousarray(view.transpose(0, 2, 3, 1))  # (batch, L_out, m, streams)
+    w_taps = weights.transpose(0, 2, 1).reshape(filters, -1)  # (filters, m*streams)
+    pre = windows.reshape(-1, kernel_len * streams) @ w_taps.T + bias
+    pre = np.maximum(pre, 0.0).reshape(x.shape[0], -1, filters)  # (batch, L_out, filters)
+    out = np.ascontiguousarray(pre.transpose(0, 2, 1))
+    return out, (windows, out, x.shape, stride)
 
 
-def reference_conv1d_backward(d_out, cache, weights):
+def reference_conv1d_backward(d_out, cache, weights, want_d_x=True):
     windows, out, x_shape, stride = cache
     filters, streams, kernel_len = weights.shape
     batch, _, out_len = d_out.shape
-    d_pre = (d_out * (out > 0.0).astype(out.dtype)).transpose(0, 2, 1)  # (b, L_out, n)
-    flat = d_pre.reshape(-1, filters)
-    d_weights = (flat.T @ windows.reshape(-1, streams * kernel_len)).reshape(weights.shape)
+    d_pre = np.ascontiguousarray((d_out * (out > 0.0).astype(out.dtype)).transpose(0, 2, 1))
+    flat = d_pre.reshape(-1, filters)  # (b*L_out, n)
+    d_weights = flat.T @ windows.reshape(-1, kernel_len * streams)
+    d_weights = d_weights.reshape(filters, kernel_len, streams).transpose(0, 2, 1)
     d_bias = flat.sum(axis=0)
+    if not want_d_x:
+        return None, d_weights, d_bias
     d_windows = d_pre @ weights.reshape(filters, -1)  # (b, L_out, streams*m)
     d_windows = d_windows.reshape(batch, out_len, streams, kernel_len)
     d_x = np.zeros(x_shape, dtype=d_out.dtype)
@@ -263,6 +270,17 @@ class TestConv1d:
                 arr[idx] = orig
                 fd = np.sum((lhs - rhs) / (2 * h) * d_out)
                 assert abs(grad[idx] - fd) <= 1e-5 * max(1.0, abs(fd))
+
+    def test_backward_without_input_gradient_keeps_the_weight_gradients(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((3, 4, 12)).astype(np.float32)
+        w = rng.standard_normal((5, 4, 3)).astype(np.float32)
+        out, cache = conv1d_forward(x, w, rng.standard_normal(5).astype(np.float32), stride=2)
+        d_out = rng.standard_normal(out.shape).astype(np.float32)
+        d_x, d_w, d_b = conv1d_backward(d_out, cache, w, want_d_x=False)
+        assert d_x is None
+        _, full_d_w, full_d_b = conv1d_backward(d_out, cache, w)
+        assert np.array_equal(d_w, full_d_w) and np.array_equal(d_b, full_d_b)
 
 
 class TestMaxPool:

@@ -179,7 +179,9 @@ class TestForward:
             mean, std = (getattr(params.norm, f"{prefix}_{k}").astype(np.float64)
                          for k in ("mean", "std"))
             want = ((x.astype(np.float64) - mean) / (std + EPSILON)).astype(np.float32)
-            assert seen[prefix].dtype == np.float32 and seen[prefix].flags.c_contiguous
+            # Channels-last in memory, the layout the first conv reads its windows from.
+            assert seen[prefix].dtype == np.float32
+            assert seen[prefix].transpose(0, 2, 1).flags.c_contiguous
             assert np.array_equal(seen[prefix], want)
 
     def test_raw_float32_and_float64_features_give_the_same_bits(self):
@@ -332,6 +334,25 @@ class TestBackward:
         for name in accum:
             scale = max(1.0, np.max(np.abs(accum[name])))
             assert np.max(np.abs(accum[name] - batch_grads[name])) <= 1e-6 * scale
+
+    def test_first_conv_backward_makes_no_input_gradient(self, monkeypatch):
+        params = init_model(seed=5, norm=make_norm(min_std=1.0))
+        rng = np.random.default_rng(64)
+        freq = rng.standard_normal((4, N_STREAMS, 65))
+        power = rng.standard_normal((4, N_STREAMS, 33))
+        _, d_logits, cache = mean_loss(params, freq, power, np.array([0, 1, 4, 5]))
+        made = []
+        real = model.conv1d_backward
+
+        def conv1d_backward(d_out, cache, weights, want_d_x=True):
+            d_x, d_w, d_b = real(d_out, cache, weights, want_d_x=want_d_x)
+            made.append((weights.shape[1], d_x is not None))
+            return d_x, d_w, d_b
+
+        monkeypatch.setattr(model, "conv1d_backward", conv1d_backward)
+        backward_batch(params, cache, d_logits)
+        # Each channel runs its convs last to first; conv0 reads the 9 input streams.
+        assert made == [(32, True), (N_STREAMS, False)] * 2
 
     def test_copy_is_deep(self):
         params = init_model(seed=8, norm=make_norm())

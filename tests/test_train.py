@@ -84,6 +84,20 @@ class TestAdam:
             TrainConfig(learning_rate=0.0)
 
 
+@pytest.fixture
+def adam_steps(monkeypatch):
+    """A list that gains one entry per adam_step call made by train()."""
+    steps = []
+    real = harcnn.train.adam_step
+
+    def counted(*args):
+        steps.append(1)
+        real(*args)
+
+    monkeypatch.setattr(harcnn.train, "adam_step", counted)
+    return steps
+
+
 class TestTrain:
     def test_same_seed_reproduces_run_bit_for_bit(self):
         train_set, test_set, norm = synthetic_feature_sets()
@@ -127,25 +141,17 @@ class TestTrain:
             train(empty, test_set, SMALL_SPEC, TrainConfig(epochs=1), norm)
 
     @pytest.mark.parametrize("split", ["train", "test"])
-    def test_width_mismatch_stops_before_the_first_step(self, split, monkeypatch):
+    def test_width_mismatch_stops_before_the_first_step(self, split, adam_steps):
         # A stale cache of another Welch width must fail before an epoch is spent on it.
         train_set, test_set, norm = synthetic_feature_sets()
         sets = {"train": train_set, "test": test_set}
         stale = sets[split]
         sets[split] = FeatureSet(stale.freq, stale.power[:, :, :17], stale.labels)
-        steps = []
-        real = harcnn.train.adam_step
-
-        def counted(*args):
-            steps.append(1)
-            real(*args)
-
-        monkeypatch.setattr(harcnn.train, "adam_step", counted)
         with pytest.raises(ValueError) as info:
             train(sets["train"], sets["test"], SMALL_SPEC, TrainConfig(epochs=1), norm)
         message = "feature shapes (9, 65)/(9, 17) do not match stats (9, 65)/(9, 33)"
         assert str(info.value) == message
-        assert steps == []
+        assert adam_steps == []
 
     def test_leaves_the_callers_raw_features_unchanged(self):
         train_set, test_set, norm = synthetic_feature_sets()
@@ -164,6 +170,20 @@ class TestTrain:
                 assert np.isfinite(value)
             assert 0.0 <= stats.train_acc <= 1.0
             assert 0.0 <= stats.test_f1 <= 1.0
+
+    def test_epoch_callback_fires_as_each_epoch_ends(self, adam_steps):
+        train_set, test_set, norm = synthetic_feature_sets()
+        calls = []
+        cfg = TrainConfig(epochs=2, batch_size=16, seed=5)
+        _, run = train(
+            train_set, test_set, SMALL_SPEC, cfg, norm,
+            on_epoch=lambda stats: calls.append((stats, len(adam_steps))),
+        )
+        per_epoch = -(-len(train_set) // cfg.batch_size)
+        # Each call comes after its own epoch's steps and before the next epoch's.
+        done = [(stats.epoch, steps_done) for stats, steps_done in calls]
+        assert done == [(1, per_epoch), (2, 2 * per_epoch)]
+        assert [stats for stats, _ in calls] == run.epochs
 
     def test_trajectory_matches_seed_layers_bit_for_bit(self, tmp_path, monkeypatch):
         train_set, test_set, norm = synthetic_feature_sets(seed=4)
