@@ -7,8 +7,9 @@ normalization arrays. The stats fix the input widths, which must be the
 FFT's and the Welch config's, and loading rebuilds the parameter table
 from `param_shapes` on those widths, so a missing or wrong-shaped record
 is rejected with the path and the array's name. The stats sidecar holds
-only the normalization arrays, under its own magic and with empty
-metadata. Every error is a `binio.FormatError` that starts with the path.
+the normalization arrays under its own magic; its metadata is the
+extraction record that `extract` writes and `train` checks its caches
+against. Every error is a `binio.FormatError` that starts with the path.
 """
 
 from __future__ import annotations
@@ -81,12 +82,17 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, WelchConfig, dict]:
     return params, info.welch, meta
 
 
-def save_norm_stats(path: str | Path, norm: NormStats) -> None:
-    write_container(path, NORM_MAGIC, {}, _norm_records(norm))
+def save_norm_stats(path: str | Path, norm: NormStats, record: dict | None = None) -> None:
+    write_container(path, NORM_MAGIC, record or {}, _norm_records(norm))
+
+
+def load_norm_record(path: str | Path) -> dict:
+    """A sidecar's metadata: the extraction record it was saved with."""
+    return read_container(path, NORM_MAGIC, "stats sidecar")[0]
 
 
 def load_norm_stats(path: str | Path) -> NormStats:
-    """Stats of a sidecar; its metadata is ignored, as older sidecars stored an epsilon there."""
+    """Stats of a sidecar, whatever its metadata."""
     _, records = read_container(path, NORM_MAGIC, "stats sidecar")
     try:
         return _norm_stats(records)

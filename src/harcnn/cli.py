@@ -17,7 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .binio import FormatError, atomic_write_bytes
-from .checkpoint import load_checkpoint, load_norm_stats, save_checkpoint, save_norm_stats
+from .checkpoint import (
+    load_checkpoint, load_norm_record, load_norm_stats, save_checkpoint, save_norm_stats,
+)
 from .config import from_json, to_json
 from .dataset import (
     Activity, DatasetError, EXPECTED_COUNTS, SPLITS, WINDOW_LEN, load_split, table_count_mismatches,
@@ -27,6 +29,7 @@ from .features import (
     FREQ_BINS,
     FeatureSet,
     extract_split,
+    extraction_record,
     fit_normalizer_arrays,
     read_feature_cache,
     write_feature_cache,
@@ -137,6 +140,11 @@ def cmd_validate(cfg: RunConfig) -> int:
 def cmd_extract(cfg: RunConfig) -> int:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # The files are stamped before they are parsed, so one changed meanwhile
+    # reads as stale. The sidecar, which carries the record, is removed first
+    # and written last: an extract cut short leaves no record to match.
+    record = extraction_record(cfg.dataset_root, cfg.welch, cfg.subset)
+    (out_dir / NORM_NAME).unlink(missing_ok=True)
     for split in SPLITS:
         features = _load_features_for(cfg, split, cfg.welch)
         write_feature_cache(out_dir / CACHE_NAMES[split], features)
@@ -144,10 +152,25 @@ def cmd_extract(cfg: RunConfig) -> int:
               f"(freq {features.freq.shape[1:]}, power {features.power.shape[1:]})")
         if split == "train":
             norm = fit_normalizer_arrays(features.freq, features.power)
-            save_norm_stats(out_dir / NORM_NAME, norm)
             print(f"normalization stats fitted on {len(features)} training samples")
         del features  # free this split before the next one is parsed
+    save_norm_stats(out_dir / NORM_NAME, norm, record)
     return EXIT_OK
+
+
+def _stale_caches(cfg: RunConfig) -> str | None:
+    """Why the output directory's caches are not what extract would write now, or None."""
+    out_dir = Path(cfg.output_dir)
+    for path in (*(out_dir / name for name in CACHE_NAMES.values()), out_dir / NORM_NAME):
+        if not path.is_file():
+            return f"{path.name} is missing"
+    found = load_norm_record(out_dir / NORM_NAME)
+    for split, wanted in extraction_record(cfg.dataset_root, cfg.welch, cfg.subset).items():
+        recorded = found.get(split)
+        for key, value in wanted.items():
+            if not isinstance(recorded, dict) or recorded.get(key) != value:
+                return f"{split}.{key} differs from this run's"
+    return None
 
 
 def _epochs_csv(run: TrainRun) -> str:
@@ -163,10 +186,11 @@ def _epochs_csv(run: TrainRun) -> str:
 def cmd_train(cfg: RunConfig) -> int:
     out_dir = Path(cfg.output_dir)
     cache_paths = {split: out_dir / CACHE_NAMES[split] for split in SPLITS}
-    if all(p.is_file() for p in cache_paths.values()) and (out_dir / NORM_NAME).is_file():
+    stale = _stale_caches(cfg)
+    if stale is None:
         print("using cached features")
     else:
-        print("feature caches missing; extracting")
+        print(f"extracting features: {stale}")
         cmd_extract(cfg)
     # Always train on the cached float32 values, so a run that extracted
     # first trains exactly like one that found the caches.

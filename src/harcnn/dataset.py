@@ -199,6 +199,15 @@ def table_count_mismatches(manifest: SplitManifest) -> list[str]:
     return diffs
 
 
+def split_files(root: str | Path, split: str) -> list[Path]:
+    """The split's files: a signal file per stream in STREAM_NAMES order, then labels, subjects."""
+    if split not in SPLITS:
+        raise DatasetError(f"split must be one of {SPLITS}, got {split!r}")
+    base = Path(root) / split
+    signals = [base / "Inertial Signals" / f"{stream}_{split}.txt" for stream in STREAM_NAMES]
+    return [*signals, base / f"y_{split}.txt", base / f"subject_{split}.txt"]
+
+
 def load_split(root: str | Path, split: str, strict_counts: bool = True) -> SplitManifest:
     """Load one split into a manifest, checking structure and (optionally) counts.
 
@@ -206,17 +215,13 @@ def load_split(root: str | Path, split: str, strict_counts: bool = True) -> Spli
     per-class counts exactly; pass False to load structurally valid data that
     is not the pristine distribution (validation tooling, smoke subsets).
     """
-    if split not in SPLITS:
-        raise DatasetError(f"split must be one of {SPLITS}, got {split!r}")
-    base = Path(root) / split
-    signals_dir = base / "Inertial Signals"
+    *signal_paths, label_path, subject_path = split_files(root, split)
 
     # Each stream is copied into the windows array as soon as it is parsed,
     # so the split's signals are never held twice.
     windows = None
     row_counts = []
-    for s, stream in enumerate(STREAM_NAMES):
-        path = signals_dir / f"{stream}_{split}.txt"
+    for s, path in enumerate(signal_paths):
         if not path.is_file():
             raise DatasetError(f"missing signal file: {path}")
         matrix = parse_signal_file(path)
@@ -231,8 +236,6 @@ def load_split(root: str | Path, split: str, strict_counts: bool = True) -> Spli
         detail = ", ".join(f"{stream}={n}" for stream, n in zip(STREAM_NAMES, row_counts))
         raise DatasetError(f"signal files disagree on row count: {detail}")
 
-    label_path = base / f"y_{split}.txt"
-    subject_path = base / f"subject_{split}.txt"
     for path in (label_path, subject_path):
         if not path.is_file():
             raise DatasetError(f"missing file: {path}")

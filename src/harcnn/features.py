@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .binio import FormatError, atomic_write_bytes
-from .dataset import N_CLASSES, N_STREAMS, WINDOW_LEN, SplitManifest
+from .config import to_json
+from .dataset import N_CLASSES, N_STREAMS, SPLITS, WINDOW_LEN, SplitManifest, split_files
 from .dsp import WelchConfig, fft_real, magnitude_onesided, welch_psd
 from .parallel import map_blocks
 
@@ -29,6 +30,9 @@ EPSILON = 1e-8
 BLOCK_WINDOWS = 32
 
 CACHE_MAGIC = b"HARFEAT1"
+# Bump whenever extraction changes a feature's bits, so caches written
+# before the change no longer match their extraction record.
+FEATURES_VERSION = 1
 
 
 @dataclass
@@ -108,6 +112,25 @@ def extract_split(manifest: SplitManifest, cfg: WelchConfig = WelchConfig()) -> 
     """Feature set of a whole split, labels carried through."""
     freq, power = extract_features_batch(manifest.windows, cfg)
     return FeatureSet(freq=freq, power=power, labels=manifest.labels.copy())
+
+
+def _stamp(path: Path) -> list:
+    try:
+        st = path.stat()
+    except OSError:  # load_split names the missing file
+        return [path.name, None, None]
+    return [path.name, st.st_size, st.st_mtime_ns]
+
+
+def extraction_record(root, welch: WelchConfig, subset: int | None) -> dict:
+    """What each split's features are extracted from, as JSON: code version, settings, file stamps.
+
+    Each dataset file is stamped with its name, size and mtime in ns. The
+    dataset root is left out, so a copy that keeps the mtimes still matches.
+    """
+    return {split: {"features_version": FEATURES_VERSION, "welch": to_json(welch), "subset": subset,
+                    "files": [_stamp(path) for path in split_files(root, split)]}
+            for split in SPLITS}
 
 
 def fit_normalizer_arrays(freq: np.ndarray, power: np.ndarray) -> NormStats:

@@ -1,7 +1,11 @@
 import copy
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -9,7 +13,9 @@ import numpy as np
 import pytest
 
 from conftest import build_synthetic_dataset, nan_in_worker_chunks
-from harcnn import cli, metrics, model
+import harcnn
+from harcnn import cli, features, metrics, model
+from harcnn.dataset import DatasetError
 from harcnn.cli import RunConfig, default_config_json, load_config, main
 from harcnn.dsp import WelchConfig
 from harcnn.features import extract_split, read_feature_cache
@@ -413,6 +419,108 @@ class TestTrain:
             assert main(["train", "--config", cfg_path]) == 0
             runs.append([(out_dir / name).read_bytes() for name in ("checkpoint.bin", "epochs.csv")])
         assert runs[0] == runs[1]
+
+
+class TestStaleCaches:
+    """train reuses the caches only when their extraction record matches this run's."""
+
+    def extracted(self, tmp_path, **changes):
+        """(config path, output dir) after an extract with the smoke config plus `changes`."""
+        root = build_synthetic_dataset(tmp_path / "data", train_per_class=3, test_per_class=2)
+        out_dir = tmp_path / "out"
+        cfg = smoke_config(root, out_dir, epochs=1)
+        assert main(["extract", "--config", write_config(tmp_path / "first.json",
+                                                           replace(cfg, **changes))]) == 0
+        return write_config(tmp_path / "c.json", cfg), out_dir
+
+    def train_line(self, capsys, cfg_path) -> str:
+        """The line train prints about the caches."""
+        capsys.readouterr()
+        assert main(["train", "--config", cfg_path]) == 0
+        return capsys.readouterr().out.splitlines()[0]
+
+    def test_matching_record_reads_the_caches_and_no_dataset(self, tmp_path, capsys, monkeypatch):
+        cfg_path, _ = self.extracted(tmp_path)
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("load_split called")
+
+        monkeypatch.setattr(cli, "load_split", no_load)
+        assert self.train_line(capsys, cfg_path) == "using cached features"
+
+    def test_cache_of_a_subset_is_re_extracted(self, tmp_path, capsys):
+        cfg_path, out_dir = self.extracted(tmp_path, subset=5)
+        assert self.train_line(capsys, cfg_path) == \
+            "extracting features: train.subset differs from this run's"
+        assert len(read_feature_cache(out_dir / "train_features.bin")) == 18
+
+    def test_changed_welch_overlap_is_re_extracted(self, tmp_path, capsys):
+        # Overlap 16 gives the same 33 Welch bins, so no shape check would catch it.
+        cfg_path, out_dir = self.extracted(tmp_path, welch=WelchConfig(overlap=16))
+        stale = read_feature_cache(out_dir / "train_features.bin").power
+        assert self.train_line(capsys, cfg_path) == \
+            "extracting features: train.welch differs from this run's"
+        fresh = read_feature_cache(out_dir / "train_features.bin").power
+        assert fresh.shape == stale.shape and not np.array_equal(fresh, stale)
+
+    def test_dataset_file_rewritten_at_the_same_size_is_re_extracted(self, tmp_path, capsys):
+        cfg_path, out_dir = self.extracted(tmp_path)
+        stale = read_feature_cache(out_dir / "train_features.bin").freq
+        path = tmp_path / "data" / "train" / "Inertial Signals" / "body_acc_x_train.txt"
+        before = path.stat()
+        data = path.read_bytes()
+        at = re.search(rb"[1-8]", data).start()
+        path.write_bytes(data[:at] + bytes([data[at] + 1]) + data[at + 1:])
+        # A new mtime set by hand, so a coarse file clock cannot hide the rewrite.
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 2_000_000_000))
+        assert path.stat().st_size == before.st_size
+        assert self.train_line(capsys, cfg_path) == \
+            "extracting features: train.files differs from this run's"
+        assert not np.array_equal(read_feature_cache(out_dir / "train_features.bin").freq, stale)
+
+    def test_other_features_version_is_re_extracted(self, tmp_path, capsys, monkeypatch):
+        cfg_path, _ = self.extracted(tmp_path)
+        monkeypatch.setattr(features, "FEATURES_VERSION", features.FEATURES_VERSION + 1)
+        assert self.train_line(capsys, cfg_path) == \
+            "extracting features: train.features_version differs from this run's"
+
+    def test_extract_that_failed_on_the_test_split_leaves_no_record(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The subset caches are complete; the full extract then replaces only the train cache.
+        cfg_path, out_dir = self.extracted(tmp_path, subset=5)
+        real_load = cli.load_split
+
+        def fail_on_test(root, split, **kwargs):
+            if split == "test":
+                raise DatasetError("test split unreadable")
+            return real_load(root, split, **kwargs)
+
+        monkeypatch.setattr(cli, "load_split", fail_on_test)
+        assert main(["extract", "--config", cfg_path]) == 2
+        assert len(read_feature_cache(out_dir / "train_features.bin")) == 18
+        assert not (out_dir / "norm_stats.bin").exists()
+        monkeypatch.setattr(cli, "load_split", real_load)
+        assert self.train_line(capsys, cfg_path) == "extracting features: norm_stats.bin is missing"
+        assert len(read_feature_cache(out_dir / "test_features.bin")) == 12
+
+
+class TestBlasPool:
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def pool_after_import(self, preset: dict) -> list[str]:
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        env.update(preset, PYTHONPATH=str(Path(harcnn.__file__).parent.parent))
+        code = f"import os, harcnn.cli; print(*(os.environ.get(v) for v in {self.VARS!r}))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        return out.split()
+
+    def test_import_pins_one_blas_thread(self):
+        assert self.pool_after_import({}) == ["1", "1", "1"]
+
+    def test_a_users_own_value_is_kept(self):
+        assert self.pool_after_import({"OPENBLAS_NUM_THREADS": "3"}) == ["3", "1", "1"]
 
 
 class TestEvaluate:

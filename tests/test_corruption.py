@@ -26,6 +26,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from conftest import build_synthetic_dataset  # noqa: E402
 from harcnn.binio import pack_tensor_record  # noqa: E402
 from harcnn.cli import RunConfig, main  # noqa: E402
+from harcnn.features import FEATURES_VERSION  # noqa: E402
 from harcnn.model import ConvLayerSpec, ModelSpec  # noqa: E402
 from harcnn.train import TrainConfig  # noqa: E402
 
@@ -51,6 +52,14 @@ NORM_TAIL = sum(
 LAST_PARAM = -NORM_TAIL - 4
 FIRST_MEAN = -NORM_TAIL + len(pack_tensor_record("norm.freq_mean", np.zeros((0, 0))))
 LAST_STD = -4
+# The stats sidecar's metadata, its extraction record, starts at byte 14
+# (sorted keys, so the test split first); the first recorded file size
+# follows the first file name. Flipping bit 0 of an ASCII digit gives
+# another digit, so the record stays valid JSON and stops matching.
+RECORD_START = 14
+FIRST_SIZE = RECORD_START + len(
+    f'{{"test": {{"features_version": {FEATURES_VERSION}, "files": [["body_acc_x_test.txt", '
+)
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +108,9 @@ def damage(data: bytes, offset: int, change) -> bytes:
 # Huge but finite values that overflow the float32 arithmetic.
 @example(name="train_features.bin", offset=21, change=HUGE)
 @example(name="norm_stats.bin", offset=FIRST_MEAN, change=HUGE)
+# A cut inside the extraction record, and a changed digit of a recorded size.
+@example(name="norm_stats.bin", offset=RECORD_START + 30, change="cut")
+@example(name="norm_stats.bin", offset=FIRST_SIZE, change=0)
 # Ids beyond the int64 range.
 @example(name="y_train.txt", offset=0, change=b"1e300")
 @example(name="subject_train.txt", offset=0, change=b"1e300")
