@@ -9,12 +9,14 @@ The dataset directory layout is the one shipped by the UCI repository:
 from __future__ import annotations
 
 import io
-import warnings
+import os
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
+
+from .parallel import map_blocks
 
 WINDOW_LEN = 128
 N_SUBJECTS = 30
@@ -95,30 +97,89 @@ class SplitManifest:
         return self.windows.shape[0]
 
 
-def parse_signal_file(path: str | Path, columns: int = WINDOW_LEN) -> np.ndarray:
+def parse_signal_file(
+    path: str | Path, columns: int = WINDOW_LEN, out: np.ndarray | None = None
+) -> np.ndarray:
     """Parse a whitespace-separated matrix file with a fixed column count.
 
-    Returns a (rows, columns) float64 array; an empty file yields zero rows.
-    The whole file is parsed in one C-level `np.loadtxt` pass. That result is
-    kept only when the file is ASCII, every line became one row (loadtxt
-    skips blank lines), the column count matches and every value is finite.
-    Otherwise the per-line parse in `_diagnose` decides: its errors name the
-    offending 1-based line and token.
+    Returns a (rows, columns) float64 array, written into `out` if that has its
+    shape; an empty file yields zero rows. A file that `_parse_uci` declines
+    goes through one `np.loadtxt` pass, kept only when the file is ASCII, every
+    line became one row (loadtxt skips blank lines), the column count matches
+    and every value is finite. Otherwise the per-line parse in `_diagnose`
+    decides: its errors name the offending 1-based line and token.
     """
     path = Path(path)
+    values = _parse_uci(path, columns, out)
+    if values is None:
+        values = _parse_text(path, columns)
+        if out is not None and out.shape == values.shape:
+            out[...] = values
+            values = out
+    return values
+
+
+# A UCI token: ' ', sign (' ' or '-'), digit, '.', 7 digits, 'e', exponent sign, 3 digits.
+# Less row 0 (mod 256), a byte may be at most row 1: 0 if fixed, 9 for a digit, 13 and 2 for signs.
+_UCI_TOKEN = np.array([list(b"  0.0000000e+000"), [0, 13, 9, 0, *[9] * 7, 0, 2, 9, 9, 9]])
+# At e + 15 for an exponent e in -15..29, 10**(e - 7) = _UCI_TIMES / _UCI_OVER; then negated.
+_POW10 = np.array([float(10**k) for k in range(23)])
+_UCI_TIMES = np.concatenate([np.ones(22), _POW10, -np.ones(22), -_POW10])
+_UCI_OVER = np.tile(np.concatenate([_POW10[:0:-1], np.ones(23)]), 2)
+
+
+def _parse_uci(path: Path, columns: int, out: np.ndarray | None) -> np.ndarray | None:
+    """The rows of a file of LF-ended lines of `columns` UCI tokens, else None.
+
+    A token is a mantissa below 10**8 times an exact 10**k with |k| <= 22, so one
+    IEEE multiply or divide gives the correctly rounded value of float() (Clinger
+    1990). Blocks of about 256 KB are read into one buffer and parsed by numpy.
+    """
+    width = columns * 16 + 1
+    with open(path, "rb", buffering=0) as f:
+        rows, rest = divmod(os.fstat(f.fileno()).st_size, width)
+        if rest or not rows:
+            return None
+        if out is None or out.shape != (rows, columns):
+            out = np.empty((rows, columns))
+        base, span = np.append(np.tile(_UCI_TOKEN, columns), [[10], [0]], axis=1).astype(np.uint8)
+        block = np.empty(((1 << 18) // width + 1, width), dtype=np.uint8)
+        for start in range(0, rows, len(block)):
+            lines = block[: rows - start]
+            if f.readinto(lines) != lines.nbytes or np.any(np.subtract(lines, base, lines) > span):
+                return None
+            tokens = np.ascontiguousarray(lines[:, :-1]).reshape(-1, 16)
+            negative, exp_negative = tokens[:, 1] == 13, tokens[:, 12] == 2
+            signed = (negative | (tokens[:, 1] == 0)) & (exp_negative | (tokens[:, 12] == 0))
+            # Little-endian words 1-3 hold mantissa digits 2-5, then its last 3 and the exponent's
+            # 3 put behind a zero byte; two SWAR steps make each word's number (Lemire 2021).
+            words = tokens.view("<u4")
+            lanes = np.stack([words[:, 1], words[:, 2] << 8, words[:, 3] & 0xFFFFFF00], axis=1)
+            lanes = (lanes * 10 + (lanes >> 8)) & 0x00FF00FF
+            lanes = (lanes * 100 + (lanes >> 16)) & 0xFFFF
+            mantissa = (words[:, 0] >> 16 & 0xFF) * 10**7 + lanes[:, 0] * 1000 + lanes[:, 1]
+            exponent = np.where(exp_negative, -lanes[:, 2].astype(np.intp), lanes[:, 2])
+            if not signed.all() or exponent.min() < -15 or exponent.max() > 29:
+                return None
+            i = exponent + 15 + 45 * negative
+            out[start : start + len(lines)].flat = mantissa * _UCI_TIMES[i] / _UCI_OVER[i]
+    return out
+
+
+def _parse_text(path: Path, columns: int) -> np.ndarray:
+    """Any file that is not in the UCI layout: one loadtxt pass, checked."""
     data = path.read_bytes()
     if not data:
         return np.empty((0, columns), dtype=np.float64)
+    if data.isspace():  # the one input that makes loadtxt warn; the line check names it
+        return _diagnose(path, data, columns)
     lines = data.count(b"\n") + (not data.endswith(b"\n"))
     try:
-        with warnings.catch_warnings():
-            # An all-blank file is "no data" to loadtxt; the line count catches it.
-            warnings.simplefilter("ignore", UserWarning)
-            # No comment character, so '#' stays an error. A non-ASCII byte
-            # raises UnicodeDecodeError, which is a ValueError.
-            values = np.loadtxt(
-                io.BytesIO(data), dtype=np.float64, comments=None, ndmin=2, encoding="ascii"
-            )
+        # No comment character, so '#' stays an error. A non-ASCII byte
+        # raises UnicodeDecodeError, which is a ValueError.
+        values = np.loadtxt(
+            io.BytesIO(data), dtype=np.float64, comments=None, ndmin=2, encoding="ascii"
+        )
     except ValueError:
         return _diagnose(path, data, columns)
     if values.shape != (lines, columns) or not np.isfinite(values).all():
@@ -217,20 +278,19 @@ def load_split(root: str | Path, split: str, strict_counts: bool = True) -> Spli
     """
     *signal_paths, label_path, subject_path = split_files(root, split)
 
-    # Each stream is copied into the windows array as soon as it is parsed,
-    # so the split's signals are never held twice.
-    windows = None
-    row_counts = []
-    for s, path in enumerate(signal_paths):
-        if not path.is_file():
-            raise DatasetError(f"missing signal file: {path}")
-        matrix = parse_signal_file(path)
-        row_counts.append(matrix.shape[0])
-        if windows is None:
-            windows = np.empty((matrix.shape[0], N_STREAMS, WINDOW_LEN))
-        if matrix.shape[0] == windows.shape[0]:
-            windows[:, s] = matrix
-        del matrix
+    def parse(s: int, out: np.ndarray | None = None) -> np.ndarray:
+        if not signal_paths[s].is_file():
+            raise DatasetError(f"missing signal file: {signal_paths[s]}")
+        return parse_signal_file(signal_paths[s], out=out)
+
+    # Stream 0 sizes the windows array. The other streams are parsed on the
+    # worker threads, each straight into its own windows[:, s].
+    first = parse(0)
+    windows = np.empty((len(first), N_STREAMS, WINDOW_LEN))
+    windows[:, 0] = first
+    del first
+    others = map_blocks(lambda s: parse(s, windows[:, s]), range(1, N_STREAMS))
+    row_counts = [len(windows), *map(len, others)]
 
     if len(set(row_counts)) != 1:
         detail = ", ".join(f"{stream}={n}" for stream, n in zip(STREAM_NAMES, row_counts))

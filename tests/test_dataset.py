@@ -1,20 +1,67 @@
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import build_synthetic_dataset
+from harcnn import parallel
 from harcnn.dataset import (
     Activity,
     DatasetError,
     EXPECTED_COUNTS,
     EXPECTED_TOTALS,
     SplitManifest,
+    _parse_text,
     load_split,
     parse_signal_file,
     table_count_mismatches,
 )
+
+
+def uci_line(values) -> str:
+    """Values as one line of UCI signal text: 16-byte `%.7e` tokens with 3-digit exponents."""
+    tokens = []
+    for v in values:
+        mantissa, exponent = f"{v:.7e}".split("e")
+        tokens.append(f"{mantissa}e{int(exponent):+04d}".rjust(16))
+    return "".join(tokens)
+
+
+def uci_token(negative: bool, mantissa: int, exponent: int) -> str:
+    """The UCI token of (-1)**negative * mantissa * 10**(exponent - 7), mantissa below 10**8."""
+    sign = "-" if negative else " "
+    return f" {sign}{mantissa // 10**7}.{mantissa % 10**7:07d}e{exponent:+04d}"
+
+
+def uci_rows(rows: int, columns: int) -> bytes:
+    """Seeded normal values as UCI signal text."""
+    values = np.random.default_rng(3).standard_normal((rows, columns))
+    return "".join(uci_line(row) + "\n" for row in values).encode()
+
+
+# Bytes at and beyond the ends of what each byte of a UCI token may be.
+EDGE_BYTES = b" !,-./09:dfeE+\t\r\n\0\x7f\x80\xff"
+
+
+def outcome(parse, path, columns):
+    """The bytes of parse(path, columns), or the message of the DatasetError it raises."""
+    try:
+        return parse(path, columns).tobytes()
+    except DatasetError as exc:
+        return str(exc)
+
+
+def no_loadtxt(*args, **kwargs):
+    raise AssertionError("np.loadtxt called: a UCI-layout file missed the block parser")
+
+
+def to_uci_layout(root, split="train"):
+    """Rewrite a split's signal files, parsed as they are, in the UCI token layout."""
+    for path in (root / split / "Inertial Signals").iterdir():
+        rows = parse_signal_file(path)
+        path.write_text("".join(uci_line(row) + "\n" for row in rows))
 
 
 class TestParseSignalFile:
@@ -109,17 +156,14 @@ class TestParseSignalFile:
         got = parse_signal_file(path, columns=3)
         assert np.array_equal(got, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
 
-    def test_uci_width_tokens_match_float_bitwise(self, tmp_path):
-        # UCI layout: 16-byte tokens, two-space lead, 3-digit exponents.
+    def test_uci_width_tokens_match_float_bitwise(self, tmp_path, monkeypatch):
+        # UCI layout: 16-byte tokens, two-space lead, 3-digit exponents. With
+        # loadtxt raising, only the block parser can pass.
+        monkeypatch.setattr(np, "loadtxt", no_loadtxt)
         rng = np.random.default_rng(5)
         values = rng.standard_normal((6, 128)) * 10.0 ** rng.integers(-6, 3, (6, 128))
-        lines = ["  2.5808950e-001 -1.2715709e-002" + " 0.0000000e+000" * 126]
-        for row in values:
-            tokens = []
-            for v in row:
-                mantissa, exponent = f"{v:.7e}".split("e")
-                tokens.append(f"{mantissa}e{int(exponent):+04d}".rjust(16))
-            lines.append("".join(tokens))
+        lines = ["  2.5808950e-001 -1.2715709e-002" + "  0.0000000e+000" * 126]
+        lines += [uci_line(row) for row in values]
         path = tmp_path / "uci.txt"
         path.write_text("\n".join(lines) + "\n")
         got = parse_signal_file(path)
@@ -127,6 +171,98 @@ class TestParseSignalFile:
         assert got.shape == (7, 128)
         assert got.tobytes() == expected.tobytes()
         assert got[0, 0] == 0.25808950 and got[0, 1] == -0.012715709
+
+    def test_every_exact_exponent_matches_float_bitwise(self, tmp_path, monkeypatch):
+        # e-015..e+029 scale the 8-digit mantissa by 10**-22..10**22, the exact powers.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+        path = tmp_path / "uci.txt"
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(mantissa=st.integers(0, 10**8 - 1), negative=st.booleans())
+        @hypothesis.example(mantissa=0, negative=True)  # -0.0000000e+000
+        @hypothesis.example(mantissa=0, negative=False)
+        @hypothesis.example(mantissa=1234567, negative=False)  # 0.1234567
+        @hypothesis.example(mantissa=10**8 - 1, negative=True)
+        def check(mantissa, negative):
+            line = "".join(uci_token(negative, mantissa, e) for e in range(-15, 30))
+            path.write_text(line + "\n")
+            expected = np.array([[float(tok) for tok in line.split()]])
+            assert parse_signal_file(path, columns=45).tobytes() == expected.tobytes()
+
+        check()
+
+    @pytest.mark.parametrize("exponent", [-16, 30])
+    def test_inexact_exponents_take_loadtxt_with_the_same_bits(self, tmp_path, monkeypatch,
+                                                               exponent):
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        line = uci_token(False, 12345678, 3) + uci_token(True, 98765432, exponent)
+        path = tmp_path / "uci.txt"
+        path.write_text(line + "\n")
+        got = parse_signal_file(path, columns=2)
+        assert calls == [1]
+        assert got.tobytes() == np.array([[float(tok) for tok in line.split()]]).tobytes()
+
+    def test_blocks_land_in_a_strided_out(self, tmp_path, monkeypatch):
+        # 300 rows span three 128-row blocks; out is one stream of a windows array.
+        rng = np.random.default_rng(8)
+        path = tmp_path / "uci.txt"
+        path.write_text("".join(uci_line(row) + "\n" for row in rng.standard_normal((300, 128))))
+        expected = _parse_text(path, 128)
+        monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+        windows = np.full((300, 9, 128), np.nan)
+        assert parse_signal_file(path, out=windows[:, 4]) is not None
+        assert windows[:, 4].tobytes() == expected.tobytes()
+        assert np.isnan(np.delete(windows, 4, axis=1)).all()
+
+    def test_one_damaged_byte_parses_or_fails_as_the_text_path_does(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        clean = uci_rows(3, 3)
+        path = tmp_path / "damaged.txt"
+
+        @st.composite
+        def one_byte_changed(draw):
+            at = draw(st.integers(0, len(clean) - 1))
+            byte = draw(st.integers(0, 255) | st.sampled_from(EDGE_BYTES))
+            return clean[:at] + bytes([byte]) + clean[at + 1:]
+
+        def at(offset, byte):
+            return clean[:offset] + byte + clean[offset + 1:]
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(data=one_byte_changed())
+        @hypothesis.example(data=clean.replace(b"\n", b"\r\n"))
+        @hypothesis.example(data=clean[:-1])  # no final newline
+        @hypothesis.example(data=clean[:-20])  # the last line cut short
+        @hypothesis.example(data=clean.replace(b"e", b"E", 1))
+        @hypothesis.example(data=clean.replace(b"  ", b" +", 1))
+        @hypothesis.example(data=at(0, b"\t"))
+        @hypothesis.example(data=at(5, b"\0"))
+        @hypothesis.example(data=at(60, b"\xe9"))
+        def check(data):
+            path.write_bytes(data)
+            assert outcome(parse_signal_file, path, 3) == outcome(_parse_text, path, 3)
+
+        check()
+        path.write_bytes(at(len(clean) // 3 + 5, b"\xe9"))
+        with pytest.raises(DatasetError, match="damaged.txt: line 2: non-ASCII byte 0xe9$"):
+            parse_signal_file(path, 3)
+
+    def test_edge_bytes_at_every_offset_of_a_line(self, tmp_path):
+        # Each byte of the middle line, a token's and the line end's, set to the
+        # bytes just inside and outside the ranges a token allows there.
+        clean = uci_rows(3, 2)
+        width = len(clean) // 3
+        path = tmp_path / "edge.txt"
+        for offset in range(width, 2 * width):
+            for byte in EDGE_BYTES:
+                path.write_bytes(clean[:offset] + bytes([byte]) + clean[offset + 1:])
+                got, want = outcome(parse_signal_file, path, 2), outcome(_parse_text, path, 2)
+                assert got == want, (offset, bytes([byte]))
 
     @pytest.mark.parametrize("lineno", [1, 2])
     def test_non_ascii_byte_names_file_and_line(self, tmp_path, lineno):
@@ -188,6 +324,40 @@ class TestLoadSplit:
         victim.unlink()
         with pytest.raises(DatasetError, match="missing signal file.*body_gyro_y_train"):
             load_split(root, "train", strict_counts=False)
+
+    def test_first_failing_stream_is_named_as_in_a_serial_loop(self, tmp_path, four_cpus):
+        root = build_synthetic_dataset(tmp_path / "two", train_per_class=2, test_per_class=1)
+        signals = root / "train" / "Inertial Signals"
+        (signals / "body_gyro_y_train.txt").unlink()
+        (signals / "total_acc_z_train.txt").write_bytes(b"\xe9\n")
+        with pytest.raises(DatasetError, match="missing signal file.*body_gyro_y_train"):
+            load_split(root, "train", strict_counts=False)
+
+    def test_windows_do_not_depend_on_the_thread_count(self, tmp_path, monkeypatch):
+        root = build_synthetic_dataset(tmp_path / "uci", train_per_class=2, test_per_class=1)
+        to_uci_layout(root)
+        alone = load_split(root, "train", strict_counts=False).windows
+        loads = []
+        for cpus in (1, 4):
+            monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+            loads.append(load_split(root, "train", strict_counts=False).windows)
+        assert alone.tobytes() == loads[0].tobytes() == loads[1].tobytes()
+        first = parse_signal_file(root / "train" / "Inertial Signals" / "body_acc_x_train.txt")
+        assert alone[:, 0].tobytes() == first.tobytes()
+
+    def test_blank_stream_fails_without_touching_warning_filters(self, tmp_path, four_cpus):
+        # An all-blank file is "no data" to loadtxt, which warns; it must be
+        # reported by the line check before loadtxt sees it.
+        root = build_synthetic_dataset(tmp_path / "blank", train_per_class=2, test_per_class=1)
+        (root / "train" / "Inertial Signals" / "body_gyro_x_train.txt").write_text("\n  \n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            filters = list(warnings.filters)
+            with pytest.raises(
+                DatasetError, match="body_gyro_x_train.txt: line 1: expected 128 columns, got 0$"
+            ):
+                load_split(root, "train", strict_counts=False)
+            assert warnings.filters == filters
 
     def test_row_count_mismatch_rejected(self, tmp_path):
         root = build_synthetic_dataset(tmp_path / "trunc", train_per_class=2, test_per_class=1)
