@@ -162,7 +162,8 @@ def _parse_uci(path: Path, columns: int, out: np.ndarray | None) -> np.ndarray |
             if not signed.all() or exponent.min() < -15 or exponent.max() > 29:
                 return None
             i = exponent + 15 + 45 * negative
-            out[start : start + len(lines)].flat = mantissa * _UCI_TIMES[i] / _UCI_OVER[i]
+            values = mantissa * _UCI_TIMES[i] / _UCI_OVER[i]
+            out[start : start + len(lines)] = values.reshape(len(lines), columns)
     return out
 
 

@@ -4,17 +4,25 @@ All functions operate on the last axis; leading axes are treated as a
 batch, mirroring the numpy.fft convention. Math is done in float64 /
 complex128 regardless of input dtype.
 
-Internally the FFT works transform-axis-first: the batch is flattened to
-m signals and held as an (n, m) array, so every butterfly of every stage
-is one contiguous run of m values and a stage is three whole-array
-ufunc calls into preallocated buffers. The result is transposed back to
-the caller's layout, and every output element sees the same operations
-in the same order as the textbook last-axis formulation, so the values
-are bit-identical to it. Callers keep batches to a few MB
-(features.extract_features_batch passes blocks of 32 windows) so these
-buffers stay cache-resident. Every buffer belongs to one call and the
-cached FFT plans are only read, so calls may run on several threads at
-once, as extract_features_batch runs them.
+A real signal of length N is transformed as N/2 complex values by one
+half-length complex FFT, and a split step gives its one-sided spectrum
+(rfft). Both feature channels use this path; fft_real, the full spectrum,
+is rfft's bins plus their conjugate mirror, so its bins 0 .. N/2 are
+bit-identical to rfft's and welch_psd's single-segment periodogram is
+bit-identical to one computed from fft_real.
+
+The complex FFT works transform-axis-first: the batch is flattened to m
+signals and held as an (n, m) array, so every butterfly of every stage is
+one contiguous run of m values and a stage is three whole-array ufunc
+calls into preallocated buffers. Every output element sees the same
+operations in the same order as the textbook last-axis formulation, so
+the complex transform is bit-identical to it; the split step then works
+in the same layout, and only the result is a transposed view in the
+caller's layout. Callers keep batches to a few MB
+(features.extract_features_batch passes blocks of BLOCK_WINDOWS windows)
+so these buffers stay cache-resident. Every buffer belongs to one call
+and the cached plans are only read, so calls may run on several threads
+at once, as extract_features_batch runs them.
 """
 
 from __future__ import annotations
@@ -112,25 +120,63 @@ def _fft(x: np.ndarray) -> np.ndarray:
     return src.T.reshape(shape)
 
 
-def fft_real(signal: np.ndarray) -> np.ndarray:
-    """Unnormalized forward DFT of a real signal whose length is a power of two.
+@lru_cache(maxsize=32)
+def _split_twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) of the real-input split step of size n, for bins 1 .. n/2 - 1, as columns.
 
-    Returns the full complex spectrum (same length as the input, negative
-    exponent convention, no 1/N factor).
+    With Z the n/2-point FFT of x[2j] + i*x[2j+1], bin k of the real
+    signal's spectrum is Z[k] * a[k] + conj(Z[n/2 - k]) * b[k], where
+    a = (1 - i*w) / 2, b = (1 + i*w) / 2 and w = exp(-2i*pi*k/n).
+    """
+    w = np.exp(-2j * np.pi * np.arange(1, n // 2) / n)
+    return (0.5 * (1 - 1j * w))[:, None], (0.5 * (1 + 1j * w))[:, None]
+
+
+def rfft(signal: np.ndarray) -> np.ndarray:
+    """One-sided unnormalized DFT of a real signal whose length N is a power of two.
+
+    Returns bins 0 .. N/2 (negative exponent convention, no 1/N factor).
+    The N samples are viewed as N/2 complex values x[2j] + i*x[2j+1], one
+    half-length FFT transforms them, and a split step separates the even
+    and odd samples' spectra (Sorensen et al. 1987). Bins 0 and N/2 are
+    Re Z[0] +- Im Z[0], real by construction. The result is a transposed
+    view of the transform-axis-first buffer.
     """
     x = np.asarray(signal, dtype=np.float64)
-    n = x.shape[-1]
+    shape = x.shape
+    n = shape[-1]
     if not _is_pow2(n):
         raise ValueError(f"signal length must be a power of two >= 2, got {n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("signal contains non-finite samples")
-    return _fft(x)
+    half = n // 2
+    # _fft of the (m, half) packed rows is a transposed view of its (half, m) buffer.
+    z = _fft(np.ascontiguousarray(x.reshape(-1, n)).view(np.complex128)).T
+    a, b = _split_twiddles(n)
+    out = np.empty((half + 1, z.shape[1]), dtype=np.complex128)
+    out[0] = z[0].real + z[0].imag
+    out[half] = z[0].real - z[0].imag
+    inner = out[1:half]
+    np.multiply(z[1:], a, out=inner)
+    mirror = np.conjugate(z[:0:-1])
+    mirror *= b
+    inner += mirror
+    return out.T.reshape(shape[:-1] + (half + 1,))
 
 
-def magnitude_onesided(spectrum: np.ndarray) -> np.ndarray:
-    """Raw one-sided magnitudes |X(k)| for k = 0 .. N/2 of a spectrum from fft_real."""
-    spec = np.asarray(spectrum)
-    return np.abs(spec[..., : spec.shape[-1] // 2 + 1])
+def fft_real(signal: np.ndarray) -> np.ndarray:
+    """Unnormalized forward DFT of a real signal whose length is a power of two.
+
+    Returns the full complex spectrum (same length as the input, negative
+    exponent convention, no 1/N factor): rfft's bins 0 .. N/2, then the
+    conjugates of bins N/2 - 1 .. 1.
+    """
+    onesided = rfft(signal)
+    half = onesided.shape[-1] - 1
+    spec = np.empty(onesided.shape[:-1] + (2 * half,), dtype=np.complex128)
+    spec[..., : half + 1] = onesided
+    np.conjugate(onesided[..., half - 1 : 0 : -1], out=spec[..., half + 1 :])
+    return spec
 
 
 def make_window(kind: str, length: int) -> np.ndarray:
@@ -161,9 +207,8 @@ def welch_psd(signal: np.ndarray, cfg: WelchConfig) -> np.ndarray:
         raise ValueError(f"segment_len {length} exceeds signal length {n}")
     win = make_window(cfg.window_kind, length)
     segments = sliding_window_view(x, length, axis=-1)[..., :: cfg.step, :]
-    spec = fft_real(segments * win)
+    spec = rfft(segments * win)
     power = float(np.mean(win * win))
-    two_sided = (spec.real**2 + spec.imag**2) / (length * power)
-    one_sided = two_sided[..., : cfg.n_bins].copy()
+    one_sided = (spec.real**2 + spec.imag**2) / (length * power)
     one_sided[..., 1:-1] *= 2.0
     return one_sided.mean(axis=-2)

@@ -17,22 +17,24 @@ import numpy as np
 from .binio import FormatError, atomic_write_bytes
 from .config import to_json
 from .dataset import N_CLASSES, N_STREAMS, SPLITS, WINDOW_LEN, SplitManifest, split_files
-from .dsp import WelchConfig, fft_real, magnitude_onesided, welch_psd
+from .dsp import WelchConfig, rfft, welch_psd
 from .parallel import map_blocks
 
 FREQ_BINS = WINDOW_LEN // 2 + 1  # 65
 # Added to every std before dividing, so a constant position maps to 0.
 EPSILON = 1e-8
 # Windows per FFT/Welch pass in extract_features_batch. At 32 each FFT
-# buffer is about 0.5 MB and stays in cache; a sweep over a whole split
-# found 32 as fast as 64, and 128 and 256 slower. Every thread holds one
-# block's temporaries, so the smaller block also keeps the peak RSS down.
+# buffer is about 0.4 MB and stays in cache. Over the train split on a
+# 2-core host (median over rounds of each round's best run), 16/32/64/128
+# took 0.46/0.41/0.42/0.48 s on one thread and 0.52/0.33/0.27/0.29 s on two.
+# Every thread holds one block's temporaries, and 64 cost 3.3 MB (2%) of
+# ingest peak RSS for 3-8% of its op time, so the block stays at 32.
 BLOCK_WINDOWS = 32
 
 CACHE_MAGIC = b"HARFEAT1"
 # Bump whenever extraction changes a feature's bits, so caches written
 # before the change no longer match their extraction record.
-FEATURES_VERSION = 1
+FEATURES_VERSION = 2
 
 
 @dataclass
@@ -101,7 +103,7 @@ def extract_features_batch(
     power = np.empty((n, N_STREAMS, cfg.n_bins))
 
     def fill(block: slice) -> None:
-        freq[block] = magnitude_onesided(fft_real(w[block]))
+        freq[block] = np.abs(rfft(w[block]))
         power[block] = welch_psd(w[block], cfg)
 
     map_blocks(fill, [slice(start, start + BLOCK_WINDOWS) for start in range(0, n, BLOCK_WINDOWS)])

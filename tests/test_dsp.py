@@ -1,23 +1,23 @@
 import numpy as np
 import pytest
 
-from harcnn.dsp import WelchConfig, _fft_plan, fft_real, magnitude_onesided, make_window, welch_psd
+from harcnn.dsp import WelchConfig, _fft, _fft_plan, fft_real, make_window, rfft, welch_psd
 
 POW2_SIZES = [8, 16, 32, 64, 128, 256, 512, 1024]
 
 
 def naive_dft(x):
-    """O(N^2) reference DFT: X[k] = sum_n x[n] * exp(-2i*pi*k*n/N)."""
+    """O(N^2) reference DFT over the last axis: X[k] = sum_n x[n] * exp(-2i*pi*k*n/N)."""
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
+    n = x.shape[-1]
     k = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(k, k) / n) @ x
+    return x @ np.exp(-2j * np.pi * np.outer(k, k) / n)
 
 
 def concat_butterfly_fft(x):
     """Last-axis radix-2 FFT with a concatenate per stage: the bit-exact reference.
 
-    fft_real runs the same operations per element in another memory layout,
+    _fft runs the same operations per element in another memory layout,
     so the two must agree bit for bit, not just within a tolerance.
     """
     n = x.shape[-1]
@@ -91,23 +91,6 @@ class TestFftReal:
         for row in range(5):
             assert np.array_equal(got[row], fft_real(batch[row]))
 
-    @pytest.mark.parametrize("n", POW2_SIZES)
-    def test_batch_bit_identical_to_concat_reference(self, n):
-        x = np.random.default_rng(n + 1).standard_normal((3, 5, n))
-        got = fft_real(x)
-        assert got.shape == x.shape
-        assert np.array_equal(got, concat_butterfly_fft(x))
-
-    def test_strided_view_bit_identical_to_concat_reference(self):
-        base = np.random.default_rng(12).standard_normal((6, 4, 256))
-        x = base[::2, :, ::2]
-        assert not x.flags.c_contiguous
-        assert np.array_equal(fft_real(x), concat_butterfly_fft(x))
-
-    def test_single_signal_bit_identical_to_concat_reference(self):
-        x = np.random.default_rng(13).standard_normal(128)
-        assert np.array_equal(fft_real(x), concat_butterfly_fft(x))
-
     @pytest.mark.parametrize("n", [1, 3, 12, 100])
     def test_rejects_non_power_of_two(self, n):
         with pytest.raises(ValueError, match="power of two"):
@@ -120,10 +103,69 @@ class TestFftReal:
             fft_real(x)
 
 
+def complex_normal(seed, shape):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestFft:
+    """The complex transform under rfft, against the textbook butterflies."""
+
+    @pytest.mark.parametrize("n", POW2_SIZES)
+    def test_batch_bit_identical_to_concat_reference(self, n):
+        x = complex_normal(n + 1, (3, 5, n))
+        got = _fft(x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, concat_butterfly_fft(x))
+
+    def test_strided_view_bit_identical_to_concat_reference(self):
+        x = complex_normal(12, (6, 4, 256))[::2, :, ::2]
+        assert not x.flags.c_contiguous
+        assert np.array_equal(_fft(x), concat_butterfly_fft(x))
+
+    def test_single_signal_bit_identical_to_concat_reference(self):
+        x = complex_normal(13, 128)
+        assert np.array_equal(_fft(x), concat_butterfly_fft(x))
+
+
+class TestRfft:
+    @pytest.mark.parametrize("n", [2, 4, *POW2_SIZES])
+    def test_batch_matches_naive_dft_onesided(self, n):
+        x = np.random.default_rng(n + 2).standard_normal((3, 4, n))
+        got = rfft(x)
+        assert got.shape == (3, 4, n // 2 + 1)
+        assert rel_err(got, naive_dft(x)[..., : n // 2 + 1]) <= 1e-9
+
+    @pytest.mark.parametrize("n", [2, 4, 256])
+    def test_strided_view_matches_naive_dft_onesided(self, n):
+        x = np.random.default_rng(n + 3).standard_normal((6, 4, 2 * n))[::2, :, ::2]
+        assert not x.flags.c_contiguous
+        assert rel_err(rfft(x), naive_dft(x)[..., : n // 2 + 1]) <= 1e-9
+
+    def test_half_lengths_one_and_two_exactly(self):
+        assert np.array_equal(rfft(np.array([3.0, -1.0])), [2.0, 4.0])
+        assert np.array_equal(rfft(np.array([1.0, 2.0, 3.0, 4.0])), [10.0, -2.0 + 2.0j, -2.0])
+
+    @pytest.mark.parametrize("n", [2, 4, 64])
+    def test_fft_real_is_rfft_and_its_conjugate_mirror(self, n):
+        x = np.random.default_rng(n + 4).standard_normal((5, n))
+        onesided, full = rfft(x), fft_real(x)
+        assert np.array_equal(full[:, : n // 2 + 1], onesided)
+        assert np.array_equal(full[:, n // 2 + 1 :], np.conj(onesided[:, n // 2 - 1 : 0 : -1]))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(np.zeros(12), "power of two"), (np.array([0.0, np.nan, 0.0, 0.0]), "non-finite")],
+    )
+    def test_rejects_what_fft_real_rejects(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            rfft(bad)
+
+
 class TestMagnitudeOnesided:
     def test_exact_bin_sinusoid(self):
         t = np.arange(128)
-        mag = magnitude_onesided(fft_real(np.sin(2 * np.pi * 3 * t / 128)))
+        mag = np.abs(rfft(np.sin(2 * np.pi * 3 * t / 128)))
         assert mag.shape == (65,)
         assert abs(mag[3] - 64.0) < 1e-9
         others = np.delete(mag, 3)
@@ -131,7 +173,7 @@ class TestMagnitudeOnesided:
 
     def test_constant_signal(self):
         c = -0.5
-        mag = magnitude_onesided(fft_real(np.full(128, c)))
+        mag = np.abs(rfft(np.full(128, c)))
         assert abs(mag[0] - 128 * abs(c)) < 1e-9
         assert np.all(mag[1:] <= 1e-9)
 

@@ -6,7 +6,7 @@ import pytest
 
 from harcnn import features
 from harcnn.binio import FormatError
-from harcnn.dsp import WelchConfig, fft_real, magnitude_onesided, welch_psd
+from harcnn.dsp import WelchConfig, rfft, welch_psd
 from harcnn.features import (
     BLOCK_WINDOWS,
     EPSILON,
@@ -66,7 +66,7 @@ class TestExtractFeatures:
         windows = rng.standard_normal((4, 9, 128))
         freq, power = extract_features_batch(windows)
         for i in range(4):
-            assert np.array_equal(freq[i], magnitude_onesided(fft_real(windows[i])))
+            assert np.array_equal(freq[i], np.abs(rfft(windows[i])))
             assert np.array_equal(power[i], welch_psd(windows[i], WelchConfig()))
 
     def test_batch_across_block_boundaries_matches_per_window(self):
@@ -76,7 +76,7 @@ class TestExtractFeatures:
         assert freq.shape == (n, 9, 65)
         assert power.shape == (n, 9, 33)
         for i in range(n):
-            assert np.array_equal(freq[i], magnitude_onesided(fft_real(windows[i])))
+            assert np.array_equal(freq[i], np.abs(rfft(windows[i])))
             assert np.array_equal(power[i], welch_psd(windows[i], WelchConfig()))
 
     def test_one_cpu_starts_no_thread_and_gives_the_same_bytes(self, monkeypatch, four_cpus):
@@ -88,9 +88,9 @@ class TestExtractFeatures:
 
         def fft(*args):
             seen.append((threading.current_thread(), threading.active_count()))
-            return fft_real(*args)
+            return rfft(*args)
 
-        monkeypatch.setattr(features, "fft_real", fft)
+        monkeypatch.setattr(features, "rfft", fft)
         serial = extract_features_batch(windows)
         assert seen == [(threading.current_thread(), before)] * 4
         assert np.array_equal(serial[0], threaded[0]) and np.array_equal(serial[1], threaded[1])
