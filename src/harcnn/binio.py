@@ -24,8 +24,8 @@ class FormatError(ValueError):
     """A binary file does not match its declared layout."""
 
 
-def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
-    """Write `data` to `path` via a temp file + rename, never leaving a partial file."""
+def atomic_write_bytes(path: str | os.PathLike, data: bytes | np.ndarray) -> None:
+    """Write bytes or a 1-D uint8 array to `path` via a temp file + rename, never partially."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:

@@ -22,17 +22,17 @@ from .checkpoint import (
 )
 from .config import from_json, to_json
 from .dataset import (
-    Activity, DatasetError, EXPECTED_COUNTS, SPLITS, WINDOW_LEN, load_split, table_count_mismatches,
+    Activity, DatasetError, EXPECTED_COUNTS, N_STREAMS, SPLITS, WINDOW_LEN, load_split,
+    table_count_mismatches,
 )
 from .dsp import WelchConfig
 from .features import (
     FREQ_BINS,
     FeatureSet,
     extract_split,
+    extract_split_cache,
     extraction_record,
-    fit_normalizer_arrays,
     read_feature_cache,
-    write_feature_cache,
 )
 from .metrics import EvalReport, evaluate
 from .model import DEFAULT_MODEL_SPEC, ModelSpec
@@ -127,7 +127,7 @@ def cmd_validate(cfg: RunConfig) -> int:
             expected = EXPECTED_COUNTS[split][activity]
             marker = "" if got == expected else f"  (expected {expected})"
             print(f"  {activity.short}: {got}{marker}")
-        all_diffs.extend(table_count_mismatches(manifest))
+        all_diffs.extend(table_count_mismatches(split, manifest.labels))
     if all_diffs:
         print("count mismatches against the published split:", file=sys.stderr)
         for diff in all_diffs:
@@ -146,14 +146,15 @@ def cmd_extract(cfg: RunConfig) -> int:
     record = extraction_record(cfg.dataset_root, cfg.welch, cfg.subset)
     (out_dir / NORM_NAME).unlink(missing_ok=True)
     for split in SPLITS:
-        features = _load_features_for(cfg, split, cfg.welch)
-        write_feature_cache(out_dir / CACHE_NAMES[split], features)
-        print(f"{split}: cached {len(features)} samples "
-              f"(freq {features.freq.shape[1:]}, power {features.power.shape[1:]})")
-        if split == "train":
-            norm = fit_normalizer_arrays(features.freq, features.power)
-            print(f"normalization stats fitted on {len(features)} training samples")
-        del features  # free this split before the next one is parsed
+        n, stats = extract_split_cache(
+            cfg.dataset_root, split, out_dir / CACHE_NAMES[split], cfg.welch, subset=cfg.subset,
+            strict_counts=cfg.strict_counts, fit=split == "train",
+        )
+        print(f"{split}: cached {n} samples "
+              f"(freq {(N_STREAMS, FREQ_BINS)}, power {(N_STREAMS, cfg.welch.n_bins)})")
+        if stats is not None:
+            norm = stats
+            print(f"normalization stats fitted on {n} training samples")
     save_norm_stats(out_dir / NORM_NAME, norm, record)
     return EXIT_OK
 

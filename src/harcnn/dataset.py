@@ -4,6 +4,12 @@ The dataset directory layout is the one shipped by the UCI repository:
 `<root>/<split>/Inertial Signals/<stream>_<split>.txt` holds one
 128-reading window per line for each of the 9 streams, and
 `y_<split>.txt` / `subject_<split>.txt` hold one integer per line.
+
+load_split reads a whole split into one float64 windows array. Its file
+reader (read_stream) and its split checks (check_split: row counts,
+label and subject files, published counts) are shared with
+features.extract_split_cache, which reads one stream at a time, so both
+fail with the same message for the same fault.
 """
 
 from __future__ import annotations
@@ -91,7 +97,7 @@ class SplitManifest:
 
     @property
     def per_class_counts(self) -> dict[Activity, int]:
-        return {a: int(np.count_nonzero(self.labels == a.value)) for a in Activity}
+        return class_counts(self.labels)
 
     def __len__(self) -> int:
         return self.windows.shape[0]
@@ -244,20 +250,21 @@ def _parse_int_column(path: Path, lo: int, hi: int, what: str) -> np.ndarray:
     return values.astype(np.int64)
 
 
-def table_count_mismatches(manifest: SplitManifest) -> list[str]:
-    """Differences from the published per-class counts; empty when conforming."""
-    expected = EXPECTED_COUNTS[manifest.split]
+def class_counts(labels: np.ndarray) -> dict[Activity, int]:
+    """The number of windows of each activity."""
+    return {a: int(np.count_nonzero(labels == a.value)) for a in Activity}
+
+
+def table_count_mismatches(split: str, labels: np.ndarray) -> list[str]:
+    """Differences of a split's labels from the published counts; empty when conforming."""
+    expected = EXPECTED_COUNTS[split]
     diffs = []
-    total = len(manifest)
-    if total != EXPECTED_TOTALS[manifest.split]:
-        diffs.append(
-            f"{manifest.split}: total {total} != expected {EXPECTED_TOTALS[manifest.split]}"
-        )
-    for activity, got in manifest.per_class_counts.items():
+    total = len(labels)
+    if total != EXPECTED_TOTALS[split]:
+        diffs.append(f"{split}: total {total} != expected {EXPECTED_TOTALS[split]}")
+    for activity, got in class_counts(labels).items():
         if got != expected[activity]:
-            diffs.append(
-                f"{manifest.split}/{activity.short}: {got} != expected {expected[activity]}"
-            )
+            diffs.append(f"{split}/{activity.short}: {got} != expected {expected[activity]}")
     return diffs
 
 
@@ -270,29 +277,23 @@ def split_files(root: str | Path, split: str) -> list[Path]:
     return [*signals, base / f"y_{split}.txt", base / f"subject_{split}.txt"]
 
 
-def load_split(root: str | Path, split: str, strict_counts: bool = True) -> SplitManifest:
-    """Load one split into a manifest, checking structure and (optionally) counts.
+def read_stream(path: Path, out: np.ndarray | None = None) -> np.ndarray:
+    """One signal file's (rows, 128) windows from parse_signal_file; a missing file is an error."""
+    if not path.is_file():
+        raise DatasetError(f"missing signal file: {path}")
+    return parse_signal_file(path, out=out)
 
-    With strict_counts the manifest must reproduce the published totals and
-    per-class counts exactly; pass False to load structurally valid data that
-    is not the pristine distribution (validation tooling, smoke subsets).
+
+def check_split(
+    root: str | Path, split: str, row_counts: list[int], strict_counts: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and subjects of a split whose signal files have `row_counts` rows, in stream order.
+
+    Raises a DatasetError when the signal files disagree on their row
+    count, a label or subject file is missing, malformed or of another
+    length, or (with strict_counts) the labels miss the published counts.
     """
-    *signal_paths, label_path, subject_path = split_files(root, split)
-
-    def parse(s: int, out: np.ndarray | None = None) -> np.ndarray:
-        if not signal_paths[s].is_file():
-            raise DatasetError(f"missing signal file: {signal_paths[s]}")
-        return parse_signal_file(signal_paths[s], out=out)
-
-    # Stream 0 sizes the windows array. The other streams are parsed on the
-    # worker threads, each straight into its own windows[:, s].
-    first = parse(0)
-    windows = np.empty((len(first), N_STREAMS, WINDOW_LEN))
-    windows[:, 0] = first
-    del first
-    others = map_blocks(lambda s: parse(s, windows[:, s]), range(1, N_STREAMS))
-    row_counts = [len(windows), *map(len, others)]
-
+    *_, label_path, subject_path = split_files(root, split)
     if len(set(row_counts)) != 1:
         detail = ", ".join(f"{stream}={n}" for stream, n in zip(STREAM_NAMES, row_counts))
         raise DatasetError(f"signal files disagree on row count: {detail}")
@@ -303,24 +304,34 @@ def load_split(root: str | Path, split: str, strict_counts: bool = True) -> Spli
     labels = _parse_int_column(label_path, 1, N_CLASSES, "activity id")
     subjects = _parse_int_column(subject_path, 1, N_SUBJECTS, "subject id")
 
-    n_rows = windows.shape[0]
+    n_rows = row_counts[0]
     if labels.shape[0] != n_rows:
-        raise DatasetError(
-            f"{label_path}: {labels.shape[0]} labels for {n_rows} signal rows"
-        )
+        raise DatasetError(f"{label_path}: {labels.shape[0]} labels for {n_rows} signal rows")
     if subjects.shape[0] != n_rows:
         raise DatasetError(
             f"{subject_path}: {subjects.shape[0]} subjects for {n_rows} signal rows"
         )
-
-    manifest = SplitManifest(
-        split=split,
-        windows=windows,
-        labels=labels,
-        subjects=subjects,
-    )
     if strict_counts:
-        diffs = table_count_mismatches(manifest)
+        diffs = table_count_mismatches(split, labels)
         if diffs:
             raise DatasetError("dataset counts do not match the published split: " + "; ".join(diffs))
-    return manifest
+    return labels, subjects
+
+
+def load_split(root: str | Path, split: str, strict_counts: bool = True) -> SplitManifest:
+    """Load one split into a manifest, checking structure and (optionally) counts.
+
+    With strict_counts the manifest must reproduce the published totals and
+    per-class counts exactly; pass False to load structurally valid data that
+    is not the pristine distribution (validation tooling, smoke subsets).
+    """
+    signal_paths = split_files(root, split)[:N_STREAMS]
+    # Stream 0 sizes the windows array. The other streams are parsed on the
+    # worker threads, each straight into its own windows[:, s].
+    first = read_stream(signal_paths[0])
+    windows = np.empty((len(first), N_STREAMS, WINDOW_LEN))
+    windows[:, 0] = first
+    del first
+    others = map_blocks(lambda s: read_stream(signal_paths[s], windows[:, s]), range(1, N_STREAMS))
+    labels, subjects = check_split(root, split, [len(windows), *map(len, others)], strict_counts)
+    return SplitManifest(split=split, windows=windows, labels=labels, subjects=subjects)

@@ -18,11 +18,11 @@ calls into preallocated buffers. Every output element sees the same
 operations in the same order as the textbook last-axis formulation, so
 the complex transform is bit-identical to it; the split step then works
 in the same layout, and only the result is a transposed view in the
-caller's layout. Callers keep batches to a few MB
-(features.extract_features_batch passes blocks of BLOCK_WINDOWS windows)
-so these buffers stay cache-resident. Every buffer belongs to one call
-and the cached plans are only read, so calls may run on several threads
-at once, as extract_features_batch runs them.
+caller's layout. Callers keep batches to a few MB (harcnn.features
+passes blocks of BLOCK_WINDOWS * 9 signals) so these buffers stay
+cache-resident. Every buffer belongs to one call and the cached plans
+are only read, so calls may run on several threads at once, as
+harcnn.features runs them.
 """
 
 from __future__ import annotations
@@ -89,30 +89,36 @@ def _fft_plan(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
 def _fft(x: np.ndarray) -> np.ndarray:
     """Iterative radix-2 decimation-in-time FFT over the last axis.
 
-    The leading axes are flattened to m signals; one copy does the
-    bit-reversal gather and the move to an (n, m) transform-axis-first
-    layout. Each stage views the current buffer as (n/size, size, m),
+    The leading axes are flattened to m signals held as an (n, m)
+    transform-axis-first layout. Stage 1's twiddle is 1, so its sums and
+    differences are taken straight from the two halves of the bit-reversal
+    gather. Each later stage views the current buffer as (n/size, size, m),
     scales the odd halves by the twiddles (broadcast as (half, 1)) in
-    place, and writes even + odd and even - odd into the other of two
-    ping-pong buffers. The returned array is a transposed view with the
-    input's shape.
+    place, skipping the first, which is 1, and writes even + odd and
+    even - odd into the other of two ping-pong buffers. The returned array
+    is a transposed view with the input's shape.
     """
     shape = x.shape
     n = shape[-1]
+    if n == 1:
+        return x.astype(np.complex128)
     rev, twiddles = _fft_plan(n)
     signals = x.reshape(-1, n)
     m = signals.shape[0]
     src = np.empty((n, m), dtype=np.complex128)
-    src[...] = signals.T[rev]
     dst = np.empty_like(src)
-    half = 1
-    for tw in twiddles:
+    even, odd = signals.T[rev[0::2]], signals.T[rev[1::2]]
+    pairs = src.reshape(n // 2, 2, m)
+    np.add(even, odd, out=pairs[:, 0])
+    np.subtract(even, odd, out=pairs[:, 1])
+    half = 2
+    for tw in twiddles[1:]:
         size = 2 * half
         blocks = src.reshape(n // size, size, m)
         out = dst.reshape(n // size, size, m)
         even = blocks[:, :half]
         odd = blocks[:, half:]
-        np.multiply(odd, tw[:, None], out=odd)
+        np.multiply(odd[:, 1:], tw[1:, None], out=odd[:, 1:])
         np.add(even, odd, out=out[:, :half])
         np.subtract(even, odd, out=out[:, half:])
         src, dst = dst, src
@@ -211,4 +217,13 @@ def welch_psd(signal: np.ndarray, cfg: WelchConfig) -> np.ndarray:
     power = float(np.mean(win * win))
     one_sided = (spec.real**2 + spec.imag**2) / (length * power)
     one_sided[..., 1:-1] *= 2.0
-    return one_sided.mean(axis=-2)
+    count = one_sided.shape[-2]
+    if count >= 8:  # numpy's mean adds 8 or more values pairwise
+        return one_sided.mean(axis=-2)
+    # Fewer are added in order, so whole-row adds give mean's bits without
+    # its reduction over the axis that rfft's layout leaves innermost.
+    total = one_sided[..., 0, :].copy()
+    for k in range(1, count):
+        total += one_sided[..., k, :]
+    total /= count
+    return total

@@ -4,6 +4,12 @@ Every inertial window becomes a frequency matrix (per-stream one-sided
 FFT magnitudes, 9x65) and a power matrix (per-stream Welch PSD values,
 9x33 under the default config). The two matrices stay separate: they
 feed separate CNN channels and their bin counts differ.
+
+A stream's features depend on that stream's samples alone. So `extract`
+(extract_split_cache) handles a split one signal file at a time and
+keeps only float32 features, and the split's float64 windows and
+feature stacks never exist whole. evaluate still extracts a loaded
+split (extract_split), whose float64 features it uses as they are.
 """
 
 from __future__ import annotations
@@ -16,15 +22,19 @@ import numpy as np
 
 from .binio import FormatError, atomic_write_bytes
 from .config import to_json
-from .dataset import N_CLASSES, N_STREAMS, SPLITS, WINDOW_LEN, SplitManifest, split_files
+from .dataset import (
+    N_CLASSES, N_STREAMS, SPLITS, WINDOW_LEN, SplitManifest, check_split, read_stream, split_files,
+)
 from .dsp import WelchConfig, rfft, welch_psd
 from .parallel import map_blocks
 
 FREQ_BINS = WINDOW_LEN // 2 + 1  # 65
 # Added to every std before dividing, so a constant position maps to 0.
 EPSILON = 1e-8
-# Windows per FFT/Welch pass in extract_features_batch. At 32 each FFT
-# buffer is about 0.4 MB and stays in cache. Over the train split on a
+# Windows per FFT/Welch pass in extract_features_batch; a pass over one
+# stream in extract_split_cache takes as many signals, BLOCK_WINDOWS *
+# N_STREAMS of its rows. At 32 each FFT buffer is about 0.4 MB and
+# stays in cache. Over the train split on a
 # 2-core host (median over rounds of each round's best run), 16/32/64/128
 # took 0.46/0.41/0.42/0.48 s on one thread and 0.52/0.33/0.27/0.29 s on two.
 # Every thread holds one block's temporaries, and 64 cost 3.3 MB (2%) of
@@ -85,6 +95,11 @@ class FeatureSet:
         return self.freq.shape[0]
 
 
+def _transform_block(rows: np.ndarray, cfg: WelchConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The freq and power rows of a block of (k, 128) signal rows."""
+    return np.abs(rfft(rows)), welch_psd(rows, cfg)
+
+
 def extract_features_batch(
     windows: np.ndarray, cfg: WelchConfig = WelchConfig()
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -103,8 +118,9 @@ def extract_features_batch(
     power = np.empty((n, N_STREAMS, cfg.n_bins))
 
     def fill(block: slice) -> None:
-        freq[block] = np.abs(rfft(w[block]))
-        power[block] = welch_psd(w[block], cfg)
+        f, p = _transform_block(w[block].reshape(-1, WINDOW_LEN), cfg)
+        freq[block] = f.reshape(-1, N_STREAMS, FREQ_BINS)
+        power[block] = p.reshape(-1, N_STREAMS, cfg.n_bins)
 
     map_blocks(fill, [slice(start, start + BLOCK_WINDOWS) for start in range(0, n, BLOCK_WINDOWS)])
     return freq, power
@@ -114,6 +130,77 @@ def extract_split(manifest: SplitManifest, cfg: WelchConfig = WelchConfig()) -> 
     """Feature set of a whole split, labels carried through."""
     freq, power = extract_features_batch(manifest.windows, cfg)
     return FeatureSet(freq=freq, power=power, labels=manifest.labels.copy())
+
+
+def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population std over the first axis, in float64.
+
+    numpy reduces a C-ordered array's first axis one row at a time, so
+    the moments of one stream's (n, bins) rows are bit for bit that
+    stream's slice of the moments of the (n, 9, bins) stack.
+    """
+    return x.mean(axis=0), x.std(axis=0)
+
+
+def _stream_features(path: Path, cfg: WelchConfig, subset: int | None, fit: bool):
+    """One signal file as (rows, features): its row count, and of its first `subset` rows
+    the float32 freq and power features and, with fit, their float64 moments (else None).
+
+    The rows are transformed in blocks of BLOCK_WINDOWS * N_STREAMS, as many
+    signals as a block of extract_features_batch. An overflow there is
+    returned in place of the features, to be raised after the split's checks.
+    """
+    rows = read_stream(path)
+    n_rows = len(rows)
+    rows = rows[:subset]
+    freq = np.empty((len(rows), FREQ_BINS))
+    power = np.empty((len(rows), cfg.n_bins))
+    step = BLOCK_WINDOWS * N_STREAMS
+    try:
+        for start in range(0, len(rows), step):
+            block = slice(start, start + step)
+            freq[block], power[block] = _transform_block(rows[block], cfg)
+    except FloatingPointError as exc:
+        return n_rows, exc
+    del rows  # the parsed file, before the float32 copies are made
+    moments = (*_moments(freq), *_moments(power)) if fit and len(freq) else None
+    return n_rows, (freq.astype(np.float32), power.astype(np.float32), moments)
+
+
+def extract_split_cache(
+    root, split: str, path: str | Path, cfg: WelchConfig = WelchConfig(), *,
+    subset: int | None = None, strict_counts: bool = True, fit: bool = False,
+) -> tuple[int, NormStats | None]:
+    """Extract one split's first `subset` windows into a feature cache at `path`.
+
+    Returns the number of windows cached and, with fit, the normalization
+    stats fitted on them, bit for bit fit_normalizer_arrays' of the
+    extract_split stacks. Each signal file is one task on map_blocks: it
+    is parsed, cut to `subset` rows and transformed, and only its float32
+    features (and float64 moments) are kept. So neither the split's
+    (n, 9, 128) windows nor its float64 feature stacks ever exist. A fault
+    is reported as load_split reports it, and an overflow in the
+    transforms only after the split's checks, as extract_split's was.
+    """
+    streams = map_blocks(lambda p: _stream_features(p, cfg, subset, fit),
+                         split_files(root, split)[:N_STREAMS])
+    labels, _ = check_split(root, split, [rows for rows, _ in streams], strict_counts)
+    for _, features in streams:
+        if isinstance(features, FloatingPointError):
+            raise features
+    labels = labels[:subset]
+    data, records = _cache_buffer(len(labels), FREQ_BINS, cfg.n_bins)
+    records["label"] = labels
+    for s, (_, (freq, power, _)) in enumerate(streams):
+        records["freq"][:, s] = freq
+        records["power"][:, s] = power
+    atomic_write_bytes(path, data)
+    if not fit:
+        return len(labels), None
+    if not len(labels):
+        raise ValueError("cannot fit a normalizer on an empty sequence")
+    columns = zip(*(moments for _, (_, _, moments) in streams))
+    return len(labels), NormStats(*(np.stack(column).astype(np.float32) for column in columns))
 
 
 def _stamp(path: Path) -> list:
@@ -139,13 +226,13 @@ def fit_normalizer_arrays(freq: np.ndarray, power: np.ndarray) -> NormStats:
     """Per-position mean and population std over the first axis of (n,9,F)/(n,9,P) stacks."""
     if freq.shape[0] == 0:
         raise ValueError("cannot fit a normalizer on an empty sequence")
-    freq = np.asarray(freq, dtype=np.float64)
-    power = np.asarray(power, dtype=np.float64)
+    freq_mean, freq_std = _moments(np.asarray(freq, dtype=np.float64))
+    power_mean, power_std = _moments(np.asarray(power, dtype=np.float64))
     return NormStats(
-        freq_mean=freq.mean(axis=0).astype(np.float32),
-        freq_std=freq.std(axis=0).astype(np.float32),
-        power_mean=power.mean(axis=0).astype(np.float32),
-        power_std=power.std(axis=0).astype(np.float32),
+        freq_mean=freq_mean.astype(np.float32),
+        freq_std=freq_std.astype(np.float32),
+        power_mean=power_mean.astype(np.float32),
+        power_std=power_std.astype(np.float32),
     )
 
 
@@ -175,23 +262,29 @@ def _record_dtype(freq_bins: int, power_bins: int) -> np.dtype:
     )
 
 
-def write_feature_cache(path: str | Path, features: FeatureSet) -> None:
-    """Serialize a feature set to the binary cache format (atomic write).
+def _cache_buffer(n: int, freq_bins: int, power_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """A cache file's bytes with the header filled in, and the n-record array over the rest.
 
     Layout: magic, u32 sample count, u32 freq bins, u32 power bins, then per
     sample a u8 class id followed by the freq and power matrices as
-    little-endian float32, row-major.
+    little-endian float32, row-major. The caller fills the records and
+    writes the bytes, so the file is never joined into a second copy.
     """
-    n = len(features)
-    records = np.empty(n, dtype=_record_dtype(features.freq.shape[-1], features.power.shape[-1]))
+    header = CACHE_MAGIC + struct.pack("<III", n, freq_bins, power_bins)
+    dtype = _record_dtype(freq_bins, power_bins)
+    data = np.empty(len(header) + n * dtype.itemsize, dtype=np.uint8)
+    data[: len(header)] = np.frombuffer(header, dtype=np.uint8)
+    return data, data[len(header) :].view(dtype)
+
+
+def write_feature_cache(path: str | Path, features: FeatureSet) -> None:
+    """Serialize a feature set to the binary cache format (atomic write)."""
+    data, records = _cache_buffer(len(features), features.freq.shape[-1],
+                                  features.power.shape[-1])
     records["label"] = features.labels
     records["freq"] = features.freq
     records["power"] = features.power
-    header = CACHE_MAGIC + struct.pack(
-        "<III", n, features.freq.shape[-1], features.power.shape[-1]
-    )
-    # join copies the records once; header + records.tobytes() held two copies.
-    atomic_write_bytes(path, b"".join((header, records.data)))
+    atomic_write_bytes(path, data)
 
 
 def read_feature_cache(path: str | Path) -> FeatureSet:

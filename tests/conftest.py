@@ -72,6 +72,15 @@ def write_uci_split(root, split, windows, labels, subjects):
         f.writelines(f"{v}\n" for v in subjects)
 
 
+def uci_line(values) -> str:
+    """Values as one line of UCI signal text: 16-byte `%.7e` tokens with 3-digit exponents."""
+    tokens = []
+    for v in values:
+        mantissa, exponent = f"{v:.7e}".split("e")
+        tokens.append(f"{mantissa}e{int(exponent):+04d}".rjust(16))
+    return "".join(tokens)
+
+
 def build_synthetic_dataset(root, train_per_class=8, test_per_class=4, seed=1234):
     rng = np.random.default_rng(seed)
     train_counts = {a: train_per_class for a in Activity}

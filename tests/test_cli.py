@@ -5,6 +5,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -12,13 +13,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import build_synthetic_dataset, nan_in_worker_chunks
+from conftest import build_synthetic_dataset, nan_in_worker_chunks, uci_line
 import harcnn
-from harcnn import cli, features, metrics, model
-from harcnn.dataset import DatasetError
+from harcnn import cli, features, metrics, model, parallel
+from harcnn.checkpoint import save_norm_stats
+from harcnn.dataset import (
+    N_STREAMS, SPLITS, STREAM_NAMES, WINDOW_LEN, DatasetError, load_split,
+)
 from harcnn.cli import RunConfig, default_config_json, load_config, main
 from harcnn.dsp import WelchConfig
-from harcnn.features import extract_split, read_feature_cache
+from harcnn.features import (
+    FREQ_BINS, FeatureSet, extract_split, extraction_record, fit_normalizer_arrays,
+    read_feature_cache, write_feature_cache,
+)
 from harcnn.model import ConvLayerSpec, ModelSpec
 from harcnn.train import TrainConfig
 
@@ -64,6 +71,38 @@ OLD_DEFAULT_CONFIG = {
     "train": {"adam_eps": 1e-08, "batch_size": 64, "beta1": 0.9, "beta2": 0.999, "epochs": 40,
               "learning_rate": 0.001, "seed": 42},
     "welch": {"overlap": 32, "segment_len": 64, "window_kind": "hamming"},
+}
+
+
+def drop_last_line(path):
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
+
+def set_line(path, index, text):
+    lines = path.read_text().splitlines()
+    lines[index] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+def overflow_a_stream(split_dir):
+    """Give a signal file a row whose FFT overflows float64."""
+    set_line(split_dir / "Inertial Signals" / "body_acc_z_train.txt", 1, " 1e308" * 128)
+
+
+# Faults in a train split's files, each of which load_split reports.
+TRAIN_DAMAGE = {
+    "missing_stream": lambda d: (d / "Inertial Signals" / "body_gyro_y_train.txt").unlink(),
+    "two_bad_streams": lambda d: (
+        (d / "Inertial Signals" / "body_gyro_y_train.txt").unlink(),
+        (d / "Inertial Signals" / "total_acc_z_train.txt").write_bytes(b"\xe9\n"),
+    ),
+    "short_first_stream": lambda d: drop_last_line(d / "Inertial Signals" / "body_acc_x_train.txt"),
+    "short_label_file": lambda d: drop_last_line(d / "y_train.txt"),
+    "unknown_activity": lambda d: set_line(d / "y_train.txt", 3, "7"),
+    "unknown_subject": lambda d: set_line(d / "subject_train.txt", 0, "31"),
+    "missing_subjects": lambda d: (d / "subject_train.txt").unlink(),
+    # The split's checks come before any overflow in the transforms.
+    "overflow_and_bad_label": lambda d: (overflow_a_stream(d), set_line(d / "y_train.txt", 0, "0")),
 }
 
 
@@ -364,20 +403,91 @@ class TestExtract:
         cfg_path = write_config(tmp_path / "c.json", smoke_config(root, tmp_path / "full"))
         assert main(["extract", "--config", cfg_path]) == 0
         seen = []
+        transform = features._transform_block
 
-        def counting_extract(manifest, welch):
-            seen.append(len(manifest))
-            return extract_split(manifest, welch)
+        def counting_transform(rows, welch):
+            seen.append(len(rows))
+            return transform(rows, welch)
 
-        monkeypatch.setattr(cli, "extract_split", counting_extract)
+        monkeypatch.setattr(features, "_transform_block", counting_transform)
         assert main(["extract", "--config", cfg_path, "--subset", "5", "--out", str(tmp_path / "cut")]) == 0
-        assert seen == [5, 5]
+        assert seen == [5] * 2 * N_STREAMS  # one block of 5 rows per stream and split
         for name in ("train_features.bin", "test_features.bin"):
             full = read_feature_cache(tmp_path / "full" / name)
             cut = read_feature_cache(tmp_path / "cut" / name)
             assert np.array_equal(cut.freq, full.freq[:5])
             assert np.array_equal(cut.power, full.power[:5])
             assert np.array_equal(cut.labels, full.labels[:5])
+
+
+    @pytest.mark.parametrize("cpus", [4, 1])
+    @pytest.mark.parametrize("subset", [None, 5])
+    def test_writes_the_bytes_of_the_whole_split_path(self, tmp_path, monkeypatch, cpus, subset):
+        # The caches and stats of load_split -> extract_split -> fit_normalizer_arrays.
+        root = build_synthetic_dataset(tmp_path / "data", train_per_class=3, test_per_class=2)
+        cfg = replace(smoke_config(root, tmp_path / "out"), subset=subset)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+        assert main(["extract", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        want = tmp_path / "want"
+        want.mkdir()
+        keep = slice(subset)
+        for split in SPLITS:
+            whole = extract_split(load_split(root, split, strict_counts=False), cfg.welch)
+            cut = FeatureSet(whole.freq[keep], whole.power[keep], whole.labels[keep])
+            write_feature_cache(want / cli.CACHE_NAMES[split], cut)
+            if split == "train":
+                norm = fit_normalizer_arrays(cut.freq, cut.power)
+        save_norm_stats(want / cli.NORM_NAME, norm, extraction_record(root, cfg.welch, subset))
+        for name in (*cli.CACHE_NAMES.values(), cli.NORM_NAME):
+            assert (tmp_path / "out" / name).read_bytes() == (want / name).read_bytes(), name
+
+    @pytest.mark.parametrize("damage, strict", [(damage, False) for damage in TRAIN_DAMAGE]
+                             + [(None, True)])
+    def test_fails_as_load_split_does(self, tmp_path, capsys, damage, strict):
+        root = build_synthetic_dataset(tmp_path / "data", train_per_class=2, test_per_class=1)
+        if damage:
+            TRAIN_DAMAGE[damage](root / "train")
+        with pytest.raises(DatasetError) as info:
+            load_split(root, "train", strict_counts=strict)
+        cfg = replace(smoke_config(root, tmp_path / "out"), strict_counts=strict)
+        capsys.readouterr()
+        assert main(["extract", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
+        assert capsys.readouterr().err == f"dataset error: {info.value}\n"
+
+    def test_overflow_is_one_line_error(self, tmp_path, capsys):
+        root = build_synthetic_dataset(tmp_path / "data", train_per_class=2, test_per_class=1)
+        overflow_a_stream(root / "train")
+        cfg_path = write_config(tmp_path / "c.json", smoke_config(root, tmp_path / "out"))
+        capsys.readouterr()
+        assert main(["extract", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: arithmetic failed: overflow encountered in ")
+        assert err.count("\n") == 1
+
+    def test_peak_memory_is_below_the_whole_split_in_float64(self, tmp_path, monkeypatch):
+        # 1500 train windows in the UCI layout, made of 16 distinct lines so they are quick to write.
+        n = 1500
+        lines = [uci_line(row) + "\n" for row in np.random.default_rng(0).standard_normal((16, 128))]
+        for split, rows in (("train", n), ("test", 6)):
+            base = tmp_path / "data" / split
+            (base / "Inertial Signals").mkdir(parents=True)
+            for s, stream in enumerate(STREAM_NAMES):
+                text = "".join(lines[(i + s) % 16] for i in range(rows))
+                (base / "Inertial Signals" / f"{stream}_{split}.txt").write_text(text)
+            (base / f"y_{split}.txt").write_text("".join(f"{i % 6 + 1}\n" for i in range(rows)))
+            (base / f"subject_{split}.txt").write_text("".join(f"{i % 30 + 1}\n" for i in range(rows)))
+        cfg_path = write_config(tmp_path / "c.json", smoke_config(tmp_path / "data", tmp_path / "out"))
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)  # the same threads on any host
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            assert main(["extract", "--config", cfg_path]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The train split's float64 windows and features: 16,272 bytes a window.
+        whole_split = n * N_STREAMS * (WINDOW_LEN + FREQ_BINS + WelchConfig().n_bins) * 8
+        assert peak < whole_split, (peak, whole_split)
 
 
 class TestTrain:
@@ -484,23 +594,16 @@ class TestStaleCaches:
         assert self.train_line(capsys, cfg_path) == \
             "extracting features: train.features_version differs from this run's"
 
-    def test_extract_that_failed_on_the_test_split_leaves_no_record(
-        self, tmp_path, capsys, monkeypatch
-    ):
+    def test_extract_that_failed_on_the_test_split_leaves_no_record(self, tmp_path, capsys):
         # The subset caches are complete; the full extract then replaces only the train cache.
         cfg_path, out_dir = self.extracted(tmp_path, subset=5)
-        real_load = cli.load_split
-
-        def fail_on_test(root, split, **kwargs):
-            if split == "test":
-                raise DatasetError("test split unreadable")
-            return real_load(root, split, **kwargs)
-
-        monkeypatch.setattr(cli, "load_split", fail_on_test)
+        labels = tmp_path / "data" / "test" / "y_test.txt"
+        pristine = labels.read_bytes()
+        labels.write_bytes(b"9\n" + pristine)
         assert main(["extract", "--config", cfg_path]) == 2
         assert len(read_feature_cache(out_dir / "train_features.bin")) == 18
         assert not (out_dir / "norm_stats.bin").exists()
-        monkeypatch.setattr(cli, "load_split", real_load)
+        labels.write_bytes(pristine)
         assert self.train_line(capsys, cfg_path) == "extracting features: norm_stats.bin is missing"
         assert len(read_feature_cache(out_dir / "test_features.bin")) == 12
 

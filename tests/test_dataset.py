@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import build_synthetic_dataset
+from conftest import build_synthetic_dataset, uci_line
 from harcnn import parallel
 from harcnn.dataset import (
     Activity,
@@ -18,15 +18,6 @@ from harcnn.dataset import (
     parse_signal_file,
     table_count_mismatches,
 )
-
-
-def uci_line(values) -> str:
-    """Values as one line of UCI signal text: 16-byte `%.7e` tokens with 3-digit exponents."""
-    tokens = []
-    for v in values:
-        mantissa, exponent = f"{v:.7e}".split("e")
-        tokens.append(f"{mantissa}e{int(exponent):+04d}".rjust(16))
-    return "".join(tokens)
 
 
 def uci_token(negative: bool, mantissa: int, exponent: int) -> str:
@@ -434,7 +425,7 @@ class TestTableCounts:
             labels=labels,
             subjects=np.ones(total, dtype=np.int64),
         )
-        assert table_count_mismatches(manifest) == []
+        assert table_count_mismatches(manifest.split, manifest.labels) == []
         assert len(manifest) == total
 
     def test_counts_follow_the_labels_of_a_sliced_manifest(self):
@@ -462,6 +453,6 @@ class TestTableCounts:
             labels=labels,
             subjects=np.ones(10, dtype=np.int64),
         )
-        diffs = table_count_mismatches(manifest)
+        diffs = table_count_mismatches(manifest.split, manifest.labels)
         assert any("total 10" in d for d in diffs)
         assert any("test/Wlk: 0 != expected 496" in d for d in diffs)

@@ -111,7 +111,8 @@ def complex_normal(seed, shape):
 class TestFft:
     """The complex transform under rfft, against the textbook butterflies."""
 
-    @pytest.mark.parametrize("n", POW2_SIZES)
+    # Sizes 1 and 2 have no stage past the first, which comes from the bit-reversal gather.
+    @pytest.mark.parametrize("n", [1, 2, 4, *POW2_SIZES])
     def test_batch_bit_identical_to_concat_reference(self, n):
         x = complex_normal(n + 1, (3, 5, n))
         got = _fft(x)
@@ -238,6 +239,20 @@ class TestWelchPsd:
             axis=0,
         )
         assert np.allclose(got, manual, rtol=1e-12)
+
+    # 1, 3, 7, 9, 15 and 127 segments: numpy adds fewer than 8 values in order, more pairwise.
+    @pytest.mark.parametrize("length, overlap", [(128, 0), (64, 32), (32, 16), (32, 20),
+                                                 (16, 8), (2, 1)])
+    def test_average_is_numpys_mean_of_the_periodograms_bit_for_bit(self, length, overlap):
+        rng = np.random.default_rng(length + overlap)
+        x = rng.standard_normal(128) * 10.0 ** rng.uniform(-3, 3, 128)
+        cfg = WelchConfig(segment_len=length, overlap=overlap, window_kind="hamming")
+        periodograms = np.stack(
+            [welch_psd(x[off : off + length], one_segment(length, "hamming"))
+             for off in range(0, 128 - length + 1, cfg.step)],
+            axis=-1,
+        )
+        assert welch_psd(x, cfg).tobytes() == periodograms.mean(axis=-1).tobytes()
 
     def test_trailing_partial_segment_is_dropped(self):
         x = np.random.default_rng(12).standard_normal(100)

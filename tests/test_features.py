@@ -4,8 +4,10 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import write_uci_split
 from harcnn import features
 from harcnn.binio import FormatError
+from harcnn.dataset import N_STREAMS, load_split
 from harcnn.dsp import WelchConfig, rfft, welch_psd
 from harcnn.features import (
     BLOCK_WINDOWS,
@@ -13,6 +15,8 @@ from harcnn.features import (
     FeatureSet,
     NormStats,
     extract_features_batch,
+    extract_split,
+    extract_split_cache,
     fit_normalizer_arrays,
     normalize_set,
     read_feature_cache,
@@ -151,6 +155,42 @@ class TestFitNormalizer:
             m2 += delta * (freq[i] - mean)
         assert np.allclose(stats.freq_mean, mean, atol=1e-5)
         assert np.allclose(stats.freq_std, np.sqrt(m2 / 50), atol=1e-5)
+
+
+class TestExtractSplitCache:
+    """The per-stream path against load_split -> extract_split -> fit_normalizer_arrays."""
+
+    # 300 rows span two blocks of BLOCK_WINDOWS * N_STREAMS rows in a stream.
+    @pytest.mark.parametrize("n", [1, 37, 300])
+    def test_stream_stats_equal_fit_normalizer_arrays(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        windows = rng.standard_normal((n, N_STREAMS, 128)) * rng.uniform(0.1, 10, (1, N_STREAMS, 1))
+        labels, subjects = np.arange(n) % 6 + 1, np.arange(n) % 30 + 1
+        write_uci_split(tmp_path, "train", windows, labels, subjects)
+        got_n, got = extract_split_cache(tmp_path, "train", tmp_path / "train.bin",
+                                         strict_counts=False, fit=True)
+        whole = extract_split(load_split(tmp_path, "train", strict_counts=False))
+        want = fit_normalizer_arrays(whole.freq, whole.power)
+        assert got_n == n
+        for name in ("freq_mean", "freq_std", "power_mean", "power_std"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        # The float64 moments agree too, not only their float32 roundings.
+        mean, std = features._moments(whole.freq)
+        for s in range(N_STREAMS):
+            stream_mean, stream_std = features._moments(np.ascontiguousarray(whole.freq[:, s]))
+            assert stream_mean.tobytes() == mean[s].tobytes()
+            assert stream_std.tobytes() == std[s].tobytes()
+
+    def test_without_fit_no_stats(self, tmp_path):
+        windows = np.random.default_rng(2).standard_normal((4, N_STREAMS, 128))
+        write_uci_split(tmp_path, "test", windows, np.arange(4) + 1, np.arange(4) + 1)
+        path = tmp_path / "test.bin"
+        assert extract_split_cache(tmp_path, "test", path, strict_counts=False, subset=3) == (3, None)
+        cached = read_feature_cache(path)
+        whole = extract_split(load_split(tmp_path, "test", strict_counts=False))
+        assert np.array_equal(cached.freq, whole.freq[:3].astype(np.float32))
+        assert np.array_equal(cached.power, whole.power[:3].astype(np.float32))
+        assert np.array_equal(cached.labels, [1, 2, 3])
 
 
 class TestNormStats:
