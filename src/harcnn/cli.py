@@ -28,11 +28,10 @@ from .dataset import (
 from .dsp import WelchConfig
 from .features import (
     FREQ_BINS,
-    FeatureSet,
-    extract_split,
-    extract_split_cache,
+    extract_features,
     extraction_record,
     read_feature_cache,
+    write_feature_cache,
 )
 from .metrics import EvalReport, evaluate
 from .model import DEFAULT_MODEL_SPEC, ModelSpec
@@ -108,15 +107,6 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _load_features_for(cfg: RunConfig, split: str, welch: WelchConfig) -> FeatureSet:
-    """Raw features of the config's first `subset` windows of one split."""
-    manifest = load_split(cfg.dataset_root, split, strict_counts=cfg.strict_counts)
-    keep = slice(cfg.subset)  # slice(None) keeps every window
-    manifest = replace(manifest, windows=manifest.windows[keep], labels=manifest.labels[keep],
-                       subjects=manifest.subjects[keep])
-    return extract_split(manifest, welch)
-
-
 def cmd_validate(cfg: RunConfig) -> int:
     all_diffs: list[str] = []
     print(f"dataset root: {cfg.dataset_root}")
@@ -146,10 +136,10 @@ def cmd_extract(cfg: RunConfig) -> int:
     record = extraction_record(cfg.dataset_root, cfg.welch, cfg.subset)
     (out_dir / NORM_NAME).unlink(missing_ok=True)
     for split in SPLITS:
-        n, stats = extract_split_cache(
-            cfg.dataset_root, split, out_dir / CACHE_NAMES[split], cfg.welch, subset=cfg.subset,
-            strict_counts=cfg.strict_counts, fit=split == "train",
-        )
+        features, stats = extract_features(cfg.dataset_root, split, cfg.welch, subset=cfg.subset,
+                                           strict_counts=cfg.strict_counts, fit=split == "train")
+        write_feature_cache(out_dir / CACHE_NAMES[split], features)
+        n = len(features)
         print(f"{split}: cached {n} samples "
               f"(freq {(N_STREAMS, FREQ_BINS)}, power {(N_STREAMS, cfg.welch.n_bins)})")
         if stats is not None:
@@ -240,7 +230,10 @@ def cmd_evaluate(cfg: RunConfig, checkpoint_path: str | Path, split: str) -> int
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     params, welch, _ = load_checkpoint(checkpoint_path)
-    report = evaluate(params, _load_features_for(cfg, split, welch))
+    # The features of the checkpoint's Welch config, extracted as `extract` does.
+    features, _ = extract_features(cfg.dataset_root, split, welch, subset=cfg.subset,
+                                   strict_counts=cfg.strict_counts)
+    report = evaluate(params, features)
 
     print(f"{split} accuracy: {100.0 * report.accuracy:.2f}%")
     print("confusion matrix (rows = truth, columns = prediction):")

@@ -5,11 +5,13 @@ The dataset directory layout is the one shipped by the UCI repository:
 128-reading window per line for each of the 9 streams, and
 `y_<split>.txt` / `subject_<split>.txt` hold one integer per line.
 
-load_split reads a whole split into one float64 windows array. Its file
-reader (read_stream) and its split checks (check_split: row counts,
-label and subject files, published counts) are shared with
-features.extract_split_cache, which reads one stream at a time, so both
-fail with the same message for the same fault.
+load_split reads a whole split into one float64 windows array, for
+`validate` and for the tests' reference path. Its file reader
+(read_stream) and its split checks (check_split: row counts, label and
+subject files, published counts) are shared with
+features.extract_features, which reads one stream at a time for
+`extract`, `train` and `evaluate`, so both fail with the same message
+for the same fault.
 """
 
 from __future__ import annotations

@@ -5,11 +5,12 @@ FFT magnitudes, 9x65) and a power matrix (per-stream Welch PSD values,
 9x33 under the default config). The two matrices stay separate: they
 feed separate CNN channels and their bin counts differ.
 
-A stream's features depend on that stream's samples alone. So `extract`
-(extract_split_cache) handles a split one signal file at a time and
-keeps only float32 features, and the split's float64 windows and
-feature stacks never exist whole. evaluate still extracts a loaded
-split (extract_split), whose float64 features it uses as they are.
+A stream's features depend on that stream's samples alone. So
+extract_features, which `extract`, `train` and `evaluate` all use,
+handles a split one signal file at a time and keeps only float32
+features, and the split's float64 windows and feature stacks never exist
+whole. extract_split and extract_features_batch derive the same features
+from a loaded split's windows; tests hold extract_features to them.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ from .parallel import map_blocks
 FREQ_BINS = WINDOW_LEN // 2 + 1  # 65
 # Added to every std before dividing, so a constant position maps to 0.
 EPSILON = 1e-8
-# Windows per FFT/Welch pass in extract_features_batch; a pass over one
-# stream in extract_split_cache takes as many signals, BLOCK_WINDOWS *
-# N_STREAMS of its rows. At 32 each FFT buffer is about 0.4 MB and
-# stays in cache. Over the train split on a
+# An FFT/Welch pass in _rows_features takes BLOCK_WINDOWS * N_STREAMS rows
+# of one stream, as many signals as BLOCK_WINDOWS windows hold. At 32 each
+# FFT buffer is about 0.4 MB and stays in cache. Over the train split on a
 # 2-core host (median over rounds of each round's best run), 16/32/64/128
 # took 0.46/0.41/0.42/0.48 s on one thread and 0.52/0.33/0.27/0.29 s on two.
 # Every thread holds one block's temporaries, and 64 cost 3.3 MB (2%) of
@@ -95,34 +95,38 @@ class FeatureSet:
         return self.freq.shape[0]
 
 
-def _transform_block(rows: np.ndarray, cfg: WelchConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The freq and power rows of a block of (k, 128) signal rows."""
-    return np.abs(rfft(rows)), welch_psd(rows, cfg)
+def _rows_features(rows: np.ndarray, cfg: WelchConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 freq and power features of (k, 128) signal rows.
+
+    The rows go through the FFT and Welch in blocks of BLOCK_WINDOWS *
+    N_STREAMS, so every temporary stays a few MB and cache-resident
+    whatever k is. Each value is computed from its own row alone.
+    """
+    freq = np.empty((len(rows), FREQ_BINS))
+    power = np.empty((len(rows), cfg.n_bins))
+    step = BLOCK_WINDOWS * N_STREAMS
+    for start in range(0, len(rows), step):
+        block = slice(start, start + step)
+        freq[block] = np.abs(rfft(rows[block]))
+        power[block] = welch_psd(rows[block], cfg)
+    return freq, power
 
 
 def extract_features_batch(
     windows: np.ndarray, cfg: WelchConfig = WelchConfig()
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized extraction over (n, 9, 128) windows; returns (freq, power) stacks.
+    """Float64 (freq, power) stacks of (n, 9, 128) windows, one stream at a time.
 
-    Windows go through the FFT and Welch in blocks of BLOCK_WINDOWS, so
-    every temporary stays a few MB and cache-resident whatever n is. The
-    blocks run on every available CPU (see parallel.map_blocks), each
-    writing its own rows of the outputs.
+    The reference that tests hold extract_features to: every feature has
+    the bits of that stream's row in the per-stream path.
     """
     w = np.asarray(windows, dtype=np.float64)
     if w.ndim != 3 or w.shape[1:] != (N_STREAMS, WINDOW_LEN):
         raise ValueError(f"windows shape must be (n, {N_STREAMS}, {WINDOW_LEN}), got {w.shape}")
-    n = w.shape[0]
-    freq = np.empty((n, N_STREAMS, FREQ_BINS))
-    power = np.empty((n, N_STREAMS, cfg.n_bins))
-
-    def fill(block: slice) -> None:
-        f, p = _transform_block(w[block].reshape(-1, WINDOW_LEN), cfg)
-        freq[block] = f.reshape(-1, N_STREAMS, FREQ_BINS)
-        power[block] = p.reshape(-1, N_STREAMS, cfg.n_bins)
-
-    map_blocks(fill, [slice(start, start + BLOCK_WINDOWS) for start in range(0, n, BLOCK_WINDOWS)])
+    freq = np.empty((w.shape[0], N_STREAMS, FREQ_BINS))
+    power = np.empty((w.shape[0], N_STREAMS, cfg.n_bins))
+    for s in range(N_STREAMS):
+        freq[:, s], power[:, s] = _rows_features(w[:, s], cfg)
     return freq, power
 
 
@@ -146,20 +150,13 @@ def _stream_features(path: Path, cfg: WelchConfig, subset: int | None, fit: bool
     """One signal file as (rows, features): its row count, and of its first `subset` rows
     the float32 freq and power features and, with fit, their float64 moments (else None).
 
-    The rows are transformed in blocks of BLOCK_WINDOWS * N_STREAMS, as many
-    signals as a block of extract_features_batch. An overflow there is
-    returned in place of the features, to be raised after the split's checks.
+    An overflow in the transforms is returned in place of the features, to
+    be raised after the split's checks.
     """
     rows = read_stream(path)
     n_rows = len(rows)
-    rows = rows[:subset]
-    freq = np.empty((len(rows), FREQ_BINS))
-    power = np.empty((len(rows), cfg.n_bins))
-    step = BLOCK_WINDOWS * N_STREAMS
     try:
-        for start in range(0, len(rows), step):
-            block = slice(start, start + step)
-            freq[block], power[block] = _transform_block(rows[block], cfg)
+        freq, power = _rows_features(rows[:subset], cfg)
     except FloatingPointError as exc:
         return n_rows, exc
     del rows  # the parsed file, before the float32 copies are made
@@ -167,46 +164,40 @@ def _stream_features(path: Path, cfg: WelchConfig, subset: int | None, fit: bool
     return n_rows, (freq.astype(np.float32), power.astype(np.float32), moments)
 
 
-def extract_split_cache(
-    root, split: str, path: str | Path, cfg: WelchConfig = WelchConfig(), *,
+def extract_features(
+    root, split: str, cfg: WelchConfig = WelchConfig(), *,
     subset: int | None = None, strict_counts: bool = True, fit: bool = False,
-) -> tuple[int, NormStats | None]:
-    """Extract one split's first `subset` windows into a feature cache at `path`.
+) -> tuple[FeatureSet, NormStats | None]:
+    """The float32 features of one split's first `subset` windows, and with fit their stats.
 
-    Returns the number of windows cached and, with fit, the normalization
-    stats fitted on them, bit for bit fit_normalizer_arrays' of the
-    extract_split stacks. Each signal file is one task on map_blocks: it
-    is parsed, cut to `subset` rows and transformed, and only its float32
-    features (and float64 moments) are kept. So neither the split's
-    (n, 9, 128) windows nor its float64 feature stacks ever exist. A fault
-    is reported as load_split reports it, and an overflow in the
-    transforms only after the split's checks, as extract_split's was.
+    The stats are bit for bit fit_normalizer_arrays' of the extract_split
+    stacks. Each signal file is one task on map_blocks: it is parsed, cut
+    to `subset` rows and transformed, and only its float32 features (and
+    float64 moments) are kept. So neither the split's (n, 9, 128) windows
+    nor its float64 feature stacks ever exist. A fault is reported as
+    load_split reports it, and an overflow in the transforms only after the
+    split's checks, as extract_split's was. Nothing is written.
     """
     streams = map_blocks(lambda p: _stream_features(p, cfg, subset, fit),
                          split_files(root, split)[:N_STREAMS])
     labels, _ = check_split(root, split, [rows for rows, _ in streams], strict_counts)
-    for _, features in streams:
-        if isinstance(features, FloatingPointError):
-            raise features
+    for _, result in streams:
+        if isinstance(result, FloatingPointError):
+            raise result
     labels = labels[:subset]
-    data, records = _cache_buffer(len(labels), FREQ_BINS, cfg.n_bins)
-    records["label"] = labels
-    for s, (_, (freq, power, _)) in enumerate(streams):
-        records["freq"][:, s] = freq
-        records["power"][:, s] = power
-    atomic_write_bytes(path, data)
-    if not fit:
-        return len(labels), None
-    if not len(labels):
+    if fit and not len(labels):
         raise ValueError("cannot fit a normalizer on an empty sequence")
-    columns = zip(*(moments for _, (_, _, moments) in streams))
-    return len(labels), NormStats(*(np.stack(column).astype(np.float32) for column in columns))
+    freq, power, moments = zip(*(result for _, result in streams))
+    features = FeatureSet(np.stack(freq, axis=1), np.stack(power, axis=1), labels)
+    if not fit:
+        return features, None
+    return features, NormStats(*(np.stack(column).astype(np.float32) for column in zip(*moments)))
 
 
 def _stamp(path: Path) -> list:
     try:
         st = path.stat()
-    except OSError:  # load_split names the missing file
+    except OSError:  # read_stream or check_split names the missing file
         return [path.name, None, None]
     return [path.name, st.st_size, st.st_mtime_ns]
 
@@ -262,25 +253,20 @@ def _record_dtype(freq_bins: int, power_bins: int) -> np.dtype:
     )
 
 
-def _cache_buffer(n: int, freq_bins: int, power_bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """A cache file's bytes with the header filled in, and the n-record array over the rest.
+def write_feature_cache(path: str | Path, features: FeatureSet) -> None:
+    """Serialize a feature set to the binary cache format (atomic write).
 
     Layout: magic, u32 sample count, u32 freq bins, u32 power bins, then per
     sample a u8 class id followed by the freq and power matrices as
-    little-endian float32, row-major. The caller fills the records and
-    writes the bytes, so the file is never joined into a second copy.
+    little-endian float32, row-major. The records are filled in the file's
+    own buffer, so the file is never joined into a second copy.
     """
-    header = CACHE_MAGIC + struct.pack("<III", n, freq_bins, power_bins)
+    freq_bins, power_bins = features.freq.shape[-1], features.power.shape[-1]
+    header = CACHE_MAGIC + struct.pack("<III", len(features), freq_bins, power_bins)
     dtype = _record_dtype(freq_bins, power_bins)
-    data = np.empty(len(header) + n * dtype.itemsize, dtype=np.uint8)
+    data = np.empty(len(header) + len(features) * dtype.itemsize, dtype=np.uint8)
     data[: len(header)] = np.frombuffer(header, dtype=np.uint8)
-    return data, data[len(header) :].view(dtype)
-
-
-def write_feature_cache(path: str | Path, features: FeatureSet) -> None:
-    """Serialize a feature set to the binary cache format (atomic write)."""
-    data, records = _cache_buffer(len(features), features.freq.shape[-1],
-                                  features.power.shape[-1])
+    records = data[len(header) :].view(dtype)
     records["label"] = features.labels
     records["freq"] = features.freq
     records["power"] = features.power

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import build_synthetic_dataset, nan_in_worker_chunks, uci_line
+from conftest import build_synthetic_dataset, nan_in_worker_chunks, uci_line, write_uci_split
 import harcnn
 from harcnn import cli, features, metrics, model, parallel
 from harcnn.checkpoint import save_norm_stats
@@ -403,15 +403,15 @@ class TestExtract:
         cfg_path = write_config(tmp_path / "c.json", smoke_config(root, tmp_path / "full"))
         assert main(["extract", "--config", cfg_path]) == 0
         seen = []
-        transform = features._transform_block
+        transform = features._rows_features
 
         def counting_transform(rows, welch):
             seen.append(len(rows))
             return transform(rows, welch)
 
-        monkeypatch.setattr(features, "_transform_block", counting_transform)
+        monkeypatch.setattr(features, "_rows_features", counting_transform)
         assert main(["extract", "--config", cfg_path, "--subset", "5", "--out", str(tmp_path / "cut")]) == 0
-        assert seen == [5] * 2 * N_STREAMS  # one block of 5 rows per stream and split
+        assert seen == [5] * 2 * N_STREAMS  # 5 rows per stream and split
         for name in ("train_features.bin", "test_features.bin"):
             full = read_feature_cache(tmp_path / "full" / name)
             cut = read_feature_cache(tmp_path / "cut" / name)
@@ -453,6 +453,17 @@ class TestExtract:
         capsys.readouterr()
         assert main(["extract", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
         assert capsys.readouterr().err == f"dataset error: {info.value}\n"
+
+    def test_empty_train_split_fails_before_any_cache_is_written(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        for split in SPLITS:
+            write_uci_split(root, split, np.zeros((0, N_STREAMS, WINDOW_LEN)),
+                            np.zeros(0, np.int64), np.zeros(0, np.int64))
+        out_dir = tmp_path / "out"
+        err = one_line_error(capsys, ["extract", "--config",
+                                      write_config(tmp_path / "c.json", smoke_config(root, out_dir))])
+        assert err == "error: cannot fit a normalizer on an empty sequence\n"
+        assert list(out_dir.iterdir()) == []
 
     def test_overflow_is_one_line_error(self, tmp_path, capsys):
         root = build_synthetic_dataset(tmp_path / "data", train_per_class=2, test_per_class=1)
@@ -671,6 +682,59 @@ class TestEvaluate:
         report = json.loads((tmp_path / "train_eval" / "report.json").read_text())
         assert report["split"] == "train"
         assert "reference_gap" not in report
+
+    def test_reads_no_whole_split(self, trained_pipeline, tmp_path, monkeypatch):
+        _, out_dir, cfg_path = trained_pipeline
+
+        def whole_split(*args, **kwargs):
+            raise AssertionError("whole-split path called")
+
+        monkeypatch.setattr(cli, "load_split", whole_split)
+        monkeypatch.setattr(features, "extract_split", whole_split)
+        assert main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "eval"),
+                     "--checkpoint", str(out_dir / "checkpoint.bin")]) == 0
+        assert (tmp_path / "eval" / "report.json").read_bytes() == \
+            (out_dir / "report.json").read_bytes()
+
+    # The report needs every class among the scored windows; the first 30 of 36 hold all six.
+    @pytest.mark.parametrize("subset", [None, 30])
+    def test_scores_the_features_extract_caches(self, trained_pipeline, tmp_path, monkeypatch,
+                                                subset):
+        root, out_dir, _ = trained_pipeline
+        cfg = replace(smoke_config(root, tmp_path / "out"), subset=subset)
+        cfg_path = write_config(tmp_path / "c.json", cfg)
+        assert main(["extract", "--config", cfg_path]) == 0
+        scored = []
+
+        def scoring(params, features):
+            scored.append(features)
+            return metrics.evaluate(params, features)
+
+        monkeypatch.setattr(cli, "evaluate", scoring)
+        assert main(["evaluate", "--config", cfg_path,
+                     "--checkpoint", str(out_dir / "checkpoint.bin")]) == 0
+        cached = read_feature_cache(tmp_path / "out" / "test_features.bin")
+        (got,) = scored
+        assert len(got) == (subset or 36)
+        for name in ("freq", "power", "labels"):
+            a, b = getattr(got, name), getattr(cached, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+    def test_report_follows_the_checkpoints_welch_config(self, trained_pipeline, tmp_path):
+        # Overlap 16 gives the same 33 Welch bins, so no shape check would catch a mix-up.
+        root, _, _ = trained_pipeline
+        trained = replace(smoke_config(root, tmp_path / "out", epochs=1),
+                          welch=WelchConfig(overlap=16))
+        assert main(["train", "--config", write_config(tmp_path / "c.json", trained)]) == 0
+        outputs = []
+        for overlap in (16, 32):
+            cfg = replace(trained, welch=WelchConfig(overlap=overlap),
+                          output_dir=str(tmp_path / f"eval{overlap}"))
+            assert main(["evaluate", "--config", write_config(tmp_path / f"e{overlap}.json", cfg),
+                         "--checkpoint", str(tmp_path / "out" / "checkpoint.bin")]) == 0
+            outputs.append([(tmp_path / f"eval{overlap}" / name).read_bytes()
+                            for name in ("report.json", "roc_Wlk.csv", "roc_Lay.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_missing_checkpoint_is_internal_error(self, trained_pipeline, capsys):
         root, out_dir, cfg_path = trained_pipeline

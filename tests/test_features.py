@@ -14,9 +14,9 @@ from harcnn.features import (
     EPSILON,
     FeatureSet,
     NormStats,
+    extract_features,
     extract_features_batch,
     extract_split,
-    extract_split_cache,
     fit_normalizer_arrays,
     normalize_set,
     read_feature_cache,
@@ -83,22 +83,6 @@ class TestExtractFeatures:
             assert np.array_equal(freq[i], np.abs(rfft(windows[i])))
             assert np.array_equal(power[i], welch_psd(windows[i], WelchConfig()))
 
-    def test_one_cpu_starts_no_thread_and_gives_the_same_bytes(self, monkeypatch, four_cpus):
-        windows = np.random.default_rng(23).standard_normal((3 * BLOCK_WINDOWS + 1, 9, 128))
-        threaded = extract_features_batch(windows)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        before = threading.active_count()
-        seen = []
-
-        def fft(*args):
-            seen.append((threading.current_thread(), threading.active_count()))
-            return rfft(*args)
-
-        monkeypatch.setattr(features, "rfft", fft)
-        serial = extract_features_batch(windows)
-        assert seen == [(threading.current_thread(), before)] * 4
-        assert np.array_equal(serial[0], threaded[0]) and np.array_equal(serial[1], threaded[1])
-
     def test_empty_batch_gives_empty_stacks(self):
         freq, power = extract_features_batch(np.zeros((0, 9, 128)))
         assert freq.shape == (0, 9, 65)
@@ -157,7 +141,7 @@ class TestFitNormalizer:
         assert np.allclose(stats.freq_std, np.sqrt(m2 / 50), atol=1e-5)
 
 
-class TestExtractSplitCache:
+class TestExtractFeaturesPerStream:
     """The per-stream path against load_split -> extract_split -> fit_normalizer_arrays."""
 
     # 300 rows span two blocks of BLOCK_WINDOWS * N_STREAMS rows in a stream.
@@ -167,11 +151,10 @@ class TestExtractSplitCache:
         windows = rng.standard_normal((n, N_STREAMS, 128)) * rng.uniform(0.1, 10, (1, N_STREAMS, 1))
         labels, subjects = np.arange(n) % 6 + 1, np.arange(n) % 30 + 1
         write_uci_split(tmp_path, "train", windows, labels, subjects)
-        got_n, got = extract_split_cache(tmp_path, "train", tmp_path / "train.bin",
-                                         strict_counts=False, fit=True)
+        got_set, got = extract_features(tmp_path, "train", strict_counts=False, fit=True)
         whole = extract_split(load_split(tmp_path, "train", strict_counts=False))
         want = fit_normalizer_arrays(whole.freq, whole.power)
-        assert got_n == n
+        assert len(got_set) == n
         for name in ("freq_mean", "freq_std", "power_mean", "power_std"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         # The float64 moments agree too, not only their float32 roundings.
@@ -181,16 +164,45 @@ class TestExtractSplitCache:
             assert stream_mean.tobytes() == mean[s].tobytes()
             assert stream_std.tobytes() == std[s].tobytes()
 
-    def test_without_fit_no_stats(self, tmp_path):
+    def test_without_fit_no_stats_and_no_file(self, tmp_path):
         windows = np.random.default_rng(2).standard_normal((4, N_STREAMS, 128))
         write_uci_split(tmp_path, "test", windows, np.arange(4) + 1, np.arange(4) + 1)
-        path = tmp_path / "test.bin"
-        assert extract_split_cache(tmp_path, "test", path, strict_counts=False, subset=3) == (3, None)
-        cached = read_feature_cache(path)
+        files = sorted(tmp_path.rglob("*"))
+        got, stats = extract_features(tmp_path, "test", strict_counts=False, subset=3)
+        assert stats is None
+        assert sorted(tmp_path.rglob("*")) == files
         whole = extract_split(load_split(tmp_path, "test", strict_counts=False))
-        assert np.array_equal(cached.freq, whole.freq[:3].astype(np.float32))
-        assert np.array_equal(cached.power, whole.power[:3].astype(np.float32))
-        assert np.array_equal(cached.labels, [1, 2, 3])
+        assert got.freq.dtype == got.power.dtype == np.float32
+        assert np.array_equal(got.freq, whole.freq[:3].astype(np.float32))
+        assert np.array_equal(got.power, whole.power[:3].astype(np.float32))
+        assert np.array_equal(got.labels, [1, 2, 3])
+
+    def test_empty_split_cannot_be_fitted(self, tmp_path):
+        write_uci_split(tmp_path, "train", np.zeros((0, N_STREAMS, 128)), [], [])
+        assert len(extract_features(tmp_path, "train", strict_counts=False)[0]) == 0
+        with pytest.raises(ValueError, match="cannot fit a normalizer on an empty sequence"):
+            extract_features(tmp_path, "train", strict_counts=False, fit=True)
+
+    def test_one_cpu_starts_no_thread_and_gives_the_same_bytes(self, tmp_path, monkeypatch,
+                                                              four_cpus):
+        n = BLOCK_WINDOWS * N_STREAMS + 12  # two blocks in each stream
+        windows = np.random.default_rng(23).standard_normal((n, N_STREAMS, 128))
+        write_uci_split(tmp_path, "train", windows, np.arange(n) % 6 + 1, np.arange(n) % 30 + 1)
+        threaded = extract_features(tmp_path, "train", strict_counts=False, fit=True)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        before = threading.active_count()
+        seen = []
+
+        def fft(*args):
+            seen.append((threading.current_thread(), threading.active_count()))
+            return rfft(*args)
+
+        monkeypatch.setattr(features, "rfft", fft)
+        serial = extract_features(tmp_path, "train", strict_counts=False, fit=True)
+        assert seen == [(threading.current_thread(), before)] * 2 * N_STREAMS
+        for got, want in zip(serial, threaded):
+            for name, value in vars(want).items():
+                assert getattr(got, name).tobytes() == value.tobytes(), name
 
 
 class TestNormStats:
