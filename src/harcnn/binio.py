@@ -10,6 +10,7 @@ little-endian float32 data.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -75,7 +76,7 @@ def unpack_tensor_records(buf: memoryview, where: str = "") -> dict[str, np.ndar
             raise FormatError(f"{where}record name {bytes(raw)!r} is not UTF-8") from None
         (rank,) = struct.unpack("<I", take(4, "record rank"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "record dims"))
-        count = int(np.prod(dims, dtype=np.int64))
+        count = math.prod(dims)  # a Python int: an int64 product of u32 dims can wrap
         raw = take(4 * count, f"data of record {name!r}")
         records[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
     return records

@@ -227,20 +227,23 @@ def fit_normalizer_arrays(freq: np.ndarray, power: np.ndarray) -> NormStats:
     )
 
 
-def normalize_set(freq, power, stats: NormStats) -> tuple[np.ndarray, np.ndarray]:
-    """(x - mean) / (std + EPSILON) of raw (n,9,F)/(n,9,P) stacks, as float64 copies.
+def normalize(x, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """(x - mean) / (std + EPSILON) of a raw (n,9,bins) stack, as a float64 copy.
 
-    Each stack is copied to float64 once and normalized in place, so no
-    full-size temporary is made. The caller's arrays are left unchanged.
+    The stack is copied to float64 once and normalized in place, so no
+    full-size temporary is made. The caller's array is left unchanged.
     """
+    x = np.array(x, dtype=np.float64)
+    x -= mean.astype(np.float64)
+    x /= std.astype(np.float64) + EPSILON
+    return x
+
+
+def normalize_set(freq, power, stats: NormStats) -> tuple[np.ndarray, np.ndarray]:
+    """Both raw (n,9,F)/(n,9,P) stacks normalized with `stats` (see normalize)."""
     stats.check_shapes(freq, power)
-    freq = np.array(freq, dtype=np.float64)
-    power = np.array(power, dtype=np.float64)
-    freq -= stats.freq_mean.astype(np.float64)
-    freq /= stats.freq_std.astype(np.float64) + EPSILON
-    power -= stats.power_mean.astype(np.float64)
-    power /= stats.power_std.astype(np.float64) + EPSILON
-    return freq, power
+    return (normalize(freq, stats.freq_mean, stats.freq_std),
+            normalize(power, stats.power_mean, stats.power_std))
 
 
 def _record_dtype(freq_bins: int, power_bins: int) -> np.dtype:
@@ -276,7 +279,9 @@ def write_feature_cache(path: str | Path, features: FeatureSet) -> None:
 def read_feature_cache(path: str | Path) -> FeatureSet:
     """Read a feature cache back; values come out float32 exactly as stored.
 
-    A layout mismatch, a label outside 1..6 or a non-finite value raises a
+    freq and power are read-only views over the file's bytes, so the
+    stacks are never held twice; labels are an int64 copy. A layout
+    mismatch, a label outside 1..6 or a non-finite value raises a
     FormatError that starts with the path.
     """
     data = Path(path).read_bytes()
@@ -299,8 +304,4 @@ def read_feature_cache(path: str | Path) -> FeatureSet:
         )
     if not (np.isfinite(records["freq"]).all() and np.isfinite(records["power"]).all()):
         raise FormatError(f"{path}: feature cache holds non-finite values")
-    return FeatureSet(
-        freq=records["freq"].copy(),
-        power=records["power"].copy(),
-        labels=labels.astype(np.int64),
-    )
+    return FeatureSet(freq=records["freq"], power=records["power"], labels=labels.astype(np.int64))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import N_CLASSES, N_STREAMS
-from .features import NormStats, normalize_set
+from .features import NormStats, normalize
 from .layers import (
     conv1d_backward,
     conv1d_forward,
@@ -155,22 +155,30 @@ def init_model(
 
 
 def _channel_forward(x, params: ModelParams, prefix: str, want_cache: bool):
-    """Dense output of one channel, and its layer caches when `want_cache`.
+    """One channel's dense output on its raw (n,9,bins) features; with `want_cache`, its caches.
 
-    Without caches a layer's im2col windows are freed once the next conv
-    has run, instead of living as long as the batch's caches.
+    The features are normalized with the model's stats and cast to its
+    dtype in a channels-last layout, so the first conv copies its windows
+    without a transpose. Without caches each conv's windows go as soon as
+    the conv returns and its output once the pool has read it, so a chunk
+    holds one layer's working set at a time.
     """
     arrays = params.arrays
+    mean, std = getattr(params.norm, f"{prefix}_mean"), getattr(params.norm, f"{prefix}_std")
+    h = normalize(x, mean, std)
+    h = np.ascontiguousarray(h.transpose(0, 2, 1), dtype=params.dtype).transpose(0, 2, 1)
     caches = []
-    h = x
     for i, (conv, pool_w) in enumerate(zip(params.spec.convs, params.spec.pool_widths)):
         w, b = arrays[f"{prefix}.conv{i}.w"], arrays[f"{prefix}.conv{i}.b"]
         h, conv_cache = conv1d_forward(h, w, b, conv.stride)
+        if not want_cache:
+            conv_cache = None  # frees the windows; `h` holds the output until the pool
         pool_cache = None
         if pool_w > 1:
             h, pool_cache = maxpool1d_forward(h, pool_w)
         if want_cache:
             caches.append((conv_cache, pool_cache))
+        del pool_cache  # without caches the pool's argmax goes before the next conv
     pre_flatten_shape = h.shape
     flat = h.reshape(h.shape[0], -1)
     out, dense_cache = dense_forward(flat, arrays[f"{prefix}.dense.w"], arrays[f"{prefix}.dense.b"])
@@ -198,16 +206,12 @@ def _channel_backward(d_out, cache, params: ModelParams, prefix: str, grads):
 def forward_batch(params: ModelParams, freq, power, want_cache: bool = False):
     """Class logits and probabilities for batched raw (n,9,F)/(n,9,P) features.
 
-    They are normalized with the model's stats, then cast to its dtype
-    in a channels-last layout.
-    Raises ValueError when any logit is non-finite (NaN or inf in the
-    features or the weights), so a broken input never yields predictions.
+    Each channel normalizes its own features with the model's stats (see
+    _channel_forward). Raises ValueError when the widths are not the
+    stats', or when any logit is non-finite (NaN or inf in the features
+    or the weights), so a broken input never yields predictions.
     """
-    # Channels-last, so the first conv copies its windows without a transpose.
-    freq, power = (
-        np.ascontiguousarray(x.transpose(0, 2, 1), dtype=params.dtype).transpose(0, 2, 1)
-        for x in normalize_set(freq, power, params.norm)
-    )
+    params.norm.check_shapes(freq, power)
     f_out, f_cache = _channel_forward(freq, params, "freq", want_cache)
     p_out, p_cache = _channel_forward(power, params, "power", want_cache)
     concat = np.concatenate([f_out, p_out], axis=1)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,13 @@ class TestTensorRecords:
         blob = pack_tensor_record("weights", np.ones(10, dtype=np.float32))
         with pytest.raises(FormatError, match="truncated.*weights"):
             unpack_tensor_records(memoryview(blob[:-8]))
+
+    def test_oversized_dims_are_a_truncated_record(self):
+        # The element count of these dims wraps negative in int64.
+        dims = (2**32 - 1, 2**32 - 1)
+        blob = struct.pack("<I", 1) + b"w" + struct.pack("<3I", 2, *dims) + b"\0" * 16
+        with pytest.raises(FormatError, match=r"^ckpt: truncated file: .* record 'w'$"):
+            unpack_tensor_records(memoryview(blob), "ckpt: ")
 
     def test_truncated_header_rejected(self):
         with pytest.raises(FormatError, match="truncated"):

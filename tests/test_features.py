@@ -1,5 +1,6 @@
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -310,6 +311,20 @@ class TestFeatureCache:
         assert np.array_equal(back.freq, fs.freq)
         assert np.array_equal(back.power, fs.power)
         assert np.array_equal(back.labels, fs.labels)
+
+    def test_read_holds_the_file_once_and_its_stacks_are_read_only(self, tmp_path):
+        path = tmp_path / "train.harfeat"
+        write_feature_cache(path, self._feature_set(n=2000))
+        tracemalloc.start()
+        try:
+            back = read_feature_cache(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * path.stat().st_size
+        for stack in (back.freq, back.power):
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0, 0, 0] = 1.0
 
     def test_round_trip_is_byte_exact(self, tmp_path):
         fs = self._feature_set(seed=9)

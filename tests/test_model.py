@@ -1,5 +1,6 @@
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,13 +168,16 @@ class TestForward:
         freq = rng.standard_normal((5, 9, 65)).astype(np.float32)
         power = rng.standard_normal((5, 9, 33)).astype(np.float32)
         seen = {}
-        real = model._channel_forward
+        real = model.conv1d_forward
 
-        def channel_forward(x, params, prefix, want_cache):
-            seen[prefix] = x
-            return real(x, params, prefix, want_cache)
+        def conv1d_forward(x, w, *args):
+            # A channel's first conv reads that channel's normalized input.
+            for prefix in ("freq", "power"):
+                if w is params.arrays[f"{prefix}.conv0.w"]:
+                    seen[prefix] = x
+            return real(x, w, *args)
 
-        monkeypatch.setattr(model, "_channel_forward", channel_forward)
+        monkeypatch.setattr(model, "conv1d_forward", conv1d_forward)
         forward_batch(params, freq, power)
         for prefix, x in (("freq", freq), ("power", power)):
             mean, std = (getattr(params.norm, f"{prefix}_{k}").astype(np.float64)
@@ -183,6 +187,23 @@ class TestForward:
             assert seen[prefix].dtype == np.float32
             assert seen[prefix].transpose(0, 2, 1).flags.c_contiguous
             assert np.array_equal(seen[prefix], want)
+
+    def test_inference_holds_one_layers_working_set_at_a_time(self):
+        # One layer's working set is about 26 KB a row. A chunk that keeps a
+        # conv's windows and output, or both channels' inputs, into the next
+        # conv needs about 53 KB.
+        rng = np.random.default_rng(39)
+        params = init_model(seed=2, norm=make_norm(min_std=1.0))
+        freq = rng.standard_normal((512, 9, 65)).astype(np.float32)
+        power = rng.standard_normal((512, 9, 33)).astype(np.float32)
+        forward_batch(params, freq, power)
+        tracemalloc.start()
+        try:
+            forward_batch(params, freq, power)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / 512 < 32e3
 
     def test_raw_float32_and_float64_features_give_the_same_bits(self):
         # The cache path feeds float32 values, the extract path the same values as float64.

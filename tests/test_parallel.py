@@ -58,6 +58,26 @@ class TestMapBlocks:
         assert map_blocks(lambda b: threading.active_count(), []) == []
         assert map_blocks(lambda b: threading.active_count(), ["only"]) == [before]
 
+    def test_the_caller_runs_blocks_beside_one_worker_per_further_cpu(self, four_cpus):
+        # Each worker's first block waits until the caller has run one, so
+        # the caller gets a block however fast the workers start.
+        caller = threading.current_thread()
+        caller_ran = threading.Event()
+        before = threading.active_count()
+
+        def block(i):
+            if threading.current_thread() is caller:
+                caller_ran.set()
+            else:
+                caller_ran.wait(timeout=2)
+            return threading.current_thread(), threading.active_count()
+
+        seen = map_blocks(block, range(8))
+        assert caller_ran.is_set()
+        assert caller in {thread for thread, _ in seen}
+        assert len({thread for thread, _ in seen}) <= 4
+        assert max(count for _, count in seen) <= before + 3
+
     def test_one_cpu_is_a_plain_loop_on_the_caller(self, one_cpu):
         before = threading.active_count()
         caller = threading.current_thread()
