@@ -82,8 +82,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, WelchConfig, dict]:
     return params, info.welch, meta
 
 
-def save_norm_stats(path: str | Path, norm: NormStats, record: dict | None = None) -> None:
-    write_container(path, NORM_MAGIC, record or {}, _norm_records(norm))
+def save_norm_stats(path: str | Path, norm: NormStats, record: dict) -> None:
+    write_container(path, NORM_MAGIC, record, _norm_records(norm))
 
 
 def load_norm_record(path: str | Path) -> dict:

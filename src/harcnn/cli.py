@@ -33,8 +33,8 @@ from .features import (
     read_feature_cache,
     write_feature_cache,
 )
-from .metrics import EvalReport, evaluate
-from .model import DEFAULT_MODEL_SPEC, ModelSpec
+from .metrics import EvalReport, report_from_predictions
+from .model import DEFAULT_MODEL_SPEC, ModelSpec, predict_batch
 from .train import EpochStats, TrainConfig, TrainRun, train
 
 EXIT_OK = 0
@@ -233,7 +233,10 @@ def cmd_evaluate(cfg: RunConfig, checkpoint_path: str | Path, split: str) -> int
     # The features of the checkpoint's Welch config, extracted as `extract` does.
     features, _ = extract_features(cfg.dataset_root, split, welch, subset=cfg.subset,
                                    strict_counts=cfg.strict_counts)
-    report = evaluate(params, features)
+    if not len(features):
+        raise ValueError("cannot evaluate an empty split")
+    report = report_from_predictions(predict_batch(params, features.freq, features.power),
+                                     features.labels)
 
     print(f"{split} accuracy: {100.0 * report.accuracy:.2f}%")
     print("confusion matrix (rows = truth, columns = prediction):")
@@ -278,10 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dataset_required=False):
+    def common(p):
         p.add_argument("--config", help="JSON run config (defaults used when omitted)")
-        p.add_argument("--dataset", required=dataset_required, default=None,
-                       help="dataset root directory")
+        p.add_argument("--dataset", default=None, help="dataset root directory")
         p.add_argument("--out", default=None, help="output directory")
 
     p_validate = sub.add_parser("validate", help="check dataset structure and published counts")

@@ -150,18 +150,19 @@ def _stream_features(path: Path, cfg: WelchConfig, subset: int | None, fit: bool
     """One signal file as (rows, features): its row count, and of its first `subset` rows
     the float32 freq and power features and, with fit, their float64 moments (else None).
 
-    An overflow in the transforms is returned in place of the features, to
-    be raised after the split's checks.
+    An overflow in the transforms or in the float32 casts (a finite power
+    can exceed float32) is returned in place of the features, to be raised
+    after the split's checks.
     """
     rows = read_stream(path)
     n_rows = len(rows)
     try:
         freq, power = _rows_features(rows[:subset], cfg)
+        del rows  # the parsed file, before the float32 copies are made
+        moments = (*_moments(freq), *_moments(power)) if fit and len(freq) else None
+        return n_rows, (freq.astype(np.float32), power.astype(np.float32), moments)
     except FloatingPointError as exc:
         return n_rows, exc
-    del rows  # the parsed file, before the float32 copies are made
-    moments = (*_moments(freq), *_moments(power)) if fit and len(freq) else None
-    return n_rows, (freq.astype(np.float32), power.astype(np.float32), moments)
 
 
 def extract_features(

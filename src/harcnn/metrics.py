@@ -8,8 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import N_CLASSES, Activity
-from .features import FeatureSet
-from .model import ModelParams, predict_batch
 
 
 def confusion(preds, truth) -> np.ndarray:
@@ -153,9 +151,3 @@ def report_from_predictions(probs: np.ndarray, truth) -> EvalReport:
         roc=roc,
         zero_precision_classes=[Activity(i + 1).short for i in zero_cols],
     )
-
-
-def evaluate(params: ModelParams, features: FeatureSet) -> EvalReport:
-    """Report of a model on one split's raw features."""
-    probs = predict_batch(params, features.freq, features.power)
-    return report_from_predictions(probs, features.labels)

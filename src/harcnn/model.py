@@ -173,9 +173,7 @@ def _channel_forward(x, params: ModelParams, prefix: str, want_cache: bool):
         h, conv_cache = conv1d_forward(h, w, b, conv.stride)
         if not want_cache:
             conv_cache = None  # frees the windows; `h` holds the output until the pool
-        pool_cache = None
-        if pool_w > 1:
-            h, pool_cache = maxpool1d_forward(h, pool_w)
+        h, pool_cache = maxpool1d_forward(h, pool_w)
         if want_cache:
             caches.append((conv_cache, pool_cache))
         del pool_cache  # without caches the pool's argmax goes before the next conv
@@ -194,8 +192,7 @@ def _channel_backward(d_out, cache, params: ModelParams, prefix: str, grads):
     d_h = d_flat.reshape(pre_flatten_shape)
     for i in reversed(range(len(params.spec.convs))):
         conv_cache, pool_cache = caches[i]
-        if pool_cache is not None:
-            d_h = maxpool1d_backward(d_h, pool_cache)
+        d_h = maxpool1d_backward(d_h, pool_cache)
         # The first conv's input gradient would be the features', which nothing reads.
         w = arrays[f"{prefix}.conv{i}.w"]
         d_h, d_w, d_b = conv1d_backward(d_h, conv_cache, w, want_d_x=i > 0)
@@ -239,12 +236,16 @@ def backward_batch(params: ModelParams, cache, d_logits) -> dict[str, np.ndarray
     return grads
 
 
-def predict_batch(params: ModelParams, freq, power, chunk: int = 512) -> np.ndarray:
-    """Probabilities (n, 6) of raw features, computed in chunks to bound memory.
+# Rows per predict_batch chunk. It fixes the GEMM shapes, and with them the output bits.
+PREDICT_CHUNK = 512
 
-    The chunks run on every available CPU (see parallel.map_blocks). The
-    chunk size fixes the GEMM shapes, and with them the output bits.
+
+def predict_batch(params: ModelParams, freq, power) -> np.ndarray:
+    """Probabilities (n, 6) of raw features, computed in PREDICT_CHUNK-row chunks to bound memory.
+
+    The chunks run on every available CPU (see parallel.map_blocks).
     """
+    chunk = PREDICT_CHUNK
 
     def probs(start: int) -> np.ndarray:
         return forward_batch(params, freq[start : start + chunk], power[start : start + chunk])[1]

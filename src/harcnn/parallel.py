@@ -30,13 +30,12 @@ def map_blocks(fn, blocks) -> list:
     exception is re-raised, as the plain loop would raise it, but only
     after the blocks already taken have run; once a block has failed no
     thread takes another, and no thread outlives the call. With one CPU
-    or one block no thread is started. Each worker runs in a copy of the
+    or one block no thread is started, and the caller runs the blocks in
+    order up to the first that fails. Each worker runs in a copy of the
     caller's context, so numpy's error state (np.errstate) holds there too.
     """
     blocks = list(blocks)
     threads = min(cpu_count(), len(blocks))
-    if threads <= 1:
-        return [fn(block) for block in blocks]
     results = [None] * len(blocks)
     failures = []
     taken = itertools.count()

@@ -123,6 +123,12 @@ def one_cpu(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
 
+@pytest.fixture
+def seven_row_chunks(monkeypatch):
+    """Make predict_batch cut its input into 7-row chunks, so 20 rows make three."""
+    monkeypatch.setattr(model, "PREDICT_CHUNK", 7)
+
+
 def held_until_a_worker_runs(fn):
     """fn, except that the calling thread's blocks wait until a worker thread has started one.
 

@@ -163,7 +163,7 @@ class TestNormSidecar:
     def test_metadata_is_empty_and_old_epsilon_is_ignored(self, tmp_path):
         norm = make_norm(seed=3)
         path = tmp_path / "stats.bin"
-        save_norm_stats(path, norm)
+        save_norm_stats(path, norm, {})
         data = path.read_bytes()
         assert data[14 : 14 + _meta_len(data)] == b"{}"
         # Sidecars once stored the normalizer epsilon as their metadata.
@@ -173,7 +173,7 @@ class TestNormSidecar:
     def test_round_trip(self, tmp_path):
         norm = make_norm(seed=7)
         path = tmp_path / "stats.bin"
-        save_norm_stats(path, norm)
+        save_norm_stats(path, norm, {})
         loaded = load_norm_stats(path)
         assert np.array_equal(loaded.freq_mean, norm.freq_mean)
         assert np.array_equal(loaded.power_std, norm.power_std)
@@ -225,7 +225,7 @@ class TestErrorsNameThePath:
             save_checkpoint(path, init_model(seed=1, norm=make_norm()), WelchConfig(), epoch=0)
             load = load_checkpoint
         else:
-            save_norm_stats(path, make_norm())
+            save_norm_stats(path, make_norm(), {})
             load = load_norm_stats
         damage_fn, message = DAMAGE[damage]
         path.write_bytes(damage_fn(path.read_bytes()))
@@ -341,7 +341,7 @@ class TestRecordValues:
             save_checkpoint(path, init_model(seed=1, norm=make_norm()), WelchConfig(), epoch=0)
             load = load_checkpoint
         else:
-            save_norm_stats(path, make_norm())
+            save_norm_stats(path, make_norm(), {})
             load = load_norm_stats
 
         def change(record):

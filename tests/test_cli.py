@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +102,11 @@ TRAIN_DAMAGE = {
     "missing_subjects": lambda d: (d / "subject_train.txt").unlink(),
     # The split's checks come before any overflow in the transforms.
     "overflow_and_bad_label": lambda d: (overflow_a_stream(d), set_line(d / "y_train.txt", 0, "0")),
+    # ... and before a finite Welch power (about 5e43 here) overflows the float32 cast.
+    "cast_overflow_and_bad_label": lambda d: (
+        set_line(d / "Inertial Signals" / "body_acc_x_train.txt", 1, " 1e21" * 128),
+        set_line(d / "y_train.txt", 0, "0"),
+    ),
 }
 
 
@@ -704,21 +708,38 @@ class TestEvaluate:
         cfg = replace(smoke_config(root, tmp_path / "out"), subset=subset)
         cfg_path = write_config(tmp_path / "c.json", cfg)
         assert main(["extract", "--config", cfg_path]) == 0
-        scored = []
+        predicted, reported = [], []
 
-        def scoring(params, features):
-            scored.append(features)
-            return metrics.evaluate(params, features)
+        def predicting(params, freq, power):
+            predicted.append({"freq": freq, "power": power})
+            return model.predict_batch(params, freq, power)
 
-        monkeypatch.setattr(cli, "evaluate", scoring)
+        def reporting(probs, labels):
+            reported.append({"labels": labels})
+            return metrics.report_from_predictions(probs, labels)
+
+        monkeypatch.setattr(cli, "predict_batch", predicting)
+        monkeypatch.setattr(cli, "report_from_predictions", reporting)
         assert main(["evaluate", "--config", cfg_path,
                      "--checkpoint", str(out_dir / "checkpoint.bin")]) == 0
         cached = read_feature_cache(tmp_path / "out" / "test_features.bin")
-        (got,) = scored
-        assert len(got) == (subset or 36)
+        (inputs,), (truth,) = predicted, reported
+        got = {**inputs, **truth}
+        assert len(got["labels"]) == (subset or 36)
         for name in ("freq", "power", "labels"):
-            a, b = getattr(got, name), getattr(cached, name)
+            a, b = got[name], getattr(cached, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+    def test_empty_split_is_a_one_line_error(self, trained_pipeline, tmp_path, capsys):
+        _, out_dir, _ = trained_pipeline
+        root = tmp_path / "data"
+        write_uci_split(root, "test", np.zeros((0, N_STREAMS, WINDOW_LEN)),
+                        np.zeros(0, np.int64), np.zeros(0, np.int64))
+        cfg_path = write_config(tmp_path / "c.json", smoke_config(root, tmp_path / "eval"))
+        err = one_line_error(capsys, ["evaluate", "--config", cfg_path,
+                                      "--checkpoint", str(out_dir / "checkpoint.bin")])
+        assert err == "error: cannot evaluate an empty split\n"
+        assert not (tmp_path / "eval" / "report.json").exists()
 
     def test_report_follows_the_checkpoints_welch_config(self, trained_pipeline, tmp_path):
         # Overlap 16 gives the same 33 Welch bins, so no shape check would catch a mix-up.
@@ -843,10 +864,9 @@ class TestNonFiniteLogits:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN fed on purpose
     def test_nan_in_a_worker_chunk_stops_evaluate(
-        self, trained_pipeline, tmp_path, capsys, monkeypatch, four_cpus
+        self, trained_pipeline, tmp_path, capsys, monkeypatch, four_cpus, seven_row_chunks
     ):
         _, out_dir, cfg_path = trained_pipeline
-        monkeypatch.setattr(metrics, "predict_batch", partial(model.predict_batch, chunk=7))
         nan_in_worker_chunks(monkeypatch)
         err = one_line_error(capsys, ["evaluate", "--config", str(cfg_path), "--checkpoint",
                                       str(out_dir / "checkpoint.bin"), "--out", str(tmp_path / "eval")])

@@ -84,6 +84,22 @@ class TestMapBlocks:
         seen = map_blocks(lambda i: (threading.current_thread(), threading.active_count()), range(8))
         assert seen == [(caller, before)] * 8
 
+    def test_one_cpu_stops_at_the_first_failing_block(self, one_cpu):
+        before = threading.active_count()
+        error = ValueError("block 3 failed")
+        ran = []
+
+        def block(i):
+            ran.append((i, threading.active_count()))
+            if i == 3:
+                raise error
+            return i
+
+        with pytest.raises(ValueError) as info:
+            map_blocks(block, range(8))
+        assert info.value is error
+        assert ran == [(i, before) for i in range(4)]
+
     def test_failure_on_a_worker_is_raised_in_the_caller(self, four_cpus):
         def fail_on_worker(i, on_worker):
             if on_worker:
