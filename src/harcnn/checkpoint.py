@@ -86,16 +86,11 @@ def save_norm_stats(path: str | Path, norm: NormStats, record: dict) -> None:
     write_container(path, NORM_MAGIC, record, _norm_records(norm))
 
 
-def load_norm_record(path: str | Path) -> dict:
-    """A sidecar's metadata: the extraction record it was saved with."""
-    return read_container(path, NORM_MAGIC, "stats sidecar")[0]
-
-
-def load_norm_stats(path: str | Path) -> NormStats:
-    """Stats of a sidecar, whatever its metadata."""
-    _, records = read_container(path, NORM_MAGIC, "stats sidecar")
+def load_norm_stats(path: str | Path) -> tuple[dict, NormStats]:
+    """A sidecar's (metadata, stats): the extraction record it was saved with, and its stats."""
+    record, records = read_container(path, NORM_MAGIC, "stats sidecar")
     try:
-        return _norm_stats(records)
+        return record, _norm_stats(records)
     except KeyError as exc:
         raise FormatError(f"{path}: missing stats record {exc}") from None
     except ValueError as exc:

@@ -17,9 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .binio import FormatError, atomic_write_bytes
-from .checkpoint import (
-    load_checkpoint, load_norm_record, load_norm_stats, save_checkpoint, save_norm_stats,
-)
+from .checkpoint import load_checkpoint, load_norm_stats, save_checkpoint, save_norm_stats
 from .config import from_json, to_json
 from .dataset import (
     Activity, DatasetError, EXPECTED_COUNTS, N_STREAMS, SPLITS, WINDOW_LEN, load_split,
@@ -155,7 +153,7 @@ def _stale_caches(cfg: RunConfig) -> str | None:
     for path in (*(out_dir / name for name in CACHE_NAMES.values()), out_dir / NORM_NAME):
         if not path.is_file():
             return f"{path.name} is missing"
-    found = load_norm_record(out_dir / NORM_NAME)
+    found, _ = load_norm_stats(out_dir / NORM_NAME)
     for split, wanted in extraction_record(cfg.dataset_root, cfg.welch, cfg.subset).items():
         recorded = found.get(split)
         for key, value in wanted.items():
@@ -185,7 +183,7 @@ def cmd_train(cfg: RunConfig) -> int:
         cmd_extract(cfg)
     # Always train on the cached float32 values, so a run that extracted
     # first trains exactly like one that found the caches.
-    norm = load_norm_stats(out_dir / NORM_NAME)
+    _, norm = load_norm_stats(out_dir / NORM_NAME)
     train_set, test_set = (read_feature_cache(cache_paths[split]) for split in SPLITS)
 
     # Each line ends in the wall seconds since the previous one (the first

@@ -7,11 +7,11 @@ The dataset directory layout is the one shipped by the UCI repository:
 
 load_split reads a whole split into one float64 windows array, for
 `validate` and for the tests' reference path. Its file reader
-(read_stream) and its split checks (check_split: row counts, label and
-subject files, published counts) are shared with
-features.extract_features, which reads one stream at a time for
-`extract`, `train` and `evaluate`, so both fail with the same message
-for the same fault.
+(parse_signal_file, which also reads the label and subject files) and
+its split checks (check_split: row counts, label and subject files,
+published counts) are shared with features.extract_features, which
+reads one stream at a time for `extract`, `train` and `evaluate`, so
+both fail with the same message for the same fault.
 """
 
 from __future__ import annotations
@@ -110,14 +110,16 @@ def parse_signal_file(
 ) -> np.ndarray:
     """Parse a whitespace-separated matrix file with a fixed column count.
 
-    Returns a (rows, columns) float64 array, written into `out` if that has its
-    shape; an empty file yields zero rows. A file that `_parse_uci` declines
-    goes through one `np.loadtxt` pass, kept only when the file is ASCII, every
-    line became one row (loadtxt skips blank lines), the column count matches
-    and every value is finite. Otherwise the per-line parse in `_diagnose`
+    Returns a (rows, columns) float64 array, written into `out` if that has its shape;
+    an empty file yields zero rows, and a missing one is a DatasetError. A file that
+    `_parse_uci` declines goes through one `np.loadtxt` pass, kept only when the file
+    is ASCII, every line became one row (loadtxt skips blank lines), the column count
+    matches and every value is finite. Otherwise the per-line parse in `_diagnose`
     decides: its errors name the offending 1-based line and token.
     """
     path = Path(path)
+    if not path.is_file():
+        raise DatasetError(f"missing file: {path}")
     values = _parse_uci(path, columns, out)
     if values is None:
         values = _parse_text(path, columns)
@@ -279,13 +281,6 @@ def split_files(root: str | Path, split: str) -> list[Path]:
     return [*signals, base / f"y_{split}.txt", base / f"subject_{split}.txt"]
 
 
-def read_stream(path: Path, out: np.ndarray | None = None) -> np.ndarray:
-    """One signal file's (rows, 128) windows from parse_signal_file; a missing file is an error."""
-    if not path.is_file():
-        raise DatasetError(f"missing signal file: {path}")
-    return parse_signal_file(path, out=out)
-
-
 def check_split(
     root: str | Path, split: str, row_counts: list[int], strict_counts: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -300,9 +295,6 @@ def check_split(
         detail = ", ".join(f"{stream}={n}" for stream, n in zip(STREAM_NAMES, row_counts))
         raise DatasetError(f"signal files disagree on row count: {detail}")
 
-    for path in (label_path, subject_path):
-        if not path.is_file():
-            raise DatasetError(f"missing file: {path}")
     labels = _parse_int_column(label_path, 1, N_CLASSES, "activity id")
     subjects = _parse_int_column(subject_path, 1, N_SUBJECTS, "subject id")
 
@@ -327,13 +319,13 @@ def load_split(root: str | Path, split: str, strict_counts: bool = True) -> Spli
     per-class counts exactly; pass False to load structurally valid data that
     is not the pristine distribution (validation tooling, smoke subsets).
     """
-    signal_paths = split_files(root, split)[:N_STREAMS]
+    paths = split_files(root, split)[:N_STREAMS]
     # Stream 0 sizes the windows array. The other streams are parsed on the
     # worker threads, each straight into its own windows[:, s].
-    first = read_stream(signal_paths[0])
+    first = parse_signal_file(paths[0])
     windows = np.empty((len(first), N_STREAMS, WINDOW_LEN))
     windows[:, 0] = first
     del first
-    others = map_blocks(lambda s: read_stream(signal_paths[s], windows[:, s]), range(1, N_STREAMS))
+    others = map_blocks(lambda s: parse_signal_file(paths[s], out=windows[:, s]), range(1, N_STREAMS))
     labels, subjects = check_split(root, split, [len(windows), *map(len, others)], strict_counts)
     return SplitManifest(split=split, windows=windows, labels=labels, subjects=subjects)

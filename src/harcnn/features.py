@@ -24,7 +24,8 @@ import numpy as np
 from .binio import FormatError, atomic_write_bytes
 from .config import to_json
 from .dataset import (
-    N_CLASSES, N_STREAMS, SPLITS, WINDOW_LEN, SplitManifest, check_split, read_stream, split_files,
+    N_CLASSES, N_STREAMS, SPLITS, WINDOW_LEN, SplitManifest, check_split, parse_signal_file,
+    split_files,
 )
 from .dsp import WelchConfig, rfft, welch_psd
 from .parallel import map_blocks
@@ -154,7 +155,7 @@ def _stream_features(path: Path, cfg: WelchConfig, subset: int | None, fit: bool
     can exceed float32) is returned in place of the features, to be raised
     after the split's checks.
     """
-    rows = read_stream(path)
+    rows = parse_signal_file(path)
     n_rows = len(rows)
     try:
         freq, power = _rows_features(rows[:subset], cfg)
@@ -198,7 +199,7 @@ def extract_features(
 def _stamp(path: Path) -> list:
     try:
         st = path.stat()
-    except OSError:  # read_stream or check_split names the missing file
+    except OSError:  # parse_signal_file names the missing file
         return [path.name, None, None]
     return [path.name, st.st_size, st.st_mtime_ns]
 

@@ -201,12 +201,13 @@ def _channel_backward(d_out, cache, params: ModelParams, prefix: str, grads):
 
 
 def forward_batch(params: ModelParams, freq, power, want_cache: bool = False):
-    """Class logits and probabilities for batched raw (n,9,F)/(n,9,P) features.
+    """Class logits (n, 6) of batched raw (n,9,F)/(n,9,P) features, and backward_batch's cache.
 
-    Each channel normalizes its own features with the model's stats (see
-    _channel_forward). Raises ValueError when the widths are not the
-    stats', or when any logit is non-finite (NaN or inf in the features
-    or the weights), so a broken input never yields predictions.
+    The cache is None without `want_cache`. Each channel normalizes its own
+    features with the model's stats (see _channel_forward). Raises ValueError
+    when the widths are not the stats', or when any logit is non-finite (NaN
+    or inf in the features or the weights), so a broken input never yields
+    predictions.
     """
     params.norm.check_shapes(freq, power)
     f_out, f_cache = _channel_forward(freq, params, "freq", want_cache)
@@ -217,10 +218,7 @@ def forward_batch(params: ModelParams, freq, power, want_cache: bool = False):
     )
     if not np.isfinite(logits).all():
         raise ValueError("model produced non-finite logits (NaN or inf in the features or weights)")
-    probs = softmax(logits)
-    if want_cache:
-        return logits, probs, (f_cache, p_cache, fusion_cache)
-    return logits, probs
+    return logits, (f_cache, p_cache, fusion_cache) if want_cache else None
 
 
 def backward_batch(params: ModelParams, cache, d_logits) -> dict[str, np.ndarray]:
@@ -246,8 +244,6 @@ def predict_batch(params: ModelParams, freq, power) -> np.ndarray:
     The chunks run on every available CPU (see parallel.map_blocks).
     """
     chunk = PREDICT_CHUNK
-
-    def probs(start: int) -> np.ndarray:
-        return forward_batch(params, freq[start : start + chunk], power[start : start + chunk])[1]
-
-    return np.concatenate(map_blocks(probs, range(0, freq.shape[0], chunk)), axis=0)
+    rows = [slice(start, start + chunk) for start in range(0, freq.shape[0], chunk)]
+    probs = map_blocks(lambda r: softmax(forward_batch(params, freq[r], power[r])[0]), rows)
+    return np.concatenate(probs, axis=0)

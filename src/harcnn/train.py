@@ -31,6 +31,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if not (0 < self.learning_rate < float("inf") and 0 < self.adam_eps < float("inf")):
             raise ValueError("learning_rate and adam_eps must be finite and positive")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
@@ -138,7 +140,7 @@ def train(
         perm = shuffle_rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = perm[start : start + cfg.batch_size]
-            logits, _, cache = forward_batch(
+            logits, cache = forward_batch(
                 params, train_set.freq[batch], train_set.power[batch], want_cache=True
             )
             _, d_logits, _ = softmax_cross_entropy_batch(logits, train_labels0[batch])

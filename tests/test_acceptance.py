@@ -201,7 +201,7 @@ class TestCriterion06GradientCorrectness:
         labels = np.array([0, 3, 5])
 
         def mean_loss():
-            logits, _, cache = forward_batch(params, freq, power, want_cache=True)
+            logits, cache = forward_batch(params, freq, power, want_cache=True)
             losses, grads, _ = softmax_cross_entropy_batch(logits, labels)
             return losses.mean(), grads / len(labels), cache
 

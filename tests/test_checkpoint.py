@@ -168,13 +168,13 @@ class TestNormSidecar:
         assert data[14 : 14 + _meta_len(data)] == b"{}"
         # Sidecars once stored the normalizer epsilon as their metadata.
         with_meta(path, b'{"epsilon": 1e-08}')
-        assert np.array_equal(load_norm_stats(path).power_std, norm.power_std)
+        assert np.array_equal(load_norm_stats(path)[1].power_std, norm.power_std)
 
     def test_round_trip(self, tmp_path):
         norm = make_norm(seed=7)
         path = tmp_path / "stats.bin"
         save_norm_stats(path, norm, {})
-        loaded = load_norm_stats(path)
+        _, loaded = load_norm_stats(path)
         assert np.array_equal(loaded.freq_mean, norm.freq_mean)
         assert np.array_equal(loaded.power_std, norm.power_std)
         assert np.array_equal(loaded.freq_std, norm.freq_std)

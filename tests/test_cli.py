@@ -99,7 +99,13 @@ TRAIN_DAMAGE = {
     "short_label_file": lambda d: drop_last_line(d / "y_train.txt"),
     "unknown_activity": lambda d: set_line(d / "y_train.txt", 3, "7"),
     "unknown_subject": lambda d: set_line(d / "subject_train.txt", 0, "31"),
+    "missing_labels": lambda d: (d / "y_train.txt").unlink(),
     "missing_subjects": lambda d: (d / "subject_train.txt").unlink(),
+    # The label file is parsed, and its fault reported, before the subject file is opened.
+    "unknown_activity_and_missing_subjects": lambda d: (
+        set_line(d / "y_train.txt", 3, "7"),
+        (d / "subject_train.txt").unlink(),
+    ),
     # The split's checks come before any overflow in the transforms.
     "overflow_and_bad_label": lambda d: (overflow_a_stream(d), set_line(d / "y_train.txt", 0, "0")),
     # ... and before a finite Welch power (about 5e43 here) overflows the float32 cast.
@@ -187,6 +193,8 @@ class TestConfigValues:
             ("subset", True, "subset must be an integer, got True"),
             ("strict_counts", "false", "strict_counts must be true or false, got 'false'"),
             ("train.seed", 1.5, "train.seed must be an integer, got 1.5"),
+            # Once accepted until numpy's seeding refused it, after a full extract.
+            ("train.seed", -1, "train: seed must be a non-negative integer, got -1"),
             ("train.batch_size", 2.5, "train.batch_size must be an integer, got 2.5"),
             ("train.epochs", 1.5, "train.epochs must be an integer, got 1.5"),
             ("train.learning_rate", True, "train.learning_rate must be a number, got True"),
@@ -327,6 +335,14 @@ class TestConfigValues:
         err = one_line_error(capsys, ["extract", "--dataset", str(tmp_path / "data"),
                                       "--out", str(out_dir), "--subset", flag])
         assert f"subset must be null or an integer >= 1, got {flag}" in err
+        assert not out_dir.exists()
+
+    def test_negative_seed_flag_is_one_line_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "extract_features", lambda *args, **kwargs: pytest.fail("read"))
+        out_dir = tmp_path / "out"
+        err = one_line_error(capsys, ["train", "--dataset", str(tmp_path / "data"),
+                                      "--out", str(out_dir), "--seed", "-1"])
+        assert err == "error: seed must be a non-negative integer, got -1\n"
         assert not out_dir.exists()
 
 

@@ -313,7 +313,18 @@ class TestLoadSplit:
         root = build_synthetic_dataset(tmp_path / "broken", train_per_class=2, test_per_class=1)
         victim = root / "train" / "Inertial Signals" / "body_gyro_y_train.txt"
         victim.unlink()
-        with pytest.raises(DatasetError, match="missing signal file.*body_gyro_y_train"):
+        with pytest.raises(DatasetError, match="missing file.*body_gyro_y_train"):
+            load_split(root, "train", strict_counts=False)
+
+    def test_a_bad_label_is_reported_before_a_missing_subject_file(self, tmp_path):
+        # The label file is parsed before the subject file is opened.
+        root = build_synthetic_dataset(tmp_path / "both", train_per_class=2, test_per_class=1)
+        label_file = root / "train" / "y_train.txt"
+        lines = label_file.read_text().splitlines()
+        lines[3] = "7"
+        label_file.write_text("\n".join(lines) + "\n")
+        (root / "train" / "subject_train.txt").unlink()
+        with pytest.raises(DatasetError, match="y_train.txt: line 4: unknown activity id 7$"):
             load_split(root, "train", strict_counts=False)
 
     def test_first_failing_stream_is_named_as_in_a_serial_loop(self, tmp_path, four_cpus):
@@ -321,7 +332,7 @@ class TestLoadSplit:
         signals = root / "train" / "Inertial Signals"
         (signals / "body_gyro_y_train.txt").unlink()
         (signals / "total_acc_z_train.txt").write_bytes(b"\xe9\n")
-        with pytest.raises(DatasetError, match="missing signal file.*body_gyro_y_train"):
+        with pytest.raises(DatasetError, match="missing file.*body_gyro_y_train"):
             load_split(root, "train", strict_counts=False)
 
     def test_windows_do_not_depend_on_the_thread_count(self, tmp_path, monkeypatch):

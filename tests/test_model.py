@@ -10,7 +10,7 @@ from harcnn import model
 from harcnn.config import from_json, to_json
 from harcnn.dataset import N_STREAMS
 from harcnn.features import EPSILON
-from harcnn.layers import softmax_cross_entropy_batch
+from harcnn.layers import softmax, softmax_cross_entropy_batch
 from harcnn.model import (
     DEFAULT_MODEL_SPEC,
     ConvLayerSpec,
@@ -34,7 +34,7 @@ def tiny_model(seed=0, dtype=np.float64):
 
 
 def mean_loss(params, freq, power, labels):
-    logits, _, cache = forward_batch(params, freq, power, want_cache=True)
+    logits, cache = forward_batch(params, freq, power, want_cache=True)
     losses, grads, _ = softmax_cross_entropy_batch(logits, labels)
     return losses.mean(), grads / len(labels), cache
 
@@ -114,7 +114,8 @@ class TestForward:
         params = init_model(seed=5, norm=make_norm())
         freq = rng.standard_normal((8, 9, 65))
         power = rng.standard_normal((8, 9, 33))
-        _, probs = forward_batch(params, freq, power)
+        logits, _ = forward_batch(params, freq, power)
+        probs = softmax(logits)
         assert probs.shape == (8, 6)
         assert np.all(probs >= 0.0)
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-6
@@ -136,8 +137,8 @@ class TestForward:
         rng = np.random.default_rng(2)
         freq = rng.standard_normal((4, 9, 65)).astype(np.float32)
         power = rng.standard_normal((4, 9, 33)).astype(np.float32)
-        probs_a = forward_batch(init_model(seed=21, norm=make_norm()), freq, power)[1]
-        probs_b = forward_batch(init_model(seed=21, norm=make_norm()), freq, power)[1]
+        probs_a = softmax(forward_batch(init_model(seed=21, norm=make_norm()), freq, power)[0])
+        probs_b = softmax(forward_batch(init_model(seed=21, norm=make_norm()), freq, power)[0])
         assert np.array_equal(probs_a, probs_b)
 
     def test_single_sample_matches_batch(self):
@@ -145,10 +146,12 @@ class TestForward:
         params = init_model(seed=9, norm=make_norm())
         freq = rng.standard_normal((3, 9, 65)).astype(np.float32)
         power = rng.standard_normal((3, 9, 33)).astype(np.float32)
-        _, batch_probs = forward_batch(params, freq, power)
+        batch_logits, _ = forward_batch(params, freq, power)
+        batch_probs = softmax(batch_logits)
         # Row i of the batch equals the one-row batch of row i.
         for i in range(3):
-            _, single = forward_batch(params, freq[i : i + 1], power[i : i + 1])
+            logits, _ = forward_batch(params, freq[i : i + 1], power[i : i + 1])
+            single = softmax(logits)
             assert np.allclose(single[0], batch_probs[i], atol=1e-7)
 
     def test_shape_mismatch_rejected(self):
@@ -234,7 +237,7 @@ class TestForward:
         freq = rng.standard_normal((20, 9, 65)).astype(np.float32)
         power = rng.standard_normal((20, 9, 33)).astype(np.float32)
         chunked = predict_batch(params, freq, power)
-        single = forward_batch(params, freq, power)[1]
+        single = softmax(forward_batch(params, freq, power)[0])
         assert np.max(np.abs(chunked - single)) <= 1e-6
 
     def test_predict_chunks_match_a_serial_forward_loop(self, four_cpus, seven_row_chunks):
@@ -243,7 +246,8 @@ class TestForward:
         freq = rng.standard_normal((20, 9, 65)).astype(np.float32)
         power = rng.standard_normal((20, 9, 33)).astype(np.float32)
         serial = np.concatenate(
-            [forward_batch(params, freq[s : s + 7], power[s : s + 7])[1] for s in range(0, 20, 7)]
+            [softmax(forward_batch(params, freq[s : s + 7], power[s : s + 7])[0])
+             for s in range(0, 20, 7)]
         )
         assert np.array_equal(predict_batch(params, freq, power), serial)
 
