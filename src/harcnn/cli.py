@@ -20,12 +20,15 @@ from .binio import FormatError, atomic_write_bytes
 from .checkpoint import load_checkpoint, load_norm_stats, save_checkpoint, save_norm_stats
 from .config import from_json, to_json
 from .dataset import (
-    Activity, DatasetError, EXPECTED_COUNTS, N_STREAMS, SPLITS, WINDOW_LEN, load_split,
-    table_count_mismatches,
+    Activity, DatasetError, EXPECTED_COUNTS, N_STREAMS, SPLITS, WINDOW_LEN, class_counts,
+    parse_signal_file, read_split, table_count_mismatches,
+    # Unused; bench/tests/test_smoke.py::test_wrappers_are_restored reads it (ROADMAP item 1).
+    load_split,
 )
 from .dsp import WelchConfig
 from .features import (
     FREQ_BINS,
+    NormStats,
     extract_features,
     extraction_record,
     read_feature_cache,
@@ -109,13 +112,16 @@ def cmd_validate(cfg: RunConfig) -> int:
     all_diffs: list[str] = []
     print(f"dataset root: {cfg.dataset_root}")
     for split in SPLITS:
-        manifest = load_split(cfg.dataset_root, split, strict_counts=False)
-        print(f"{split}: {len(manifest)} samples")
-        for activity, got in manifest.per_class_counts.items():
+        # Each task keeps only its file's row count, so no split is ever held whole.
+        _, labels, _ = read_split(cfg.dataset_root, split,
+                                  lambda path: (len(parse_signal_file(path)), None),
+                                  strict_counts=False)
+        print(f"{split}: {len(labels)} samples")
+        for activity, got in class_counts(labels).items():
             expected = EXPECTED_COUNTS[split][activity]
             marker = "" if got == expected else f"  (expected {expected})"
             print(f"  {activity.short}: {got}{marker}")
-        all_diffs.extend(table_count_mismatches(split, manifest.labels))
+        all_diffs.extend(table_count_mismatches(split, labels))
     if all_diffs:
         print("count mismatches against the published split:", file=sys.stderr)
         for diff in all_diffs:
@@ -147,19 +153,20 @@ def cmd_extract(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _stale_caches(cfg: RunConfig) -> str | None:
-    """Why the output directory's caches are not what extract would write now, or None."""
+def _cached_stats(cfg: RunConfig) -> tuple[NormStats | None, str | None]:
+    """The sidecar's stats when the output directory's caches are what extract would write
+    now, else None and why they are not."""
     out_dir = Path(cfg.output_dir)
     for path in (*(out_dir / name for name in CACHE_NAMES.values()), out_dir / NORM_NAME):
         if not path.is_file():
-            return f"{path.name} is missing"
-    found, _ = load_norm_stats(out_dir / NORM_NAME)
+            return None, f"{path.name} is missing"
+    found, norm = load_norm_stats(out_dir / NORM_NAME)
     for split, wanted in extraction_record(cfg.dataset_root, cfg.welch, cfg.subset).items():
         recorded = found.get(split)
         for key, value in wanted.items():
             if not isinstance(recorded, dict) or recorded.get(key) != value:
-                return f"{split}.{key} differs from this run's"
-    return None
+                return None, f"{split}.{key} differs from this run's"
+    return norm, None
 
 
 def _epochs_csv(run: TrainRun) -> str:
@@ -175,15 +182,15 @@ def _epochs_csv(run: TrainRun) -> str:
 def cmd_train(cfg: RunConfig) -> int:
     out_dir = Path(cfg.output_dir)
     cache_paths = {split: out_dir / CACHE_NAMES[split] for split in SPLITS}
-    stale = _stale_caches(cfg)
+    norm, stale = _cached_stats(cfg)
     if stale is None:
         print("using cached features")
     else:
         print(f"extracting features: {stale}")
         cmd_extract(cfg)
+        _, norm = load_norm_stats(out_dir / NORM_NAME)
     # Always train on the cached float32 values, so a run that extracted
     # first trains exactly like one that found the caches.
-    _, norm = load_norm_stats(out_dir / NORM_NAME)
     train_set, test_set = (read_feature_cache(cache_paths[split]) for split in SPLITS)
 
     # Each line ends in the wall seconds since the previous one (the first

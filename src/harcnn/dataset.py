@@ -5,13 +5,14 @@ The dataset directory layout is the one shipped by the UCI repository:
 128-reading window per line for each of the 9 streams, and
 `y_<split>.txt` / `subject_<split>.txt` hold one integer per line.
 
-load_split reads a whole split into one float64 windows array, for
-`validate` and for the tests' reference path. Its file reader
-(parse_signal_file, which also reads the label and subject files) and
-its split checks (check_split: row counts, label and subject files,
-published counts) are shared with features.extract_features, which
-reads one stream at a time for `extract`, `train` and `evaluate`, so
-both fail with the same message for the same fault.
+read_split is the one reader of a split, for every command: it runs a
+caller's task on each signal file on the worker threads, then checks the
+row counts, the label and subject files and (optionally) the published
+counts. `validate` counts rows with it, features.extract_features turns
+each file into features with it, and load_split, the tests' whole-split
+reference, stacks the parsed files. So every command reports a fault
+with the same message. parse_signal_file reads every dataset file:
+signals, labels and subjects.
 """
 
 from __future__ import annotations
@@ -97,36 +98,22 @@ class SplitManifest:
     labels: np.ndarray  # (n,) int64, values 1..6
     subjects: np.ndarray  # (n,) int64, values 1..30
 
-    @property
-    def per_class_counts(self) -> dict[Activity, int]:
-        return class_counts(self.labels)
 
-    def __len__(self) -> int:
-        return self.windows.shape[0]
-
-
-def parse_signal_file(
-    path: str | Path, columns: int = WINDOW_LEN, out: np.ndarray | None = None
-) -> np.ndarray:
+def parse_signal_file(path: str | Path, columns: int = WINDOW_LEN) -> np.ndarray:
     """Parse a whitespace-separated matrix file with a fixed column count.
 
-    Returns a (rows, columns) float64 array, written into `out` if that has its shape;
-    an empty file yields zero rows, and a missing one is a DatasetError. A file that
-    `_parse_uci` declines goes through one `np.loadtxt` pass, kept only when the file
-    is ASCII, every line became one row (loadtxt skips blank lines), the column count
-    matches and every value is finite. Otherwise the per-line parse in `_diagnose`
-    decides: its errors name the offending 1-based line and token.
+    Returns a (rows, columns) float64 array; an empty file yields zero rows, and a
+    missing one is a DatasetError. A file that `_parse_uci` declines goes through one
+    `np.loadtxt` pass, kept only when the file is ASCII, every line became one row
+    (loadtxt skips blank lines), the column count matches and every value is finite.
+    Otherwise the per-line parse in `_diagnose` decides: its errors name the offending
+    1-based line and token.
     """
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"missing file: {path}")
-    values = _parse_uci(path, columns, out)
-    if values is None:
-        values = _parse_text(path, columns)
-        if out is not None and out.shape == values.shape:
-            out[...] = values
-            values = out
-    return values
+    values = _parse_uci(path, columns)
+    return _parse_text(path, columns) if values is None else values
 
 
 # A UCI token: ' ', sign (' ' or '-'), digit, '.', 7 digits, 'e', exponent sign, 3 digits.
@@ -138,7 +125,7 @@ _UCI_TIMES = np.concatenate([np.ones(22), _POW10, -np.ones(22), -_POW10])
 _UCI_OVER = np.tile(np.concatenate([_POW10[:0:-1], np.ones(23)]), 2)
 
 
-def _parse_uci(path: Path, columns: int, out: np.ndarray | None) -> np.ndarray | None:
+def _parse_uci(path: Path, columns: int) -> np.ndarray | None:
     """The rows of a file of LF-ended lines of `columns` UCI tokens, else None.
 
     A token is a mantissa below 10**8 times an exact 10**k with |k| <= 22, so one
@@ -150,8 +137,7 @@ def _parse_uci(path: Path, columns: int, out: np.ndarray | None) -> np.ndarray |
         rows, rest = divmod(os.fstat(f.fileno()).st_size, width)
         if rest or not rows:
             return None
-        if out is None or out.shape != (rows, columns):
-            out = np.empty((rows, columns))
+        out = np.empty((rows, columns))
         base, span = np.append(np.tile(_UCI_TOKEN, columns), [[10], [0]], axis=1).astype(np.uint8)
         block = np.empty(((1 << 18) // width + 1, width), dtype=np.uint8)
         for start in range(0, rows, len(block)):
@@ -281,16 +267,21 @@ def split_files(root: str | Path, split: str) -> list[Path]:
     return [*signals, base / f"y_{split}.txt", base / f"subject_{split}.txt"]
 
 
-def check_split(
-    root: str | Path, split: str, row_counts: list[int], strict_counts: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and subjects of a split whose signal files have `row_counts` rows, in stream order.
+def read_split(
+    root: str | Path, split: str, stream_task, strict_counts: bool = True
+) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The results of stream_task over a split's signal files, in stream order, and its labels
+    and subjects.
 
-    Raises a DatasetError when the signal files disagree on their row
-    count, a label or subject file is missing, malformed or of another
-    length, or (with strict_counts) the labels miss the published counts.
+    stream_task(path) reads one signal file and returns (its row count,
+    result); the nine tasks run on map_blocks, so a task's memory is one
+    file's. Then a DatasetError is raised when the signal files disagree
+    on their row count, a label or subject file is missing, malformed or
+    of another length, or (with strict_counts) the labels miss the
+    published counts.
     """
-    *_, label_path, subject_path = split_files(root, split)
+    *signals, label_path, subject_path = split_files(root, split)
+    row_counts, results = zip(*map_blocks(stream_task, signals))
     if len(set(row_counts)) != 1:
         detail = ", ".join(f"{stream}={n}" for stream, n in zip(STREAM_NAMES, row_counts))
         raise DatasetError(f"signal files disagree on row count: {detail}")
@@ -309,7 +300,12 @@ def check_split(
         diffs = table_count_mismatches(split, labels)
         if diffs:
             raise DatasetError("dataset counts do not match the published split: " + "; ".join(diffs))
-    return labels, subjects
+    return results, labels, subjects
+
+
+def _parsed_rows(path: Path) -> tuple[int, np.ndarray]:
+    rows = parse_signal_file(path)
+    return len(rows), rows
 
 
 def load_split(root: str | Path, split: str, strict_counts: bool = True) -> SplitManifest:
@@ -317,15 +313,9 @@ def load_split(root: str | Path, split: str, strict_counts: bool = True) -> Spli
 
     With strict_counts the manifest must reproduce the published totals and
     per-class counts exactly; pass False to load structurally valid data that
-    is not the pristine distribution (validation tooling, smoke subsets).
+    is not the pristine distribution (smoke subsets). The whole-split
+    reference the tests hold the per-stream paths to.
     """
-    paths = split_files(root, split)[:N_STREAMS]
-    # Stream 0 sizes the windows array. The other streams are parsed on the
-    # worker threads, each straight into its own windows[:, s].
-    first = parse_signal_file(paths[0])
-    windows = np.empty((len(first), N_STREAMS, WINDOW_LEN))
-    windows[:, 0] = first
-    del first
-    others = map_blocks(lambda s: parse_signal_file(paths[s], out=windows[:, s]), range(1, N_STREAMS))
-    labels, subjects = check_split(root, split, [len(windows), *map(len, others)], strict_counts)
-    return SplitManifest(split=split, windows=windows, labels=labels, subjects=subjects)
+    streams, labels, subjects = read_split(root, split, _parsed_rows, strict_counts)
+    return SplitManifest(split=split, windows=np.stack(streams, axis=1), labels=labels,
+                         subjects=subjects)

@@ -6,11 +6,12 @@ FFT magnitudes, 9x65) and a power matrix (per-stream Welch PSD values,
 feed separate CNN channels and their bin counts differ.
 
 A stream's features depend on that stream's samples alone. So
-extract_features, which `extract`, `train` and `evaluate` all use,
-handles a split one signal file at a time and keeps only float32
-features, and the split's float64 windows and feature stacks never exist
-whole. extract_split and extract_features_batch derive the same features
-from a loaded split's windows; tests hold extract_features to them.
+extract_features, which `extract`, `train` and `evaluate` all use, reads
+a split through dataset.read_split with one task per signal file that
+keeps only its float32 features, and the split's float64 windows and
+feature stacks never exist whole. extract_split and
+extract_features_batch derive the same features from a loaded split's
+windows; tests hold extract_features to them.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ import numpy as np
 from .binio import FormatError, atomic_write_bytes
 from .config import to_json
 from .dataset import (
-    N_CLASSES, N_STREAMS, SPLITS, WINDOW_LEN, SplitManifest, check_split, parse_signal_file,
+    N_CLASSES, N_STREAMS, SPLITS, WINDOW_LEN, SplitManifest, parse_signal_file, read_split,
     split_files,
 )
 from .dsp import WelchConfig, rfft, welch_psd
-from .parallel import map_blocks
 
 FREQ_BINS = WINDOW_LEN // 2 + 1  # 65
 # Added to every std before dividing, so a constant position maps to 0.
@@ -173,23 +173,23 @@ def extract_features(
     """The float32 features of one split's first `subset` windows, and with fit their stats.
 
     The stats are bit for bit fit_normalizer_arrays' of the extract_split
-    stacks. Each signal file is one task on map_blocks: it is parsed, cut
-    to `subset` rows and transformed, and only its float32 features (and
-    float64 moments) are kept. So neither the split's (n, 9, 128) windows
-    nor its float64 feature stacks ever exist. A fault is reported as
-    load_split reports it, and an overflow in the transforms only after the
-    split's checks, as extract_split's was. Nothing is written.
+    stacks. The split is read by dataset.read_split, with one task per
+    signal file: it is parsed, cut to `subset` rows and transformed, and
+    only its float32 features (and float64 moments) are kept. So neither
+    the split's (n, 9, 128) windows nor its float64 feature stacks ever
+    exist. A fault is reported as by every command that reads a split, and
+    an overflow in the transforms only after the split's checks, as
+    extract_split's was. Nothing is written.
     """
-    streams = map_blocks(lambda p: _stream_features(p, cfg, subset, fit),
-                         split_files(root, split)[:N_STREAMS])
-    labels, _ = check_split(root, split, [rows for rows, _ in streams], strict_counts)
-    for _, result in streams:
+    streams, labels, _ = read_split(root, split, lambda p: _stream_features(p, cfg, subset, fit),
+                                    strict_counts)
+    for result in streams:
         if isinstance(result, FloatingPointError):
             raise result
     labels = labels[:subset]
     if fit and not len(labels):
         raise ValueError("cannot fit a normalizer on an empty sequence")
-    freq, power, moments = zip(*(result for _, result in streams))
+    freq, power, moments = zip(*streams)
     features = FeatureSet(np.stack(freq, axis=1), np.stack(power, axis=1), labels)
     if not fit:
         return features, None

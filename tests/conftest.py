@@ -7,13 +7,14 @@ numbers.
 """
 
 import os
+import sys
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from harcnn import model
+from harcnn import dataset, model
 from harcnn.dataset import Activity, N_STREAMS, STREAM_NAMES, WINDOW_LEN
 from harcnn.features import NormStats
 
@@ -109,6 +110,25 @@ def make_norm(freq_bins=65, power_bins=33, seed=0, min_std=0.0):
 def synthetic_root(tmp_path_factory):
     root = tmp_path_factory.mktemp("uci_synth")
     return build_synthetic_dataset(root)
+
+
+def forbid_calls(monkeypatch, fn, message):
+    """Make fn fail the test with `message` at every harcnn module attribute bound to it."""
+
+    def fail(*args, **kwargs):
+        pytest.fail(message)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "harcnn":
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, fail)
+
+
+@pytest.fixture
+def no_dataset_read(monkeypatch):
+    """Fail the test if any harcnn code parses a dataset file (signals, labels or subjects)."""
+    forbid_calls(monkeypatch, dataset.parse_signal_file, "dataset read")
 
 
 @pytest.fixture

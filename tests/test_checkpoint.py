@@ -15,7 +15,6 @@ from harcnn.checkpoint import (
     save_checkpoint,
     save_norm_stats,
 )
-from harcnn import cli
 from harcnn.cli import main
 from harcnn.dsp import WelchConfig
 from harcnn.model import DEFAULT_MODEL_SPEC, init_model, predict_batch
@@ -288,7 +287,7 @@ class TestWrongShapedRecords:
         ],
     )
     def test_wrong_shaped_stats_fail_before_any_dataset_read(
-        self, tmp_path, capsys, monkeypatch, name, message
+        self, tmp_path, capsys, no_dataset_read, name, message
     ):
         path = tmp_path / "stats_shape.bin"
         save_checkpoint(path, init_model(seed=1, norm=make_norm()), WelchConfig(), epoch=0)
@@ -297,7 +296,6 @@ class TestWrongShapedRecords:
             load_checkpoint(path)
         assert str(info.value).startswith(f"{path}: inconsistent checkpoint: {message}")
 
-        monkeypatch.setattr(cli, "load_split", lambda *args, **kwargs: pytest.fail("dataset read"))
         capsys.readouterr()
         assert main(["evaluate", "--checkpoint", str(path), "--out", str(tmp_path / "eval")]) == 1
         err = capsys.readouterr().err
@@ -305,7 +303,7 @@ class TestWrongShapedRecords:
         assert err.count("\n") == 1
 
     def test_welch_config_that_disagrees_with_the_stats_is_rejected(
-        self, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys, no_dataset_read
     ):
         # A checkpoint trained on 33-bin caches under a config whose Welch gives 17 bins.
         path = tmp_path / "welch.bin"
@@ -315,7 +313,6 @@ class TestWrongShapedRecords:
             load_checkpoint(path)
         assert str(info.value) == message
 
-        monkeypatch.setattr(cli, "load_split", lambda *args, **kwargs: pytest.fail("dataset read"))
         capsys.readouterr()
         assert main(["evaluate", "--checkpoint", str(path), "--out", str(tmp_path / "eval")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"

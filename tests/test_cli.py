@@ -12,10 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import build_synthetic_dataset, nan_in_worker_chunks, uci_line, write_uci_split
+from conftest import (
+    build_synthetic_dataset, forbid_calls, nan_in_worker_chunks, uci_line, write_uci_split,
+)
 import harcnn
-from harcnn import cli, features, metrics, model, parallel
-from harcnn.checkpoint import save_norm_stats
+from harcnn import cli, dataset, features, metrics, model, parallel
+from harcnn.checkpoint import load_norm_stats, save_norm_stats
 from harcnn.dataset import (
     N_STREAMS, SPLITS, STREAM_NAMES, WINDOW_LEN, DatasetError, load_split,
 )
@@ -276,7 +278,7 @@ class TestConfigValues:
         ids=["as-written", "no-epsilon", "classes-5", "no-model-extras", "no-activations"],
     )
     def test_old_default_config_fails_train_before_any_file_is_read(
-        self, tmp_path, capsys, monkeypatch, dropped, changes, message
+        self, tmp_path, capsys, no_dataset_read, dropped, changes, message
     ):
         d = copy.deepcopy(OLD_DEFAULT_CONFIG)
         d["model"].update(changes)
@@ -286,7 +288,6 @@ class TestConfigValues:
         d["output_dir"] = str(tmp_path / "out")
         path = tmp_path / "config.json"
         path.write_text(json.dumps(d))
-        monkeypatch.setattr(cli, "load_split", lambda *args, **kwargs: pytest.fail("dataset read"))
         err = one_line_error(capsys, ["train", "--config", str(path)])
         assert err == f"error: invalid config file {path}: {message}\n"
         assert not (tmp_path / "out").exists()
@@ -310,13 +311,12 @@ class TestConfigValues:
         ],
     )
     def test_segment_len_the_fft_refuses_fails_before_any_file_is_read(
-        self, tmp_path, capsys, monkeypatch, command, length, message
+        self, tmp_path, capsys, monkeypatch, no_dataset_read, command, length, message
     ):
         d = RunConfig(output_dir=str(tmp_path / "out")).to_json_dict()
         d["welch"].update(segment_len=length, overlap=0)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(d))
-        monkeypatch.setattr(cli, "load_split", lambda *args, **kwargs: pytest.fail("dataset read"))
         monkeypatch.setattr(cli, "load_checkpoint", lambda *args: pytest.fail("checkpoint read"))
         err = one_line_error(capsys, [command, "--config", str(path)])
         assert err == f"error: invalid config file {path}: {message}\n"
@@ -461,9 +461,12 @@ class TestExtract:
         for name in (*cli.CACHE_NAMES.values(), cli.NORM_NAME):
             assert (tmp_path / "out" / name).read_bytes() == (want / name).read_bytes(), name
 
-    @pytest.mark.parametrize("damage, strict", [(damage, False) for damage in TRAIN_DAMAGE]
-                             + [(None, True)])
-    def test_fails_as_load_split_does(self, tmp_path, capsys, damage, strict):
+    # validate reads every split with strict_counts off, as these rows do.
+    @pytest.mark.parametrize("command, damage, strict",
+                             [(command, damage, False) for damage in TRAIN_DAMAGE
+                              for command in ("extract", "validate")]
+                             + [("extract", None, True)])
+    def test_fails_as_load_split_does(self, tmp_path, capsys, command, damage, strict):
         root = build_synthetic_dataset(tmp_path / "data", train_per_class=2, test_per_class=1)
         if damage:
             TRAIN_DAMAGE[damage](root / "train")
@@ -471,7 +474,7 @@ class TestExtract:
             load_split(root, "train", strict_counts=strict)
         cfg = replace(smoke_config(root, tmp_path / "out"), strict_counts=strict)
         capsys.readouterr()
-        assert main(["extract", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
+        assert main([command, "--config", write_config(tmp_path / "c.json", cfg)]) == 2
         assert capsys.readouterr().err == f"dataset error: {info.value}\n"
 
     def test_empty_train_split_fails_before_any_cache_is_written(self, tmp_path, capsys):
@@ -495,7 +498,15 @@ class TestExtract:
         assert err.startswith("error: arithmetic failed: overflow encountered in ")
         assert err.count("\n") == 1
 
-    def test_peak_memory_is_below_the_whole_split_in_float64(self, tmp_path, monkeypatch):
+    # The bound is the train split's float64 windows and features (16,272 bytes a window)
+    # for extract, and its windows alone (9,216) for validate, which computes no features
+    # and exits 2 because 1500 windows miss the published counts.
+    @pytest.mark.parametrize("command, code, window_bytes", [
+        ("extract", 0, N_STREAMS * (WINDOW_LEN + FREQ_BINS + WelchConfig().n_bins) * 8),
+        ("validate", 2, N_STREAMS * WINDOW_LEN * 8),
+    ])
+    def test_peak_memory_is_below_the_whole_split_in_float64(self, tmp_path, monkeypatch,
+                                                             command, code, window_bytes):
         # 1500 train windows in the UCI layout, made of 16 distinct lines so they are quick to write.
         n = 1500
         lines = [uci_line(row) + "\n" for row in np.random.default_rng(0).standard_normal((16, 128))]
@@ -512,12 +523,11 @@ class TestExtract:
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
-            assert main(["extract", "--config", cfg_path]) == 0
+            assert main([command, "--config", cfg_path]) == code
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The train split's float64 windows and features: 16,272 bytes a window.
-        whole_split = n * N_STREAMS * (WINDOW_LEN + FREQ_BINS + WelchConfig().n_bins) * 8
+        whole_split = n * window_bytes
         assert peak < whole_split, (peak, whole_split)
 
 
@@ -582,12 +592,20 @@ class TestStaleCaches:
 
     def test_matching_record_reads_the_caches_and_no_dataset(self, tmp_path, capsys, monkeypatch):
         cfg_path, _ = self.extracted(tmp_path)
-
-        def no_load(*args, **kwargs):
-            raise AssertionError("load_split called")
-
-        monkeypatch.setattr(cli, "load_split", no_load)
+        forbid_calls(monkeypatch, dataset.parse_signal_file, "dataset read")
         assert self.train_line(capsys, cfg_path) == "using cached features"
+
+    def test_matching_record_reads_the_stats_once(self, tmp_path, capsys, monkeypatch):
+        cfg_path, _ = self.extracted(tmp_path)
+        reads = []
+
+        def counting(path):
+            reads.append(path)
+            return load_norm_stats(path)
+
+        monkeypatch.setattr(cli, "load_norm_stats", counting)
+        assert self.train_line(capsys, cfg_path) == "using cached features"
+        assert len(reads) == 1
 
     def test_cache_of_a_subset_is_re_extracted(self, tmp_path, capsys):
         cfg_path, out_dir = self.extracted(tmp_path, subset=5)
@@ -706,11 +724,8 @@ class TestEvaluate:
     def test_reads_no_whole_split(self, trained_pipeline, tmp_path, monkeypatch):
         _, out_dir, cfg_path = trained_pipeline
 
-        def whole_split(*args, **kwargs):
-            raise AssertionError("whole-split path called")
-
-        monkeypatch.setattr(cli, "load_split", whole_split)
-        monkeypatch.setattr(features, "extract_split", whole_split)
+        for whole_split in (dataset.load_split, features.extract_split):
+            forbid_calls(monkeypatch, whole_split, "whole-split path called")
         assert main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "eval"),
                      "--checkpoint", str(out_dir / "checkpoint.bin")]) == 0
         assert (tmp_path / "eval" / "report.json").read_bytes() == \
