@@ -13,7 +13,6 @@ import json
 import math
 import os
 import struct
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +25,13 @@ class FormatError(ValueError):
 
 
 def atomic_write_bytes(path: str | os.PathLike, data: bytes | np.ndarray) -> None:
-    """Write bytes or a 1-D uint8 array to `path` via a temp file + rename, never partially."""
+    """Write bytes or a 1-D uint8 array to `path` via a temp file + rename, never partially.
+
+    The file gets mode 0o666 less the umask, as open(path, "wb") would give it.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)
@@ -36,8 +39,7 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes | np.ndarray) -> Non
             os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

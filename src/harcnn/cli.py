@@ -20,7 +20,7 @@ from .binio import FormatError, atomic_write_bytes
 from .checkpoint import load_checkpoint, load_norm_stats, save_checkpoint, save_norm_stats
 from .config import from_json, to_json
 from .dataset import (
-    Activity, DatasetError, EXPECTED_COUNTS, N_STREAMS, SPLITS, WINDOW_LEN, class_counts,
+    DatasetError, EXPECTED_COUNTS, N_STREAMS, SPLITS, WINDOW_LEN, class_counts,
     parse_signal_file, read_split, table_count_mismatches,
     # Unused; bench/tests/test_smoke.py::test_wrappers_are_restored reads it (ROADMAP item 1).
     load_split,
@@ -34,7 +34,8 @@ from .features import (
     read_feature_cache,
     write_feature_cache,
 )
-from .metrics import EvalReport, report_from_predictions
+from .layers import softmax
+from .metrics import report_from_predictions
 from .model import DEFAULT_MODEL_SPEC, ModelSpec, predict_batch
 from .train import EpochStats, TrainConfig, TrainRun, train
 
@@ -216,16 +217,16 @@ def cmd_train(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _report_json_dict(report: EvalReport, split: str) -> dict:
-    d = report.to_json_dict()
-    d["split"] = split
+def _report_json_dict(report: dict, split: str) -> dict:
+    """report.json's object: `report` with its split and, on the test split, the reference gaps."""
+    d = dict(report, split=split)
     if split == "test":
-        # Rounded after subtracting, so each gap is the console's +.2f figure.
+        # Rounded after subtracting, so each gap prints as its own +.2f figure.
         d["reference_gap"] = {
-            "accuracy": round(100.0 * report.accuracy - REFERENCE_TEST_ACCURACY, 2),
+            "accuracy": round(100.0 * report["accuracy"] - REFERENCE_TEST_ACCURACY, 2),
             "per_class_accuracy": {
-                a.short: round(100.0 * acc - REFERENCE_PER_CLASS_ACCURACY[a.short], 2)
-                for a, acc in zip(Activity, report.per_class_accuracy)
+                short: round(100.0 * acc - REFERENCE_PER_CLASS_ACCURACY[short], 2)
+                for short, acc in report["per_class_accuracy"].items()
             },
         }
     return d
@@ -233,47 +234,43 @@ def _report_json_dict(report: EvalReport, split: str) -> dict:
 
 def cmd_evaluate(cfg: RunConfig, checkpoint_path: str | Path, split: str) -> int:
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     params, welch, _ = load_checkpoint(checkpoint_path)
     # The features of the checkpoint's Welch config, extracted as `extract` does.
     features, _ = extract_features(cfg.dataset_root, split, welch, subset=cfg.subset,
                                    strict_counts=cfg.strict_counts)
     if not len(features):
         raise ValueError("cannot evaluate an empty split")
-    report = report_from_predictions(predict_batch(params, features.freq, features.power),
-                                     features.labels)
+    probs = softmax(predict_batch(params, features.freq, features.power))
+    report, roc_points = report_from_predictions(probs, features.labels)
+    d = _report_json_dict(report, split)
+    gap = d.get("reference_gap")
 
-    print(f"{split} accuracy: {100.0 * report.accuracy:.2f}%")
+    print(f"{split} accuracy: {100.0 * d['accuracy']:.2f}%")
     print("confusion matrix (rows = truth, columns = prediction):")
-    header = "      " + " ".join(f"{a.short:>5}" for a in Activity)
-    print(header)
-    for a in Activity:
-        row = " ".join(f"{int(v):5d}" for v in report.confusion[a.value - 1])
-        print(f"  {a.short} {row}")
+    print("      " + " ".join(f"{short:>5}" for short in d["class_order"]))
+    for short, row in zip(d["class_order"], d["confusion"]):
+        print(f"  {short} " + " ".join(f"{v:5d}" for v in row))
     print("per-class accuracy:")
-    for a in Activity:
-        acc = 100.0 * report.per_class_accuracy[a.value - 1]
-        line = f"  {a.short}: {acc:6.2f}%"
-        if split == "test":
-            line += f"  (reference {REFERENCE_PER_CLASS_ACCURACY[a.short]:.2f}%, " \
-                    f"gap {acc - REFERENCE_PER_CLASS_ACCURACY[a.short]:+.2f})"
+    for short, acc in d["per_class_accuracy"].items():
+        line = f"  {short}: {100.0 * acc:6.2f}%"
+        if gap:
+            line += f"  (reference {REFERENCE_PER_CLASS_ACCURACY[short]:.2f}%, " \
+                    f"gap {gap['per_class_accuracy'][short]:+.2f})"
         print(line)
     print(
-        f"macro precision {100 * report.macro_precision:.2f}%  "
-        f"recall {100 * report.macro_recall:.2f}%  f1 {100 * report.macro_f1:.2f}%"
+        f"macro precision {100 * d['macro_precision']:.2f}%  "
+        f"recall {100 * d['macro_recall']:.2f}%  f1 {100 * d['macro_f1']:.2f}%"
     )
-    if split == "test":
-        print(
-            f"reference accuracy {REFERENCE_TEST_ACCURACY:.2f}%, "
-            f"gap {100 * report.accuracy - REFERENCE_TEST_ACCURACY:+.2f}"
-        )
+    if gap:
+        print(f"reference accuracy {REFERENCE_TEST_ACCURACY:.2f}%, gap {gap['accuracy']:+.2f}")
 
-    report_text = json.dumps(_report_json_dict(report, split), indent=2, sort_keys=True)
+    # Made only now, so an evaluate that fails leaves no directory behind.
+    out_dir.mkdir(parents=True, exist_ok=True)
+    report_text = json.dumps(d, indent=2, sort_keys=True)
     atomic_write_bytes(out_dir / REPORT_NAME, (report_text + "\n").encode())
-    for a in Activity:
-        points, _ = report.roc[a.short]
+    for short, points in roc_points.items():
         lines = ["fpr,tpr"] + [f"{fpr:.9f},{tpr:.9f}" for fpr, tpr in points]
-        atomic_write_bytes(out_dir / f"roc_{a.short}.csv", ("\n".join(lines) + "\n").encode())
+        atomic_write_bytes(out_dir / f"roc_{short}.csv", ("\n".join(lines) + "\n").encode())
     print(f"wrote {out_dir / REPORT_NAME} and roc_<class>.csv files")
     return EXIT_OK
 

@@ -3,8 +3,6 @@ accuracy, and one-vs-rest ROC curves with AUC."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataset import N_CLASSES, Activity
@@ -98,56 +96,30 @@ def roc_curve(probs: np.ndarray, truth, activity: Activity) -> tuple[np.ndarray,
     return points, auc
 
 
-@dataclass
-class EvalReport:
-    accuracy: float
-    confusion: np.ndarray
-    per_class_accuracy: np.ndarray
-    macro_precision: float
-    macro_recall: float
-    macro_f1: float
-    f1_macro_per_class: float
-    roc: dict[str, tuple[np.ndarray, float]]
-    zero_precision_classes: list[str]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "confusion": self.confusion.tolist(),
-            "class_order": [a.short for a in Activity],
-            "per_class_accuracy": {
-                a.short: float(self.per_class_accuracy[a.value - 1]) for a in Activity
-            },
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "f1_macro_per_class": self.f1_macro_per_class,
-            "auc": {label: float(auc) for label, (_, auc) in self.roc.items()},
-            "zero_precision_classes": self.zero_precision_classes,
-        }
-
-
-def report_from_predictions(probs: np.ndarray, truth) -> EvalReport:
-    """Assemble the full report from class probabilities and true ids."""
+def report_from_predictions(probs: np.ndarray, truth) -> tuple[dict, dict[str, np.ndarray]]:
+    """report.json's object (before the caller adds the split) for class probabilities and
+    true ids, and each class's ROC points, keyed by short name as the report's `auc` is."""
     preds = np.argmax(probs, axis=1) + 1
     cm = confusion(preds, truth)
     missing = [Activity(i + 1).short for i in np.flatnonzero(cm.sum(axis=1) == 0)]
     if missing:
         raise ValueError(f"classes without true instances: {', '.join(missing)}")
     p, r, f1 = macro_prf(cm)
-    roc = {}
+    roc_points, auc = {}, {}
     for activity in Activity:
-        points, auc = roc_curve(probs, truth, activity)
-        roc[activity.short] = (points, auc)
+        roc_points[activity.short], auc[activity.short] = roc_curve(probs, truth, activity)
+    per_class = per_class_accuracy(cm)
     zero_cols = np.flatnonzero(cm.sum(axis=0) == 0)
-    return EvalReport(
-        accuracy=accuracy_of(cm),
-        confusion=cm,
-        per_class_accuracy=per_class_accuracy(cm),
-        macro_precision=p,
-        macro_recall=r,
-        macro_f1=f1,
-        f1_macro_per_class=f1_macro_per_class(cm),
-        roc=roc,
-        zero_precision_classes=[Activity(i + 1).short for i in zero_cols],
-    )
+    report = {
+        "accuracy": accuracy_of(cm),
+        "confusion": cm.tolist(),
+        "class_order": [a.short for a in Activity],
+        "per_class_accuracy": {a.short: float(per_class[a.value - 1]) for a in Activity},
+        "macro_precision": p,
+        "macro_recall": r,
+        "macro_f1": f1,
+        "f1_macro_per_class": f1_macro_per_class(cm),
+        "auc": auc,
+        "zero_precision_classes": [Activity(i + 1).short for i in zero_cols],
+    }
+    return report, roc_points

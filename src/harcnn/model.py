@@ -29,7 +29,6 @@ from .layers import (
     dense_forward,
     maxpool1d_backward,
     maxpool1d_forward,
-    softmax,
 )
 from .parallel import map_blocks
 
@@ -239,11 +238,12 @@ PREDICT_CHUNK = 512
 
 
 def predict_batch(params: ModelParams, freq, power) -> np.ndarray:
-    """Probabilities (n, 6) of raw features, computed in PREDICT_CHUNK-row chunks to bound memory.
+    """Class logits (n, 6) of raw features, computed in PREDICT_CHUNK-row chunks to bound memory.
 
-    The chunks run on every available CPU (see parallel.map_blocks).
+    The chunks run on every available CPU (see parallel.map_blocks); layers.softmax
+    turns the logits into probabilities.
     """
     chunk = PREDICT_CHUNK
     rows = [slice(start, start + chunk) for start in range(0, freq.shape[0], chunk)]
-    probs = map_blocks(lambda r: softmax(forward_batch(params, freq[r], power[r])[0]), rows)
-    return np.concatenate(probs, axis=0)
+    logits = map_blocks(lambda r: forward_batch(params, freq[r], power[r])[0], rows)
+    return np.concatenate(logits, axis=0)

@@ -96,15 +96,16 @@ def adam_step(
 
 
 def split_metrics(params: ModelParams, features: FeatureSet) -> tuple[float, float, float, float, float]:
-    """(loss, accuracy, precision, recall, f1) of the model on raw features."""
-    probs = predict_batch(params, features.freq, features.power)
-    rows = np.arange(len(features))
-    true_idx = features.labels - 1
-    loss = float(np.mean(-np.log(np.maximum(probs[rows, true_idx], 1e-30))))
-    preds = np.argmax(probs, axis=1) + 1
-    cm = confusion(preds, features.labels)
+    """(loss, accuracy, precision, recall, f1) of the model on raw features.
+
+    The loss is the mean of the training step's cross-entropy
+    (softmax_cross_entropy_batch), with no cap on a window's loss.
+    """
+    logits = predict_batch(params, features.freq, features.power)
+    losses, _, probs = softmax_cross_entropy_batch(logits, features.labels - 1)
+    cm = confusion(np.argmax(probs, axis=1) + 1, features.labels)
     p, r, f1 = macro_prf(cm)
-    return loss, accuracy_of(cm), p, r, f1
+    return float(np.mean(losses)), accuracy_of(cm), p, r, f1
 
 
 def train(

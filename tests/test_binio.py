@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -61,3 +62,17 @@ class TestAtomicWrite:
         atomic_write_bytes(path, b"new contents")
         assert path.read_bytes() == b"new contents"
         assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_file_mode_follows_the_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            atomic_write_bytes(tmp_path / "out.bin", b"payload")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "out.bin").stat().st_mode & 0o777 == mode
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            atomic_write_bytes(tmp_path / "out.bin", "text is not bytes")
+        assert list(tmp_path.iterdir()) == []

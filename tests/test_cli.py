@@ -692,16 +692,26 @@ class TestEvaluate:
     def test_reference_gap_is_the_consoles_two_decimal_gap(self):
         # Rounding each term before subtracting wrote round(87.34, 2) - 95.25 = -7.909999999999997.
         per_class = np.array([0.9738, 0.9490, 0.9548, 0.9015, 0.9624, 0.9981])
-        report = metrics.EvalReport(accuracy=0.8734, confusion=np.eye(6, dtype=np.int64),
-                                    per_class_accuracy=per_class, macro_precision=0.0,
-                                    macro_recall=0.0, macro_f1=0.0, f1_macro_per_class=0.0,
-                                    roc={}, zero_precision_classes=[])
+        shorts = list(cli.REFERENCE_PER_CLASS_ACCURACY)
+        report = {"accuracy": 0.8734, "per_class_accuracy": dict(zip(shorts, per_class.tolist()))}
         gap = cli._report_json_dict(report, "test")["reference_gap"]
         assert gap["accuracy"] == -7.91
         assert gap["per_class_accuracy"]["Sit"] == 2.98
-        for short, acc in zip(report.to_json_dict()["class_order"], 100.0 * per_class):
+        for short, acc in zip(shorts, 100.0 * per_class):
             console = f"{acc - cli.REFERENCE_PER_CLASS_ACCURACY[short]:+.2f}"
             assert gap["per_class_accuracy"][short] == float(console)
+
+    def test_console_prints_the_reports_own_gaps(self, trained_pipeline, tmp_path, capsys):
+        _, out_dir, cfg_path = trained_pipeline
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "eval"),
+                     "--checkpoint", str(out_dir / "checkpoint.bin")]) == 0
+        out = capsys.readouterr().out
+        gap = json.loads((tmp_path / "eval" / "report.json").read_text())["reference_gap"]
+        per_class = re.findall(r"^  (\w+): .*, gap ([-+]\d+\.\d\d)\)$", out, re.M)
+        assert {short: float(g) for short, g in per_class} == gap["per_class_accuracy"]
+        (accuracy,) = re.findall(r"^reference accuracy 95\.25%, gap ([-+]\d+\.\d\d)$", out, re.M)
+        assert float(accuracy) == gap["accuracy"]
 
     def test_roc_files_written(self, trained_pipeline):
         _, out_dir, _ = trained_pipeline
@@ -793,6 +803,12 @@ class TestEvaluate:
         code = main(["evaluate", "--config", str(cfg_path),
                      "--checkpoint", str(out_dir / "missing.bin")])
         assert code == 1
+
+    def test_failed_evaluate_makes_no_output_directory(self, trained_pipeline, tmp_path):
+        _, out_dir, cfg_path = trained_pipeline
+        assert main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "new_dir"),
+                     "--checkpoint", str(out_dir / "missing.bin")]) == 1
+        assert not (tmp_path / "new_dir").exists()
 
     def test_checkpoint_missing_meta_key_is_one_line_error(self, trained_pipeline, tmp_path, capsys):
         root, out_dir, cfg_path = trained_pipeline

@@ -128,7 +128,7 @@ class TestForward:
             params = init_model(seed=seed, norm=make_norm())
             freq = rng.standard_normal((10, 9, 65))
             power = rng.standard_normal((10, 9, 33))
-            means.append(predict_batch(params, freq, power).mean(axis=0))
+            means.append(softmax(predict_batch(params, freq, power)).mean(axis=0))
         mean_probs = np.mean(means, axis=0)
         assert np.all(mean_probs >= 0.10)
         assert np.all(mean_probs <= 0.24)
@@ -236,7 +236,7 @@ class TestForward:
         params = init_model(seed=2, norm=make_norm(min_std=1.0))
         freq = rng.standard_normal((20, 9, 65)).astype(np.float32)
         power = rng.standard_normal((20, 9, 33)).astype(np.float32)
-        chunked = predict_batch(params, freq, power)
+        chunked = softmax(predict_batch(params, freq, power))
         single = softmax(forward_batch(params, freq, power)[0])
         assert np.max(np.abs(chunked - single)) <= 1e-6
 
@@ -249,7 +249,7 @@ class TestForward:
             [softmax(forward_batch(params, freq[s : s + 7], power[s : s + 7])[0])
              for s in range(0, 20, 7)]
         )
-        assert np.array_equal(predict_batch(params, freq, power), serial)
+        assert np.array_equal(softmax(predict_batch(params, freq, power)), serial)
 
     def test_predict_on_one_cpu_starts_no_thread_and_gives_the_same_bytes(
         self, monkeypatch, four_cpus, seven_row_chunks

@@ -8,8 +8,9 @@ from harcnn.checkpoint import save_checkpoint
 from harcnn.dataset import Activity
 from harcnn.dsp import WelchConfig
 from harcnn.features import FeatureSet, extract_features_batch, fit_normalizer_arrays
-from harcnn.model import ConvLayerSpec, ModelSpec, init_model
-from harcnn.train import AdamState, TrainConfig, adam_step, train
+from harcnn.layers import softmax_cross_entropy_batch
+from harcnn.model import ConvLayerSpec, ModelSpec, init_model, predict_batch
+from harcnn.train import AdamState, TrainConfig, adam_step, split_metrics, train
 from test_layers import (
     reference_conv1d_backward,
     reference_conv1d_forward,
@@ -96,6 +97,24 @@ def adam_steps(monkeypatch):
 
     monkeypatch.setattr(harcnn.train, "adam_step", counted)
     return steps
+
+
+class TestSplitMetrics:
+    def test_loss_is_the_training_cross_entropy_without_a_cap(self):
+        # Every window's true logit is 120 below Lay's, so its probability underflows
+        # to 0; a loss of -log(max(p, 1e-30)) would read 69.08.
+        train_set, _, norm = synthetic_feature_sets()
+        keep = train_set.labels != Activity.LAYING.value
+        windows = FeatureSet(train_set.freq[keep], train_set.power[keep], train_set.labels[keep])
+        params = init_model(SMALL_SPEC, seed=1, norm=norm)
+        params.arrays["fusion.w"][:] = 0.0
+        params.arrays["fusion.b"][Activity.LAYING.value - 1] = 120.0
+        loss, acc, *_ = split_metrics(params, windows)
+        logits = predict_batch(params, windows.freq, windows.power)
+        losses, _, _ = softmax_cross_entropy_batch(logits, windows.labels - 1)
+        assert loss == float(np.mean(losses))
+        assert loss == pytest.approx(120.0, abs=1e-3)
+        assert acc == 0.0
 
 
 class TestTrain:
