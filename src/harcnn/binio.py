@@ -13,6 +13,7 @@ import json
 import math
 import os
 import struct
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -24,17 +25,41 @@ class FormatError(ValueError):
     """A binary file does not match its declared layout."""
 
 
-def atomic_write_bytes(path: str | os.PathLike, data: bytes | np.ndarray) -> None:
-    """Write bytes or a 1-D uint8 array to `path` via a temp file + rename, never partially.
+class Parts:
+    """Bytes-like parts to write in order, and their total byte count, known before any is made.
 
+    len() is that count, as it is of a bytes object, so a caller that sizes
+    a write by len() of its data (bench/tracer.py does) counts the bytes.
+    """
+
+    def __init__(self, parts: Iterable, nbytes: int) -> None:
+        self._parts, self._nbytes = parts, nbytes
+
+    def __iter__(self) -> Iterator:
+        return iter(self._parts)
+
+    def __len__(self) -> int:
+        return self._nbytes
+
+
+def atomic_write_bytes(path: str | os.PathLike, data: bytes | np.ndarray | Iterable) -> None:
+    """Write bytes, a 1-D uint8 array or an iterable of bytes-like parts to `path`, never
+    partially: the parts go in order into a temp file, which is renamed over `path`.
+
+    A part may reuse the buffer of the part before it. If the iterable raises,
+    the temp file is removed and `path` is left as it was. A Parts whose
+    parts add up to other than its len() raises ValueError, as a failed write.
     The file gets mode 0o666 less the umask, as open(path, "wb") would give it.
     """
     path = Path(path)
+    parts = (data,) if isinstance(data, (bytes, np.ndarray)) else data
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            written = sum(f.write(part) for part in parts)
+            if isinstance(parts, Parts) and written != len(parts):
+                raise ValueError(f"{path}: wrote {written} bytes of {len(parts)}")
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -90,8 +115,8 @@ def write_container(
     """Atomically write a container: header, JSON metadata, then one record per (name, array)."""
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     header = magic + struct.pack("<HI", FORMAT_VERSION, len(meta_bytes)) + meta_bytes
-    packed = [pack_tensor_record(name, arr) for name, arr in records]
-    atomic_write_bytes(path, b"".join([header, *packed]))
+    parts = [header, *(pack_tensor_record(name, arr) for name, arr in records)]
+    atomic_write_bytes(path, Parts(parts, sum(map(len, parts))))
 
 
 def read_container(

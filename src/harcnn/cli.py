@@ -134,7 +134,6 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 def cmd_extract(cfg: RunConfig) -> int:
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     # The files are stamped before they are parsed, so one changed meanwhile
     # reads as stale. The sidecar, which carries the record, is removed first
     # and written last: an extract cut short leaves no record to match.
@@ -143,8 +142,11 @@ def cmd_extract(cfg: RunConfig) -> int:
     for split in SPLITS:
         features, stats = extract_features(cfg.dataset_root, split, cfg.welch, subset=cfg.subset,
                                            strict_counts=cfg.strict_counts, fit=split == "train")
+        # Made only now, so an extract that fails on the train split leaves no directory.
+        out_dir.mkdir(parents=True, exist_ok=True)
         write_feature_cache(out_dir / CACHE_NAMES[split], features)
         n = len(features)
+        del features  # released before the next split is read
         print(f"{split}: cached {n} samples "
               f"(freq {(N_STREAMS, FREQ_BINS)}, power {(N_STREAMS, cfg.welch.n_bins)})")
         if stats is not None:

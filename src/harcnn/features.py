@@ -8,8 +8,10 @@ feed separate CNN channels and their bin counts differ.
 A stream's features depend on that stream's samples alone. So
 extract_features, which `extract`, `train` and `evaluate` all use, reads
 a split through dataset.read_split with one task per signal file that
-keeps only its float32 features, and the split's float64 windows and
-feature stacks never exist whole. extract_split and
+casts its features into its stream's column of the split's float32
+stacks: the split's float64 windows and feature stacks never exist
+whole, and each float32 feature exists once. write_feature_cache writes
+those stacks in fixed-size chunks of records. extract_split and
 extract_features_batch derive the same features from a loaded split's
 windows; tests hold extract_features to them.
 """
@@ -17,12 +19,13 @@ windows; tests hold extract_features to them.
 from __future__ import annotations
 
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .binio import FormatError, atomic_write_bytes
+from .binio import FormatError, Parts, atomic_write_bytes
 from .config import to_json
 from .dataset import (
     N_CLASSES, N_STREAMS, SPLITS, WINDOW_LEN, SplitManifest, parse_signal_file, read_split,
@@ -43,6 +46,10 @@ EPSILON = 1e-8
 BLOCK_WINDOWS = 32
 
 CACHE_MAGIC = b"HARFEAT1"
+# write_feature_cache fills and writes this many records at a time: a
+# 0.9 MB buffer under the default config, where the train split's file
+# is 26 MB.
+CACHE_CHUNK_WINDOWS = 256
 # Bump whenever extraction changes a feature's bits, so caches written
 # before the change no longer match their extraction record.
 FEATURES_VERSION = 2
@@ -147,25 +154,6 @@ def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x.mean(axis=0), x.std(axis=0)
 
 
-def _stream_features(path: Path, cfg: WelchConfig, subset: int | None, fit: bool):
-    """One signal file as (rows, features): its row count, and of its first `subset` rows
-    the float32 freq and power features and, with fit, their float64 moments (else None).
-
-    An overflow in the transforms or in the float32 casts (a finite power
-    can exceed float32) is returned in place of the features, to be raised
-    after the split's checks.
-    """
-    rows = parse_signal_file(path)
-    n_rows = len(rows)
-    try:
-        freq, power = _rows_features(rows[:subset], cfg)
-        del rows  # the parsed file, before the float32 copies are made
-        moments = (*_moments(freq), *_moments(power)) if fit and len(freq) else None
-        return n_rows, (freq.astype(np.float32), power.astype(np.float32), moments)
-    except FloatingPointError as exc:
-        return n_rows, exc
-
-
 def extract_features(
     root, split: str, cfg: WelchConfig = WelchConfig(), *,
     subset: int | None = None, strict_counts: bool = True, fit: bool = False,
@@ -175,22 +163,46 @@ def extract_features(
     The stats are bit for bit fit_normalizer_arrays' of the extract_split
     stacks. The split is read by dataset.read_split, with one task per
     signal file: it is parsed, cut to `subset` rows and transformed, and
-    only its float32 features (and float64 moments) are kept. So neither
-    the split's (n, 9, 128) windows nor its float64 feature stacks ever
-    exist. A fault is reported as by every command that reads a split, and
-    an overflow in the transforms only after the split's checks, as
-    extract_split's was. Nothing is written.
+    its float64 features are cast into its own stream's column of the
+    split's (n, 9, F) and (n, 9, P) float32 stacks. The first task that
+    knows its file's row count makes the stacks, and a task whose file
+    has another row count writes nothing (read_split then raises). So the
+    split's (n, 9, 128) windows and float64 features never exist whole,
+    and the float32 features exist once. A fault is reported as by every
+    command that reads a split, and an overflow in the transforms or in
+    the float32 casts (a finite power can exceed float32) only after the
+    split's checks, as extract_split's was. Nothing is written.
     """
-    streams, labels, _ = read_split(root, split, lambda p: _stream_features(p, cfg, subset, fit),
-                                    strict_counts)
-    for result in streams:
+    stream_of = {path: s for s, path in enumerate(split_files(root, split)[:N_STREAMS])}
+    stacks = {}  # the file row count the stacks were made for, and the two stacks
+    lock = threading.Lock()
+
+    def stream_task(path: Path):
+        rows = parse_signal_file(path)
+        n_rows = len(rows)
+        try:
+            freq, power = _rows_features(rows[:subset], cfg)
+            del rows  # the parsed file, before the features are cast
+            with lock:
+                if not stacks:
+                    stacks.update(rows=n_rows,
+                                  freq=np.empty((len(freq), N_STREAMS, FREQ_BINS), np.float32),
+                                  power=np.empty((len(power), N_STREAMS, cfg.n_bins), np.float32))
+            if stacks["rows"] == n_rows:
+                stacks["freq"][:, stream_of[path]] = freq
+                stacks["power"][:, stream_of[path]] = power
+            return n_rows, (*_moments(freq), *_moments(power)) if fit and len(freq) else None
+        except FloatingPointError as exc:
+            return n_rows, exc
+
+    moments, labels, _ = read_split(root, split, stream_task, strict_counts)
+    for result in moments:
         if isinstance(result, FloatingPointError):
             raise result
     labels = labels[:subset]
     if fit and not len(labels):
         raise ValueError("cannot fit a normalizer on an empty sequence")
-    freq, power, moments = zip(*streams)
-    features = FeatureSet(np.stack(freq, axis=1), np.stack(power, axis=1), labels)
+    features = FeatureSet(stacks["freq"], stacks["power"], labels)
     if not fit:
         return features, None
     return features, NormStats(*(np.stack(column).astype(np.float32) for column in zip(*moments)))
@@ -263,19 +275,27 @@ def write_feature_cache(path: str | Path, features: FeatureSet) -> None:
 
     Layout: magic, u32 sample count, u32 freq bins, u32 power bins, then per
     sample a u8 class id followed by the freq and power matrices as
-    little-endian float32, row-major. The records are filled in the file's
-    own buffer, so the file is never joined into a second copy.
+    little-endian float32, row-major. The header is written first, then the
+    records CACHE_CHUNK_WINDOWS at a time from one reused buffer, so the
+    file's bytes are never held whole.
     """
     freq_bins, power_bins = features.freq.shape[-1], features.power.shape[-1]
-    header = CACHE_MAGIC + struct.pack("<III", len(features), freq_bins, power_bins)
+    n = len(features)
+    header = CACHE_MAGIC + struct.pack("<III", n, freq_bins, power_bins)
     dtype = _record_dtype(freq_bins, power_bins)
-    data = np.empty(len(header) + len(features) * dtype.itemsize, dtype=np.uint8)
-    data[: len(header)] = np.frombuffer(header, dtype=np.uint8)
-    records = data[len(header) :].view(dtype)
-    records["label"] = features.labels
-    records["freq"] = features.freq
-    records["power"] = features.power
-    atomic_write_bytes(path, data)
+    buffer = np.empty(CACHE_CHUNK_WINDOWS * dtype.itemsize, dtype=np.uint8)
+
+    def parts():
+        yield header
+        for start in range(0, n, CACHE_CHUNK_WINDOWS):
+            chunk = buffer[: min(n - start, CACHE_CHUNK_WINDOWS) * dtype.itemsize]
+            records, rows = chunk.view(dtype), slice(start, start + CACHE_CHUNK_WINDOWS)
+            records["label"] = features.labels[rows]
+            records["freq"] = features.freq[rows]
+            records["power"] = features.power[rows]
+            yield chunk
+
+    atomic_write_bytes(path, Parts(parts(), len(header) + n * dtype.itemsize))
 
 
 def read_feature_cache(path: str | Path) -> FeatureSet:

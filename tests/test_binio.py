@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 
 from harcnn.binio import (
+    FORMAT_VERSION,
     FormatError,
+    Parts,
     atomic_write_bytes,
     pack_tensor_record,
+    read_container,
     unpack_tensor_records,
+    write_container,
 )
 
 
@@ -76,3 +80,53 @@ class TestAtomicWrite:
         with pytest.raises(TypeError):
             atomic_write_bytes(tmp_path / "out.bin", "text is not bytes")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("as_parts", [list, iter, lambda parts: Parts(parts, 11)],
+                             ids=["list", "iterator", "Parts"])
+    def test_parts_are_written_as_their_concatenation(self, tmp_path, as_parts):
+        parts = [b"head", np.frombuffer(b"uint8", dtype=np.uint8), memoryview(b"mv")]
+        atomic_write_bytes(tmp_path / "out.bin", as_parts(parts))
+        assert (tmp_path / "out.bin").read_bytes() == b"headuint8mv"
+
+    def test_a_part_may_reuse_the_buffer_of_the_part_before(self, tmp_path):
+        buffer = np.zeros(3, dtype=np.uint8)
+
+        def parts():
+            for value in (1, 2, 3):
+                buffer[:] = value
+                yield buffer
+
+        atomic_write_bytes(tmp_path / "out.bin", parts())
+        assert (tmp_path / "out.bin").read_bytes() == bytes([1, 1, 1, 2, 2, 2, 3, 3, 3])
+
+    def test_parts_that_raise_midway_leave_the_target_unchanged(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+
+        def parts():
+            yield b"new" * 10000
+            raise RuntimeError("part failed")
+
+        with pytest.raises(RuntimeError, match="part failed"):
+            atomic_write_bytes(path, parts())
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    @pytest.mark.parametrize("nbytes", [3, 5])
+    def test_parts_of_another_length_than_declared_leave_no_file(self, tmp_path, nbytes):
+        with pytest.raises(ValueError, match=f"wrote 4 bytes of {nbytes}$"):
+            atomic_write_bytes(tmp_path / "out.bin", Parts([b"ab", b"cd"], nbytes))
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestContainer:
+    def test_bytes_are_the_header_then_each_record(self, tmp_path):
+        records = [("w", np.arange(6, dtype=np.float32).reshape(2, 3)), ("b", np.ones(4))]
+        meta = {"b": 1, "a": [2, 3]}
+        write_container(tmp_path / "c.bin", b"TESTMAG1", meta, records)
+        meta_bytes = b'{"a": [2, 3], "b": 1}'
+        want = b"".join([b"TESTMAG1", struct.pack("<HI", FORMAT_VERSION, len(meta_bytes)),
+                         meta_bytes, *(pack_tensor_record(name, arr) for name, arr in records)])
+        assert (tmp_path / "c.bin").read_bytes() == want
+        back_meta, back = read_container(tmp_path / "c.bin", b"TESTMAG1", "test")
+        assert back_meta == meta and list(back) == ["w", "b"]

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -477,6 +478,55 @@ class TestExtract:
         assert main([command, "--config", write_config(tmp_path / "c.json", cfg)]) == 2
         assert capsys.readouterr().err == f"dataset error: {info.value}\n"
 
+    # The first task to know its row count makes the split's stacks; a task of another count
+    # writes nothing, whichever stream it is and however many tasks run at once.
+    @pytest.mark.parametrize("cpus", [1, 4])
+    @pytest.mark.parametrize("damage", ["short_first_stream", "two_bad_streams"])
+    def test_row_count_faults_fail_alike_on_every_cpu_count(self, tmp_path, capsys, monkeypatch,
+                                                             damage, cpus):
+        root = build_synthetic_dataset(tmp_path / "data", train_per_class=2, test_per_class=1)
+        TRAIN_DAMAGE[damage](root / "train")
+        with pytest.raises(DatasetError) as info:
+            load_split(root, "train", strict_counts=False)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+        capsys.readouterr()
+        assert main(["extract", "--config",
+                     write_config(tmp_path / "c.json", smoke_config(root, tmp_path / "out"))]) == 2
+        assert capsys.readouterr().err == f"dataset error: {info.value}\n"
+
+    @pytest.mark.parametrize("command", ["extract", "train"])
+    def test_missing_dataset_makes_no_output_directory(self, tmp_path, capsys, command):
+        out_dir = tmp_path / "new_dir"
+        capsys.readouterr()
+        assert main([command, "--dataset", str(tmp_path / "nowhere"), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith("dataset error: missing file: ")
+        assert not out_dir.exists()
+
+    def test_train_features_are_released_before_the_test_split_is_read(self, tmp_path,
+                                                                        monkeypatch):
+        root = build_synthetic_dataset(tmp_path / "data", train_per_class=50, test_per_class=2)
+        cfg_path = write_config(tmp_path / "c.json", smoke_config(root, tmp_path / "out"))
+        extract, train_arrays, held = cli.extract_features, [], {}
+
+        def watched(root, split, *args, **kwargs):
+            held[split] = tracemalloc.get_traced_memory()[0]
+            if split == "test":
+                held["alive"] = [ref() is not None for ref in train_arrays]
+            got = extract(root, split, *args, **kwargs)
+            if split == "train":
+                train_arrays.extend(weakref.ref(a) for a in (got[0].freq, got[0].power))
+            return got
+
+        monkeypatch.setattr(cli, "extract_features", watched)
+        tracemalloc.start()
+        try:
+            assert main(["extract", "--config", cfg_path]) == 0
+        finally:
+            tracemalloc.stop()
+        train = read_feature_cache(tmp_path / "out" / "train_features.bin")
+        assert held["alive"] == [False, False]
+        assert held["test"] - held["train"] < 0.1 * (train.freq.nbytes + train.power.nbytes)
+
     def test_empty_train_split_fails_before_any_cache_is_written(self, tmp_path, capsys):
         root = tmp_path / "data"
         for split in SPLITS:
@@ -486,7 +536,7 @@ class TestExtract:
         err = one_line_error(capsys, ["extract", "--config",
                                       write_config(tmp_path / "c.json", smoke_config(root, out_dir))])
         assert err == "error: cannot fit a normalizer on an empty sequence\n"
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
 
     def test_overflow_is_one_line_error(self, tmp_path, capsys):
         root = build_synthetic_dataset(tmp_path / "data", train_per_class=2, test_per_class=1)

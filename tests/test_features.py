@@ -1,4 +1,5 @@
 import os
+import sys
 import threading
 import tracemalloc
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import write_uci_split
-from harcnn import features
+from harcnn import features, parallel
 from harcnn.binio import FormatError
 from harcnn.dataset import N_STREAMS, load_split
 from harcnn.dsp import WelchConfig, rfft, welch_psd
@@ -206,6 +207,50 @@ class TestExtractFeaturesPerStream:
                 assert getattr(got, name).tobytes() == value.tobytes(), name
 
 
+    def test_racing_stream_tasks_make_one_pair_of_stacks(self, tmp_path, monkeypatch):
+        # Nine threads on this host's cores, switching every microsecond: a second pair of
+        # stacks made by a racing task would lose that task's columns.
+        n = 40
+        windows = np.random.default_rng(31).standard_normal((n, N_STREAMS, 128))
+        write_uci_split(tmp_path, "train", windows, np.arange(n) % 6 + 1, np.arange(n) % 30 + 1)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 1)
+        want = extract_features(tmp_path, "train", strict_counts=False)[0]
+        monkeypatch.setattr(parallel, "cpu_count", lambda: N_STREAMS)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                got = extract_features(tmp_path, "train", strict_counts=False)[0]
+                assert got.freq.tobytes() == want.freq.tobytes()
+                assert got.power.tobytes() == want.power.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("fit", [False, True])
+    def test_allocates_almost_nothing_once_the_split_is_read(self, tmp_path, monkeypatch, fit):
+        # The stream tasks cast their features into the split's stacks, so no stack is made after.
+        n = 600
+        windows = np.random.default_rng(29).standard_normal((n, N_STREAMS, 128))
+        write_uci_split(tmp_path, "train", windows, np.arange(n) % 6 + 1, np.arange(n) % 30 + 1)
+        read_split, held = features.read_split, []
+
+        def reading(*args):
+            result = read_split(*args)
+            tracemalloc.reset_peak()
+            held.append(tracemalloc.get_traced_memory()[0])
+            return result
+
+        monkeypatch.setattr(features, "read_split", reading)
+        tracemalloc.start()
+        try:
+            got, _ = extract_features(tmp_path, "train", strict_counts=False, fit=fit)
+            allocated = tracemalloc.get_traced_memory()[1] - held[0]
+        finally:
+            tracemalloc.stop()
+        stack_bytes = got.freq.nbytes + got.power.nbytes
+        assert allocated < 0.05 * stack_bytes, (allocated, stack_bytes)
+
+
 class TestNormStats:
     def test_bins_are_the_array_widths(self):
         assert fit_normalizer_arrays(np.ones((2, 9, 65)), np.ones((2, 9, 17))).bins == (65, 17)
@@ -325,6 +370,28 @@ class TestFeatureCache:
         for stack in (back.freq, back.power):
             with pytest.raises(ValueError, match="read-only"):
                 stack[0, 0, 0] = 1.0
+
+    def test_write_holds_one_chunk_of_records(self, tmp_path):
+        path = tmp_path / "train.harfeat"
+        fs = self._feature_set(n=3000)
+        tracemalloc.start()
+        try:
+            write_feature_cache(path, fs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size == 20 + 3000 * (1 + 4 * 9 * (65 + 33))  # 10.6 MB
+        assert peak < 2**20, peak
+        assert np.array_equal(read_feature_cache(path).power, fs.power)
+
+    @pytest.mark.parametrize("n", [0, 1, features.CACHE_CHUNK_WINDOWS,
+                                   2 * features.CACHE_CHUNK_WINDOWS + 1])
+    def test_chunk_boundaries_keep_every_record(self, tmp_path, n):
+        fs = self._feature_set(n=n)
+        write_feature_cache(tmp_path / "a.harfeat", fs)
+        back = read_feature_cache(tmp_path / "a.harfeat")
+        for name in ("freq", "power", "labels"):
+            assert np.array_equal(getattr(back, name), getattr(fs, name)), name
 
     def test_round_trip_is_byte_exact(self, tmp_path):
         fs = self._feature_set(seed=9)
