@@ -20,8 +20,8 @@ from .binio import FormatError, atomic_write_bytes
 from .checkpoint import load_checkpoint, load_norm_stats, save_checkpoint, save_norm_stats
 from .config import from_json, to_json
 from .dataset import (
-    DatasetError, EXPECTED_COUNTS, N_STREAMS, SPLITS, WINDOW_LEN, class_counts,
-    parse_signal_file, read_split, table_count_mismatches,
+    DatasetError, EXPECTED_COUNTS, N_STREAMS, SPLITS, WINDOW_LEN, class_counts, read_split,
+    signal_blocks, table_count_mismatches,
     # Unused; bench/tests/test_smoke.py::test_wrappers_are_restored reads it (ROADMAP item 1).
     load_split,
 )
@@ -109,14 +109,19 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _row_count(path: Path) -> tuple[int, None]:
+    """read_split's task for validate: a signal file's row count, read a block at a time."""
+    for rows, _, _ in signal_blocks(path):
+        pass
+    return rows, None
+
+
 def cmd_validate(cfg: RunConfig) -> int:
     all_diffs: list[str] = []
     print(f"dataset root: {cfg.dataset_root}")
     for split in SPLITS:
-        # Each task keeps only its file's row count, so no split is ever held whole.
-        _, labels, _ = read_split(cfg.dataset_root, split,
-                                  lambda path: (len(parse_signal_file(path)), None),
-                                  strict_counts=False)
+        # Each task holds one block of its file and keeps only its row count.
+        _, labels, _ = read_split(cfg.dataset_root, split, _row_count, strict_counts=False)
         print(f"{split}: {len(labels)} samples")
         for activity, got in class_counts(labels).items():
             expected = EXPECTED_COUNTS[split][activity]

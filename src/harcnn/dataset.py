@@ -11,8 +11,11 @@ row counts, the label and subject files and (optionally) the published
 counts. `validate` counts rows with it, features.extract_features turns
 each file into features with it, and load_split, the tests' whole-split
 reference, stacks the parsed files. So every command reports a fault
-with the same message. parse_signal_file reads every dataset file:
-signals, labels and subjects.
+with the same message. signal_blocks reads every dataset file, a block
+of BLOCK_ROWS rows at a time where the file is in the UCI layout:
+extract_features transforms each block as it is parsed, `validate`
+counts the rows, and parse_signal_file gathers the blocks into the
+whole file for the labels, the subjects and load_split.
 """
 
 from __future__ import annotations
@@ -43,6 +46,17 @@ STREAM_NAMES = (
     "total_acc_z",
 )
 N_STREAMS = len(STREAM_NAMES)
+
+# signal_blocks parses BLOCK_ROWS rows at a time, and features._rows_features
+# transforms them in blocks of the same size, as many signals as
+# BLOCK_WINDOWS windows hold. At 32 each FFT buffer is about 0.4 MB and
+# stays in cache. Over the train split on a 2-core host (median over rounds
+# of each round's best run), 16/32/64/128 took 0.46/0.41/0.42/0.48 s on one
+# thread and 0.52/0.33/0.27/0.29 s on two. Every thread holds one block's
+# temporaries, and 64 cost 3.3 MB (2%) of ingest peak RSS for 3-8% of its
+# op time, so the block stays at 32.
+BLOCK_WINDOWS = 32
+BLOCK_ROWS = BLOCK_WINDOWS * N_STREAMS  # 288
 
 SPLITS = ("train", "test")
 
@@ -103,17 +117,35 @@ def parse_signal_file(path: str | Path, columns: int = WINDOW_LEN) -> np.ndarray
     """Parse a whitespace-separated matrix file with a fixed column count.
 
     Returns a (rows, columns) float64 array; an empty file yields zero rows, and a
-    missing one is a DatasetError. A file that `_parse_uci` declines goes through one
-    `np.loadtxt` pass, kept only when the file is ASCII, every line became one row
-    (loadtxt skips blank lines), the column count matches and every value is finite.
-    Otherwise the per-line parse in `_diagnose` decides: its errors name the offending
-    1-based line and token.
+    missing one is a DatasetError. The whole file, gathered from signal_blocks.
+    """
+    for rows, start, block in signal_blocks(path, columns):
+        if start == 0:  # the file's first block, or the whole file from the text path
+            parsed = block if len(block) == rows else np.empty((rows, columns))
+        if parsed is not block:
+            parsed[start : start + len(block)] = block
+    return parsed
+
+
+def signal_blocks(path: str | Path, columns: int = WINDOW_LEN):
+    """Yield (rows, start, block): a file's `rows` count and its rows from `start` on.
+
+    A file in the UCI layout comes in blocks of BLOCK_ROWS rows, each parsed
+    as it is read, so no reader holds the parsed file. A file that `_uci_blocks`
+    declines, before its first block or after some, is then re-read whole by
+    `_parse_text` and yielded as one block at start 0, which replaces any
+    blocks before it (and may give another row count). `_parse_text` runs one
+    `np.loadtxt` pass, kept only when the file is ASCII, every line became one
+    row (loadtxt skips blank lines), the column count matches and every value
+    is finite. Otherwise the per-line parse in `_diagnose` decides: its errors
+    name the offending 1-based line and token. A missing file is a DatasetError.
     """
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"missing file: {path}")
-    values = _parse_uci(path, columns)
-    return _parse_text(path, columns) if values is None else values
+    if not (yield from _uci_blocks(path, columns)):
+        values = _parse_text(path, columns)
+        yield len(values), 0, values
 
 
 # A UCI token: ' ', sign (' ' or '-'), digit, '.', 7 digits, 'e', exponent sign, 3 digits.
@@ -125,25 +157,26 @@ _UCI_TIMES = np.concatenate([np.ones(22), _POW10, -np.ones(22), -_POW10])
 _UCI_OVER = np.tile(np.concatenate([_POW10[:0:-1], np.ones(23)]), 2)
 
 
-def _parse_uci(path: Path, columns: int) -> np.ndarray | None:
-    """The rows of a file of LF-ended lines of `columns` UCI tokens, else None.
+def _uci_blocks(path: Path, columns: int):
+    """Yield the blocks of a file of LF-ended lines of `columns` UCI tokens, as signal_blocks.
 
-    A token is a mantissa below 10**8 times an exact 10**k with |k| <= 22, so one
-    IEEE multiply or divide gives the correctly rounded value of float() (Clinger
-    1990). Blocks of about 256 KB are read into one buffer and parsed by numpy.
+    Returns True when the whole file was yielded, and False at the first
+    block not in the layout. A token is a mantissa below 10**8 times an
+    exact 10**k with |k| <= 22, so one IEEE multiply or divide gives the
+    correctly rounded value of float() (Clinger 1990). Each block is read
+    into one reused buffer and parsed by numpy.
     """
     width = columns * 16 + 1
     with open(path, "rb", buffering=0) as f:
         rows, rest = divmod(os.fstat(f.fileno()).st_size, width)
         if rest or not rows:
-            return None
-        out = np.empty((rows, columns))
+            return False
         base, span = np.append(np.tile(_UCI_TOKEN, columns), [[10], [0]], axis=1).astype(np.uint8)
-        block = np.empty(((1 << 18) // width + 1, width), dtype=np.uint8)
-        for start in range(0, rows, len(block)):
-            lines = block[: rows - start]
+        buffer = np.empty((min(rows, BLOCK_ROWS), width), dtype=np.uint8)
+        for start in range(0, rows, BLOCK_ROWS):
+            lines = buffer[: rows - start]
             if f.readinto(lines) != lines.nbytes or np.any(np.subtract(lines, base, lines) > span):
-                return None
+                return False
             tokens = np.ascontiguousarray(lines[:, :-1]).reshape(-1, 16)
             negative, exp_negative = tokens[:, 1] == 13, tokens[:, 12] == 2
             signed = (negative | (tokens[:, 1] == 0)) & (exp_negative | (tokens[:, 12] == 0))
@@ -156,11 +189,11 @@ def _parse_uci(path: Path, columns: int) -> np.ndarray | None:
             mantissa = (words[:, 0] >> 16 & 0xFF) * 10**7 + lanes[:, 0] * 1000 + lanes[:, 1]
             exponent = np.where(exp_negative, -lanes[:, 2].astype(np.intp), lanes[:, 2])
             if not signed.all() or exponent.min() < -15 or exponent.max() > 29:
-                return None
+                return False
             i = exponent + 15 + 45 * negative
             values = mantissa * _UCI_TIMES[i] / _UCI_OVER[i]
-            out[start : start + len(lines)] = values.reshape(len(lines), columns)
-    return out
+            yield rows, start, values.reshape(len(lines), columns)
+    return True
 
 
 def _parse_text(path: Path, columns: int) -> np.ndarray:
@@ -188,7 +221,7 @@ def _diagnose(path: Path, data: bytes, columns: int) -> np.ndarray:
     """Parse `data` line by line, raising a DatasetError for the first faulty line.
 
     Lines end at LF, CRLF or a lone CR, as in text mode. A valid file that
-    the single pass of `parse_signal_file` declines (lone-CR line ends, for
+    the single pass of `_parse_text` declines (lone-CR line ends, for
     one) is returned as its rows, so the result never depends on the path.
     """
     rows: list[np.ndarray] = []
@@ -274,8 +307,8 @@ def read_split(
     and subjects.
 
     stream_task(path) reads one signal file and returns (its row count,
-    result); the nine tasks run on map_blocks, so a task's memory is one
-    file's. Then a DatasetError is raised when the signal files disagree
+    result); the nine tasks run on map_blocks, so a task holds at most one
+    file. Then a DatasetError is raised when the signal files disagree
     on their row count, a label or subject file is missing, malformed or
     of another length, or (with strict_counts) the labels miss the
     published counts.

@@ -7,9 +7,11 @@ feed separate CNN channels and their bin counts differ.
 
 A stream's features depend on that stream's samples alone. So
 extract_features, which `extract`, `train` and `evaluate` all use, reads
-a split through dataset.read_split with one task per signal file that
-casts its features into its stream's column of the split's float32
-stacks: the split's float64 windows and feature stacks never exist
+a split through dataset.read_split with one task per signal file. The
+task takes its file from dataset.signal_blocks in blocks of BLOCK_ROWS
+rows, and casts each block's features into its stream's column of the
+split's float32 stacks before the next block is parsed: no task holds a
+parsed file, the split's float64 windows and feature stacks never exist
 whole, and each float32 feature exists once. write_feature_cache writes
 those stacks in fixed-size chunks of records. extract_split and
 extract_features_batch derive the same features from a loaded split's
@@ -28,22 +30,14 @@ import numpy as np
 from .binio import FormatError, Parts, atomic_write_bytes
 from .config import to_json
 from .dataset import (
-    N_CLASSES, N_STREAMS, SPLITS, WINDOW_LEN, SplitManifest, parse_signal_file, read_split,
-    split_files,
+    BLOCK_ROWS, N_CLASSES, N_STREAMS, SPLITS, WINDOW_LEN, SplitManifest, read_split,
+    signal_blocks, split_files,
 )
 from .dsp import WelchConfig, rfft, welch_psd
 
 FREQ_BINS = WINDOW_LEN // 2 + 1  # 65
 # Added to every std before dividing, so a constant position maps to 0.
 EPSILON = 1e-8
-# An FFT/Welch pass in _rows_features takes BLOCK_WINDOWS * N_STREAMS rows
-# of one stream, as many signals as BLOCK_WINDOWS windows hold. At 32 each
-# FFT buffer is about 0.4 MB and stays in cache. Over the train split on a
-# 2-core host (median over rounds of each round's best run), 16/32/64/128
-# took 0.46/0.41/0.42/0.48 s on one thread and 0.52/0.33/0.27/0.29 s on two.
-# Every thread holds one block's temporaries, and 64 cost 3.3 MB (2%) of
-# ingest peak RSS for 3-8% of its op time, so the block stays at 32.
-BLOCK_WINDOWS = 32
 
 CACHE_MAGIC = b"HARFEAT1"
 # write_feature_cache fills and writes this many records at a time: a
@@ -106,15 +100,14 @@ class FeatureSet:
 def _rows_features(rows: np.ndarray, cfg: WelchConfig) -> tuple[np.ndarray, np.ndarray]:
     """The float64 freq and power features of (k, 128) signal rows.
 
-    The rows go through the FFT and Welch in blocks of BLOCK_WINDOWS *
-    N_STREAMS, so every temporary stays a few MB and cache-resident
-    whatever k is. Each value is computed from its own row alone.
+    The rows go through the FFT and Welch in blocks of BLOCK_ROWS, so
+    every temporary stays a few MB and cache-resident whatever k is. Each
+    value is computed from its own row alone.
     """
     freq = np.empty((len(rows), FREQ_BINS))
     power = np.empty((len(rows), cfg.n_bins))
-    step = BLOCK_WINDOWS * N_STREAMS
-    for start in range(0, len(rows), step):
-        block = slice(start, start + step)
+    for start in range(0, len(rows), BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
         freq[block] = np.abs(rfft(rows[block]))
         power[block] = welch_psd(rows[block], cfg)
     return freq, power
@@ -161,48 +154,62 @@ def extract_features(
     """The float32 features of one split's first `subset` windows, and with fit their stats.
 
     The stats are bit for bit fit_normalizer_arrays' of the extract_split
-    stacks. The split is read by dataset.read_split, with one task per
-    signal file: it is parsed, cut to `subset` rows and transformed, and
-    its float64 features are cast into its own stream's column of the
-    split's (n, 9, F) and (n, 9, P) float32 stacks. The first task that
-    knows its file's row count makes the stacks, and a task whose file
-    has another row count writes nothing (read_split then raises). So the
-    split's (n, 9, 128) windows and float64 features never exist whole,
-    and the float32 features exist once. A fault is reported as by every
-    command that reads a split, and an overflow in the transforms or in
-    the float32 casts (a finite power can exceed float32) only after the
-    split's checks, as extract_split's was. Nothing is written.
+    stacks. dataset.read_split runs one task per signal file. The task
+    takes its file from dataset.signal_blocks and casts each block's
+    features, cut to `subset` rows, into its stream's column of the
+    split's (n, 9, F) and (n, 9, P) float32 stacks before the next block
+    is parsed; with fit it keeps its stream's float64 features for their
+    moments. The first task to see a file row count makes the stacks for
+    it. A block at start 0 begins the file afresh, so a file re-read whole
+    by the text parser overwrites what its earlier blocks wrote, and the
+    stacks returned are those of the row count every file ended with. A
+    fault is reported as by every command that reads a split, and an
+    overflow in the transforms or in the float32 casts (a finite power can
+    exceed float32) only after the rest of its file is parsed and the
+    split's checks pass, as extract_split's was. Nothing is written.
     """
     stream_of = {path: s for s, path in enumerate(split_files(root, split)[:N_STREAMS])}
-    stacks = {}  # the file row count the stacks were made for, and the two stacks
+    stacks = {}  # file row count -> the (freq, power) stacks made for it
     lock = threading.Lock()
 
     def stream_task(path: Path):
-        rows = parse_signal_file(path)
-        n_rows = len(rows)
-        try:
-            freq, power = _rows_features(rows[:subset], cfg)
-            del rows  # the parsed file, before the features are cast
-            with lock:
-                if not stacks:
-                    stacks.update(rows=n_rows,
-                                  freq=np.empty((len(freq), N_STREAMS, FREQ_BINS), np.float32),
-                                  power=np.empty((len(power), N_STREAMS, cfg.n_bins), np.float32))
-            if stacks["rows"] == n_rows:
-                stacks["freq"][:, stream_of[path]] = freq
-                stacks["power"][:, stream_of[path]] = power
-            return n_rows, (*_moments(freq), *_moments(power)) if fit and len(freq) else None
-        except FloatingPointError as exc:
-            return n_rows, exc
+        s = stream_of[path]
+        for n_rows, start, rows in signal_blocks(path):
+            if start == 0:
+                n_keep = n_rows if subset is None else min(n_rows, subset)
+                with lock:
+                    if n_rows not in stacks:
+                        stacks[n_rows] = (np.empty((n_keep, N_STREAMS, FREQ_BINS), np.float32),
+                                          np.empty((n_keep, N_STREAMS, cfg.n_bins), np.float32))
+                    freq_stack, power_stack = stacks[n_rows]
+                kept = (np.empty((n_keep, FREQ_BINS)), np.empty((n_keep, cfg.n_bins))) if fit else None
+                overflow = None
+            if overflow or start >= n_keep:
+                continue  # the rest of the file is still parsed, for its faults
+            rows = rows[: n_keep - start]
+            block = slice(start, start + len(rows))
+            try:
+                freq, power = _rows_features(rows, cfg)
+                freq_stack[block, s], power_stack[block, s] = freq, power
+            except FloatingPointError as exc:
+                overflow = exc
+                continue
+            if fit:
+                kept[0][block], kept[1][block] = freq, power
+        # Moments of float64 features that fit float32 cannot overflow.
+        if overflow or not (fit and n_keep):
+            return n_rows, overflow
+        return n_rows, (*_moments(kept[0]), *_moments(kept[1]))
 
     moments, labels, _ = read_split(root, split, stream_task, strict_counts)
     for result in moments:
         if isinstance(result, FloatingPointError):
             raise result
+    freq, power = stacks[len(labels)]
     labels = labels[:subset]
     if fit and not len(labels):
         raise ValueError("cannot fit a normalizer on an empty sequence")
-    features = FeatureSet(stacks["freq"], stacks["power"], labels)
+    features = FeatureSet(freq, power, labels)
     if not fit:
         return features, None
     return features, NormStats(*(np.stack(column).astype(np.float32) for column in zip(*moments)))

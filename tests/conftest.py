@@ -82,6 +82,23 @@ def uci_line(values) -> str:
     return "".join(tokens)
 
 
+def write_uci_layout_split(root, split, rows, lines=16, seed=0):
+    """A split of `rows` windows whose signal files are in the UCI layout, quick to write.
+
+    Line i of stream s is line (i + s) % lines of a seeded pool of distinct
+    lines; the labels cycle through 1..6 and the subjects through 1..30.
+    """
+    drawn = np.random.default_rng(seed).standard_normal((lines, WINDOW_LEN))
+    pool = [uci_line(row) + "\n" for row in drawn]
+    base = Path(root) / split
+    (base / "Inertial Signals").mkdir(parents=True, exist_ok=True)
+    for s, stream in enumerate(STREAM_NAMES):
+        text = "".join(pool[(i + s) % lines] for i in range(rows))
+        (base / "Inertial Signals" / f"{stream}_{split}.txt").write_text(text)
+    (base / f"y_{split}.txt").write_text("".join(f"{i % 6 + 1}\n" for i in range(rows)))
+    (base / f"subject_{split}.txt").write_text("".join(f"{i % 30 + 1}\n" for i in range(rows)))
+
+
 def build_synthetic_dataset(root, train_per_class=8, test_per_class=4, seed=1234):
     rng = np.random.default_rng(seed)
     train_counts = {a: train_per_class for a in Activity}
@@ -127,8 +144,11 @@ def forbid_calls(monkeypatch, fn, message):
 
 @pytest.fixture
 def no_dataset_read(monkeypatch):
-    """Fail the test if any harcnn code parses a dataset file (signals, labels or subjects)."""
-    forbid_calls(monkeypatch, dataset.parse_signal_file, "dataset read")
+    """Fail the test if any harcnn code parses a dataset file (signals, labels or subjects).
+
+    Every dataset file is read through signal_blocks, parse_signal_file's too.
+    """
+    forbid_calls(monkeypatch, dataset.signal_blocks, "dataset read")
 
 
 @pytest.fixture

@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from conftest import (
-    build_synthetic_dataset, forbid_calls, nan_in_worker_chunks, uci_line, write_uci_split,
+    build_synthetic_dataset, forbid_calls, nan_in_worker_chunks, uci_line, write_uci_layout_split,
+    write_uci_split,
 )
 import harcnn
 from harcnn import cli, dataset, features, metrics, model, parallel
 from harcnn.checkpoint import load_norm_stats, save_norm_stats
 from harcnn.dataset import (
-    N_STREAMS, SPLITS, STREAM_NAMES, WINDOW_LEN, DatasetError, load_split,
+    BLOCK_ROWS, N_STREAMS, SPLITS, WINDOW_LEN, DatasetError, load_split,
 )
 from harcnn.cli import RunConfig, default_config_json, load_config, main
 from harcnn.dsp import WelchConfig
@@ -376,6 +377,24 @@ class TestValidate:
     def test_missing_dataset_root_exit_2(self, tmp_path):
         assert main(["validate", "--dataset", str(tmp_path / "nowhere")]) == 2
 
+    def test_peak_memory_does_not_grow_with_the_split(self, tmp_path, monkeypatch):
+        # Each task reads its signal file a block at a time: from 600 to 2,400 windows a
+        # split the peak stays put (it grew by about 3.7 MB when each task parsed its file
+        # whole). Whether the two tasks' block peaks coincide moves it by up to about 0.5 MB.
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)  # the same threads on any host
+        peaks = []
+        for n in (600, 2400):
+            for split in SPLITS:
+                write_uci_layout_split(tmp_path / str(n), split, n, lines=61)
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                assert main(["validate", "--dataset", str(tmp_path / str(n))]) == 2
+                peaks.append(tracemalloc.get_traced_memory()[1] - held)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1e6, peaks
+
 
 class TestExtract:
     def test_writes_caches_and_stats(self, trained_pipeline):
@@ -548,6 +567,31 @@ class TestExtract:
         assert err.startswith("error: arithmetic failed: overflow encountered in ")
         assert err.count("\n") == 1
 
+    # A stream task transforms each block as it is parsed, but a parse fault later in the file
+    # still outranks an overflow in an earlier block, as when the file was parsed whole first.
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_a_parse_fault_after_an_overflowing_block_is_reported(self, tmp_path, capsys,
+                                                                 monkeypatch, cpus):
+        root = tmp_path / "data"
+        for split, rows in (("train", BLOCK_ROWS + 12), ("test", 6)):
+            write_uci_layout_split(root, split, rows)
+        path = root / "train" / "Inertial Signals" / "body_acc_x_train.txt"
+        # Block 1: a Welch power of about 1e60, which overflows the float32 cast.
+        set_line(path, 0, uci_line(np.resize([9.9e29, -9.9e29], WINDOW_LEN)))
+        cfg_path = write_config(tmp_path / "c.json", smoke_config(root, tmp_path / "out"))
+        monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+        err = one_line_error(capsys, ["extract", "--config", cfg_path])
+        assert err == "error: arithmetic failed: overflow encountered in cast\n"
+        # Block 2: a bad token.
+        line = path.read_text().splitlines()[BLOCK_ROWS + 5]
+        set_line(path, BLOCK_ROWS + 5, "  2.5808950x-001" + line[16:])
+        with pytest.raises(DatasetError) as info:
+            dataset.parse_signal_file(path)
+        capsys.readouterr()
+        assert main(["extract", "--config", cfg_path]) == 2
+        assert capsys.readouterr().err == f"dataset error: {info.value}\n"
+        assert not (tmp_path / "out").exists()
+
     # The bound is the train split's float64 windows and features (16,272 bytes a window)
     # for extract, and its windows alone (9,216) for validate, which computes no features
     # and exits 2 because 1500 windows miss the published counts.
@@ -559,15 +603,8 @@ class TestExtract:
                                                              command, code, window_bytes):
         # 1500 train windows in the UCI layout, made of 16 distinct lines so they are quick to write.
         n = 1500
-        lines = [uci_line(row) + "\n" for row in np.random.default_rng(0).standard_normal((16, 128))]
         for split, rows in (("train", n), ("test", 6)):
-            base = tmp_path / "data" / split
-            (base / "Inertial Signals").mkdir(parents=True)
-            for s, stream in enumerate(STREAM_NAMES):
-                text = "".join(lines[(i + s) % 16] for i in range(rows))
-                (base / "Inertial Signals" / f"{stream}_{split}.txt").write_text(text)
-            (base / f"y_{split}.txt").write_text("".join(f"{i % 6 + 1}\n" for i in range(rows)))
-            (base / f"subject_{split}.txt").write_text("".join(f"{i % 30 + 1}\n" for i in range(rows)))
+            write_uci_layout_split(tmp_path / "data", split, rows)
         cfg_path = write_config(tmp_path / "c.json", smoke_config(tmp_path / "data", tmp_path / "out"))
         monkeypatch.setattr(parallel, "cpu_count", lambda: 2)  # the same threads on any host
         tracemalloc.start()
@@ -642,7 +679,7 @@ class TestStaleCaches:
 
     def test_matching_record_reads_the_caches_and_no_dataset(self, tmp_path, capsys, monkeypatch):
         cfg_path, _ = self.extracted(tmp_path)
-        forbid_calls(monkeypatch, dataset.parse_signal_file, "dataset read")
+        forbid_calls(monkeypatch, dataset.signal_blocks, "dataset read")
         assert self.train_line(capsys, cfg_path) == "using cached features"
 
     def test_matching_record_reads_the_stats_once(self, tmp_path, capsys, monkeypatch):

@@ -199,10 +199,10 @@ class TestParseSignalFile:
         assert got.tobytes() == np.array([[float(tok) for tok in line.split()]]).tobytes()
 
     def test_three_blocks_parse_as_the_text_path_does(self, tmp_path, monkeypatch):
-        # 300 rows span three 128-row blocks.
+        # 600 rows span three blocks of BLOCK_ROWS (288), the last one short.
         rng = np.random.default_rng(8)
         path = tmp_path / "uci.txt"
-        path.write_text("".join(uci_line(row) + "\n" for row in rng.standard_normal((300, 128))))
+        path.write_text("".join(uci_line(row) + "\n" for row in rng.standard_normal((600, 128))))
         expected = _parse_text(path, 128)
         monkeypatch.setattr(np, "loadtxt", no_loadtxt)
         assert parse_signal_file(path).tobytes() == expected.tobytes()

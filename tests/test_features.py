@@ -6,13 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import write_uci_split
+from conftest import write_uci_layout_split, write_uci_split
 from harcnn import features, parallel
 from harcnn.binio import FormatError
-from harcnn.dataset import N_STREAMS, load_split
+from harcnn.dataset import (
+    BLOCK_ROWS, BLOCK_WINDOWS, N_STREAMS, WINDOW_LEN, DatasetError, load_split, parse_signal_file,
+)
 from harcnn.dsp import WelchConfig, rfft, welch_psd
 from harcnn.features import (
-    BLOCK_WINDOWS,
     EPSILON,
     FeatureSet,
     NormStats,
@@ -146,7 +147,7 @@ class TestFitNormalizer:
 class TestExtractFeaturesPerStream:
     """The per-stream path against load_split -> extract_split -> fit_normalizer_arrays."""
 
-    # 300 rows span two blocks of BLOCK_WINDOWS * N_STREAMS rows in a stream.
+    # 300 rows span two blocks of BLOCK_ROWS rows in a stream.
     @pytest.mark.parametrize("n", [1, 37, 300])
     def test_stream_stats_equal_fit_normalizer_arrays(self, tmp_path, n):
         rng = np.random.default_rng(n)
@@ -187,7 +188,7 @@ class TestExtractFeaturesPerStream:
 
     def test_one_cpu_starts_no_thread_and_gives_the_same_bytes(self, tmp_path, monkeypatch,
                                                               four_cpus):
-        n = BLOCK_WINDOWS * N_STREAMS + 12  # two blocks in each stream
+        n = BLOCK_ROWS + 12  # two blocks in each stream
         windows = np.random.default_rng(23).standard_normal((n, N_STREAMS, 128))
         write_uci_split(tmp_path, "train", windows, np.arange(n) % 6 + 1, np.arange(n) % 30 + 1)
         threaded = extract_features(tmp_path, "train", strict_counts=False, fit=True)
@@ -249,6 +250,99 @@ class TestExtractFeaturesPerStream:
             tracemalloc.stop()
         stack_bytes = got.freq.nbytes + got.power.nbytes
         assert allocated < 0.05 * stack_bytes, (allocated, stack_bytes)
+
+    def test_peak_above_the_stacks_does_not_grow_with_the_split(self, tmp_path, monkeypatch):
+        # A stream task holds one block of its file, not the parsed file: from 600 to 2,400
+        # windows the peak above the stacks stays put. Whether the two tasks' block peaks
+        # coincide moves it by up to about 0.5 MB; when each task held its parsed file and
+        # its float64 features, it grew by about 6.5 MB.
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)  # the same threads on any host
+        above = []
+        for n in (600, 2400):
+            write_uci_layout_split(tmp_path / str(n), "train", n, lines=61)
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                got, _ = extract_features(tmp_path / str(n), "train", strict_counts=False)
+                peak = tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+            above.append(peak - got.freq.nbytes - got.power.nbytes)
+        assert above[1] - above[0] < 1e6, above
+
+
+class TestLayoutBreakAfterTheFirstBlock:
+    """A signal file that leaves the UCI layout after its first block of BLOCK_ROWS rows."""
+
+    N = 2 * BLOCK_ROWS + 24  # three blocks
+
+    @staticmethod
+    def broken_file(root, rows):
+        """Write a UCI-layout train split; its first stream's file, which one CPU reads first."""
+        write_uci_layout_split(root, "train", rows, lines=61)
+        return root / "train" / "Inertial Signals" / "body_acc_x_train.txt"
+
+    @staticmethod
+    def assert_extracts_as_load_split(root):
+        whole = extract_split(load_split(root, "train", strict_counts=False))
+        want = fit_normalizer_arrays(whole.freq, whole.power)
+        for fit in (False, True):
+            got, stats = extract_features(root, "train", strict_counts=False, fit=fit)
+            assert got.freq.tobytes() == whole.freq.astype(np.float32).tobytes()
+            assert got.power.tobytes() == whole.power.astype(np.float32).tobytes()
+            if fit:
+                for name, value in vars(want).items():
+                    assert getattr(stats, name).tobytes() == value.tobytes(), name
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_a_tab_in_block_two(self, tmp_path, monkeypatch, cpus):
+        path = self.broken_file(tmp_path, self.N)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[BLOCK_ROWS + 11] = b"\t" + lines[BLOCK_ROWS + 11][1:]
+        path.write_bytes(b"".join(lines))
+        monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+        transform, seen = features._rows_features, []
+
+        def counting(rows, cfg):
+            seen.append(len(rows))
+            return transform(rows, cfg)
+
+        monkeypatch.setattr(features, "_rows_features", counting)
+        self.assert_extracts_as_load_split(tmp_path)
+        # The file's first block was transformed before the tab was seen, then the whole file.
+        assert {BLOCK_ROWS, self.N} <= set(seen)
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_a_bad_token_at_row_300_fails_as_parse_signal_file(self, tmp_path, monkeypatch, cpus):
+        path = self.broken_file(tmp_path, self.N)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[299] = b"  2.5808950x-001" + lines[299][16:]
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(DatasetError) as want:
+            parse_signal_file(path)
+        assert "line 300: unparsable value '2.5808950x-001' at column 1" in str(want.value)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+        with pytest.raises(DatasetError) as got:
+            extract_features(tmp_path, "train", strict_counts=False)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_a_file_sized_for_another_row_count(self, tmp_path, monkeypatch, cpus):
+        # Three UCI lines in block 2 become three shorter lines of two UCI lines' bytes, so the
+        # file's size is a whole number of UCI lines, one fewer than it has. The first block
+        # is transformed for that wrong count before the text path finds the right one.
+        path = self.broken_file(tmp_path, self.N + 1)
+        lines = path.read_bytes().splitlines(keepends=True)
+        width = len(lines[0])
+        short = np.random.default_rng(4).standard_normal((3, WINDOW_LEN))
+        at = BLOCK_ROWS + 10
+        lines[at : at + 3] = [" ".join(f"{v:.2e}" for v in row).encode().ljust(2 * width // 3 - 1)
+                              + b"\n" for row in short]
+        path.write_bytes(b"".join(lines))
+        assert path.stat().st_size == self.N * width
+        assert len(parse_signal_file(path)) == self.N + 1
+        monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+        self.assert_extracts_as_load_split(tmp_path)
 
 
 class TestNormStats:
