@@ -153,33 +153,61 @@ def init_model(
     return ModelParams(spec, arrays, rng_seed=seed, norm=norm)
 
 
-def _channel_forward(x, params: ModelParams, prefix: str, want_cache: bool):
-    """One channel's dense output on its raw (n,9,bins) features; with `want_cache`, its caches.
+# Rows per predict_batch chunk. It fixes the dense and fusion GEMM shapes, and with
+# them the output bits: the fusion GEMM's 6 columns sum in another order when its rows
+# are split.
+PREDICT_CHUNK = 512
+# Rows per sub-block of a chunk's conv stack at inference; a conv GEMM over 128 rows
+# of L_out positions gives the bits it gives over the whole chunk.
+CONV_BLOCK = 128
 
-    The features are normalized with the model's stats and cast to its
-    dtype in a channels-last layout, so the first conv copies its windows
-    without a transpose. Without caches each conv's windows go as soon as
-    the conv returns and its output once the pool has read it, so a chunk
-    holds one layer's working set at a time.
+
+def _conv_stack(x, params: ModelParams, prefix: str, caches: list | None):
+    """The last pool's (n, filters, L) output on raw (n,9,bins) rows; layer caches go to `caches`.
+
+    The rows are normalized with the model's stats and cast to its dtype in
+    a channels-last layout, so the first conv copies its windows without a
+    transpose. Without `caches` each conv's windows go as soon as the conv
+    returns and its output once the pool has read it, so the rows hold one
+    layer's working set at a time.
     """
     arrays = params.arrays
     mean, std = getattr(params.norm, f"{prefix}_mean"), getattr(params.norm, f"{prefix}_std")
     h = normalize(x, mean, std)
     h = np.ascontiguousarray(h.transpose(0, 2, 1), dtype=params.dtype).transpose(0, 2, 1)
-    caches = []
     for i, (conv, pool_w) in enumerate(zip(params.spec.convs, params.spec.pool_widths)):
         w, b = arrays[f"{prefix}.conv{i}.w"], arrays[f"{prefix}.conv{i}.b"]
         h, conv_cache = conv1d_forward(h, w, b, conv.stride)
-        if not want_cache:
+        if caches is None:
             conv_cache = None  # frees the windows; `h` holds the output until the pool
         h, pool_cache = maxpool1d_forward(h, pool_w)
-        if want_cache:
+        if caches is not None:
             caches.append((conv_cache, pool_cache))
         del pool_cache  # without caches the pool's argmax goes before the next conv
-    pre_flatten_shape = h.shape
-    flat = h.reshape(h.shape[0], -1)
+    return h
+
+
+def _channel_forward(x, params: ModelParams, prefix: str, want_cache: bool):
+    """One channel's dense output on its raw (n,9,bins) features; with `want_cache`, its caches.
+
+    With `want_cache` the conv stack (see _conv_stack) runs over all n rows
+    at once and keeps its caches. Without, it runs over CONV_BLOCK-row
+    sub-blocks, so a chunk holds one sub-block's working set at a time.
+    Either way each block's flattened pool output is written into one
+    (n, flat_dim) array, which the dense layer then reads at all n rows.
+    """
+    n, spec = x.shape[0], params.spec
+    flat = np.empty((n, spec.flat_dim(x.shape[2])), dtype=params.dtype)
+    filters = spec.convs[-1].filters
+    pooled = flat.reshape(n, filters, flat.shape[1] // filters)  # the pool output's view of `flat`
+    caches = [] if want_cache else None
+    step = max(n, 1) if want_cache else CONV_BLOCK
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        pooled[rows] = _conv_stack(x[rows], params, prefix, caches)
+    arrays = params.arrays
     out, dense_cache = dense_forward(flat, arrays[f"{prefix}.dense.w"], arrays[f"{prefix}.dense.b"])
-    return out, (caches, pre_flatten_shape, dense_cache) if want_cache else None
+    return out, (caches, pooled.shape, dense_cache) if want_cache else None
 
 
 def _channel_backward(d_out, cache, params: ModelParams, prefix: str, grads):
@@ -233,17 +261,14 @@ def backward_batch(params: ModelParams, cache, d_logits) -> dict[str, np.ndarray
     return grads
 
 
-# Rows per predict_batch chunk. It fixes the GEMM shapes, and with them the output bits.
-PREDICT_CHUNK = 512
-
-
 def predict_batch(params: ModelParams, freq, power) -> np.ndarray:
     """Class logits (n, 6) of raw features, computed in PREDICT_CHUNK-row chunks to bound memory.
 
     The chunks run on every available CPU (see parallel.map_blocks); layers.softmax
-    turns the logits into probabilities.
+    turns the logits into probabilities. Zero rows make one empty chunk, so
+    they give (0, 6) logits.
     """
     chunk = PREDICT_CHUNK
-    rows = [slice(start, start + chunk) for start in range(0, freq.shape[0], chunk)]
+    rows = [slice(start, start + chunk) for start in range(0, max(freq.shape[0], 1), chunk)]
     logits = map_blocks(lambda r: forward_batch(params, freq[r], power[r])[0], rows)
     return np.concatenate(logits, axis=0)

@@ -192,9 +192,11 @@ class TestForward:
             assert np.array_equal(seen[prefix], want)
 
     def test_inference_holds_one_layers_working_set_at_a_time(self):
-        # One layer's working set is about 26 KB a row. A chunk that keeps a
-        # conv's windows and output, or both channels' inputs, into the next
-        # conv needs about 53 KB.
+        # The conv stack runs in 128-row sub-blocks, so a 512-row chunk peaks
+        # at about 10 KB a row: one sub-block's layer working set beside the
+        # chunk's flattened pool output. Running the stack over the whole
+        # chunk needs about 26 KB, and keeping a conv's windows and output,
+        # or both channels' inputs, into the next conv about 53 KB.
         rng = np.random.default_rng(39)
         params = init_model(seed=2, norm=make_norm(min_std=1.0))
         freq = rng.standard_normal((512, 9, 65)).astype(np.float32)
@@ -206,7 +208,36 @@ class TestForward:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / 512 < 32e3
+        assert peak / 512 < 12e3
+
+    @pytest.mark.parametrize("cpus", ["one_cpu", "four_cpus"])
+    def test_zero_rows_give_zero_by_six_logits(self, request, cpus):
+        request.getfixturevalue(cpus)
+        params = init_model(seed=2, norm=make_norm())
+        freq = np.zeros((0, 9, 65), dtype=np.float32)
+        power = np.zeros((0, 9, 33), dtype=np.float32)
+        for logits in (forward_batch(params, freq, power)[0], predict_batch(params, freq, power)):
+            assert logits.shape == (0, 6) and logits.dtype == np.float32
+
+    @pytest.mark.parametrize("cpus", ["one_cpu", "four_cpus"])
+    def test_conv_sub_blocks_keep_the_whole_chunks_bits(self, monkeypatch, request, cpus):
+        # 600 rows make a 512-row chunk of four 128-row sub-blocks and an 88-row chunk.
+        request.getfixturevalue(cpus)
+        rng = np.random.default_rng(40)
+        params = init_model(seed=2, norm=make_norm(min_std=1.0))
+        freq = rng.standard_normal((600, 9, 65)).astype(np.float32)
+        power = rng.standard_normal((600, 9, 33)).astype(np.float32)
+        got = predict_batch(params, freq, power)
+        # One block with caches, as a training step runs it: other GEMM shapes,
+        # so the same logits to float32 round-off.
+        cached = forward_batch(params, freq, power, want_cache=True)[0]
+        np.testing.assert_allclose(got, cached, rtol=1e-5, atol=1e-5)
+        # Each chunk's conv stack in one block: the bits the sub-blocks must keep.
+        monkeypatch.setattr(model, "CONV_BLOCK", model.PREDICT_CHUNK)
+        whole = np.concatenate(
+            [forward_batch(params, freq[s : s + 512], power[s : s + 512])[0] for s in (0, 512)]
+        )
+        assert np.array_equal(got, whole)
 
     def test_raw_float32_and_float64_features_give_the_same_bits(self, seven_row_chunks):
         # The cache path feeds float32 values, the extract path the same values as float64.
