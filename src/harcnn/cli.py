@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
+import tempfile
 import time
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -29,6 +32,7 @@ from .dsp import WelchConfig
 from .features import (
     FREQ_BINS,
     NormStats,
+    cache_record_count,
     extract_features,
     extraction_record,
     read_feature_cache,
@@ -137,27 +141,52 @@ def cmd_validate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _output_dir(path: Path):
+    """Make the output directory for the block; remove what it made if the block fails."""
+    made = next((p for p in (*reversed(path.parents), path) if not p.exists()), None)
+    path.mkdir(parents=True, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
+
+
+@contextmanager
+def _extracted(cfg: RunConfig, split: str, welch: WelchConfig, fit: bool = False):
+    """extract_features of one split, its stream spills unnamed files in the output directory.
+
+    The spills sit on the caches' file system, not under TMPDIR, which may
+    be a tmpfs held in memory. They are closed when the block ends, on
+    every path.
+    """
+    with ExitStack() as stack:
+        spills = [stack.enter_context(tempfile.TemporaryFile(dir=cfg.output_dir))
+                  for _ in range(N_STREAMS)]
+        yield extract_features(cfg.dataset_root, split, welch, spills=spills, subset=cfg.subset,
+                               strict_counts=cfg.strict_counts, fit=fit)
+
+
 def cmd_extract(cfg: RunConfig) -> int:
     out_dir = Path(cfg.output_dir)
     # The files are stamped before they are parsed, so one changed meanwhile
     # reads as stale. The sidecar, which carries the record, is removed first
     # and written last: an extract cut short leaves no record to match.
     record = extraction_record(cfg.dataset_root, cfg.welch, cfg.subset)
-    (out_dir / NORM_NAME).unlink(missing_ok=True)
-    for split in SPLITS:
-        features, stats = extract_features(cfg.dataset_root, split, cfg.welch, subset=cfg.subset,
-                                           strict_counts=cfg.strict_counts, fit=split == "train")
-        # Made only now, so an extract that fails on the train split leaves no directory.
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_feature_cache(out_dir / CACHE_NAMES[split], features)
-        n = len(features)
-        del features  # released before the next split is read
-        print(f"{split}: cached {n} samples "
-              f"(freq {(N_STREAMS, FREQ_BINS)}, power {(N_STREAMS, cfg.welch.n_bins)})")
-        if stats is not None:
-            norm = stats
-            print(f"normalization stats fitted on {n} training samples")
-    save_norm_stats(out_dir / NORM_NAME, norm, record)
+    with _output_dir(out_dir):
+        (out_dir / NORM_NAME).unlink(missing_ok=True)
+        for split in SPLITS:
+            with _extracted(cfg, split, cfg.welch, fit=split == "train") as (features, stats):
+                write_feature_cache(out_dir / CACHE_NAMES[split], features)
+            n = record[split]["records"] = len(features)
+            print(f"{split}: cached {n} samples "
+                  f"(freq {(N_STREAMS, FREQ_BINS)}, power {(N_STREAMS, cfg.welch.n_bins)})")
+            if stats is not None:
+                norm = stats
+                print(f"normalization stats fitted on {n} training samples")
+        save_norm_stats(out_dir / NORM_NAME, norm, record)
     return EXIT_OK
 
 
@@ -174,6 +203,11 @@ def _cached_stats(cfg: RunConfig) -> tuple[NormStats | None, str | None]:
         for key, value in wanted.items():
             if not isinstance(recorded, dict) or recorded.get(key) != value:
                 return None, f"{split}.{key} differs from this run's"
+        # A cache put there by another extract holds another record count, unless it
+        # happens to hold as many records.
+        cache = out_dir / CACHE_NAMES[split]
+        if recorded.get("records") != cache_record_count(cache):
+            return None, f"{split}.records differs from {cache.name}'s header"
     return norm, None
 
 
@@ -242,9 +276,17 @@ def _report_json_dict(report: dict, split: str) -> dict:
 def cmd_evaluate(cfg: RunConfig, checkpoint_path: str | Path, split: str) -> int:
     out_dir = Path(cfg.output_dir)
     params, welch, _ = load_checkpoint(checkpoint_path)
-    # The features of the checkpoint's Welch config, extracted as `extract` does.
-    features, _ = extract_features(cfg.dataset_root, split, welch, subset=cfg.subset,
-                                   strict_counts=cfg.strict_counts)
+    with _output_dir(out_dir):
+        _evaluate(params, cfg, welch, split)
+    return EXIT_OK
+
+
+def _evaluate(params, cfg: RunConfig, welch: WelchConfig, split: str) -> None:
+    """Score one split's features, extracted as `extract` does with the checkpoint's Welch
+    config, print the report and write it with the ROC files."""
+    out_dir = Path(cfg.output_dir)
+    with _extracted(cfg, split, welch) as (spilled, _):
+        features = spilled.load()
     if not len(features):
         raise ValueError("cannot evaluate an empty split")
     probs = softmax(predict_batch(params, features.freq, features.power))
@@ -271,15 +313,12 @@ def cmd_evaluate(cfg: RunConfig, checkpoint_path: str | Path, split: str) -> int
     if gap:
         print(f"reference accuracy {REFERENCE_TEST_ACCURACY:.2f}%, gap {gap['accuracy']:+.2f}")
 
-    # Made only now, so an evaluate that fails leaves no directory behind.
-    out_dir.mkdir(parents=True, exist_ok=True)
     report_text = json.dumps(d, indent=2, sort_keys=True)
     atomic_write_bytes(out_dir / REPORT_NAME, (report_text + "\n").encode())
     for short, points in roc_points.items():
         lines = ["fpr,tpr"] + [f"{fpr:.9f},{tpr:.9f}" for fpr, tpr in points]
         atomic_write_bytes(out_dir / f"roc_{short}.csv", ("\n".join(lines) + "\n").encode())
     print(f"wrote {out_dir / REPORT_NAME} and roc_<class>.csv files")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

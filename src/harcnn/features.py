@@ -9,19 +9,23 @@ A stream's features depend on that stream's samples alone. So
 extract_features, which `extract`, `train` and `evaluate` all use, reads
 a split through dataset.read_split with one task per signal file. The
 task takes its file from dataset.signal_blocks in blocks of BLOCK_ROWS
-rows, and casts each block's features into its stream's column of the
-split's float32 stacks before the next block is parsed: no task holds a
-parsed file, the split's float64 windows and feature stacks never exist
-whole, and each float32 feature exists once. write_feature_cache writes
-those stacks in fixed-size chunks of records. extract_split and
-extract_features_batch derive the same features from a loaded split's
-windows; tests hold extract_features to them.
+rows, casts each block's features to float32 in one reused buffer and
+writes them at their rows' offset in its stream's scratch file (a
+spill) before the next block is parsed: no task holds a parsed file,
+and no split-sized feature stack exists. SpilledFeatures then builds
+the cache's records CACHE_CHUNK_WINDOWS at a time from the nine spills,
+a transpose from stream-major to window-major (an out-of-core transpose,
+as in external-memory algorithms), and write_feature_cache streams
+those chunks into the file. extract_split and extract_features_batch
+derive the same features from a loaded split's windows; tests hold
+extract_features to them.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 import struct
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,9 +44,10 @@ FREQ_BINS = WINDOW_LEN // 2 + 1  # 65
 EPSILON = 1e-8
 
 CACHE_MAGIC = b"HARFEAT1"
-# write_feature_cache fills and writes this many records at a time: a
-# 0.9 MB buffer under the default config, where the train split's file
-# is 26 MB.
+CACHE_HEADER_BYTES = 20
+# Feature caches are built and written this many records at a time: under
+# the default config a chunk is 0.9 MB of records, read from the spills
+# through a 0.9 MB buffer, where the train split's file is 26 MB.
 CACHE_CHUNK_WINDOWS = 256
 # Bump whenever extraction changes a feature's bits, so caches written
 # before the change no longer match their extraction record.
@@ -96,6 +101,66 @@ class FeatureSet:
     def __len__(self) -> int:
         return self.freq.shape[0]
 
+    @property
+    def bins(self) -> tuple[int, int]:
+        return self.freq.shape[-1], self.power.shape[-1]
+
+    def record_chunks(self):
+        """The cache records, CACHE_CHUNK_WINDOWS at a time, each chunk in one reused buffer."""
+        n = len(self)
+        buffer = np.empty(min(n, CACHE_CHUNK_WINDOWS), _record_dtype(*self.bins))
+        for start in range(0, n, CACHE_CHUNK_WINDOWS):
+            records, rows = buffer[: n - start], slice(start, start + CACHE_CHUNK_WINDOWS)
+            records["label"] = self.labels[rows]
+            records["freq"] = self.freq[rows]
+            records["power"] = self.power[rows]
+            yield records
+
+
+@dataclass
+class SpilledFeatures:
+    """One split's float32 features in nine stream spills, and its labels (n,) in 1..6.
+
+    Spill s holds stream s's windows in order, each as its F freq then its
+    P power values, so window i of every stream starts at byte i * 4(F + P).
+    """
+
+    spills: list
+    labels: np.ndarray
+    bins: tuple[int, int]
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def record_chunks(self):
+        """The cache records, CACHE_CHUNK_WINDOWS at a time, each chunk in one reused buffer.
+
+        Each chunk's rows are read from every spill into one reused
+        (9, chunk, F + P) buffer and transposed into the records. A spill
+        that ends early raises OSError.
+        """
+        freq_bins = self.bins[0]
+        n, row_bytes = len(self), 4 * sum(self.bins)
+        rows = np.empty((N_STREAMS, min(n, CACHE_CHUNK_WINDOWS), sum(self.bins)), np.float32)
+        buffer = np.empty(rows.shape[1], _record_dtype(*self.bins))
+        for start in range(0, n, CACHE_CHUNK_WINDOWS):
+            records = buffer[: n - start]
+            chunk = rows[:, : len(records)]
+            for spill, stream in zip(self.spills, chunk):
+                if os.preadv(spill.fileno(), [stream], start * row_bytes) != stream.nbytes:
+                    raise OSError(f"a feature spill ends before window {start + len(records)}")
+            records["label"] = self.labels[start : start + len(records)]
+            records["freq"] = chunk[..., :freq_bins].transpose(1, 0, 2)
+            records["power"] = chunk[..., freq_bins:].transpose(1, 0, 2)
+            yield records
+
+    def load(self) -> FeatureSet:
+        """The features as one (n,) record array's freq and power views, as read_feature_cache's."""
+        records = np.empty(len(self), _record_dtype(*self.bins))
+        for start, chunk in zip(itertools.count(0, CACHE_CHUNK_WINDOWS), self.record_chunks()):
+            records[start : start + len(chunk)] = chunk
+        return FeatureSet(records["freq"], records["power"], self.labels)
+
 
 def _rows_features(rows: np.ndarray, cfg: WelchConfig) -> tuple[np.ndarray, np.ndarray]:
     """The float64 freq and power features of (k, 128) signal rows.
@@ -148,40 +213,35 @@ def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def extract_features(
-    root, split: str, cfg: WelchConfig = WelchConfig(), *,
+    root, split: str, cfg: WelchConfig = WelchConfig(), *, spills,
     subset: int | None = None, strict_counts: bool = True, fit: bool = False,
-) -> tuple[FeatureSet, NormStats | None]:
+) -> tuple[SpilledFeatures, NormStats | None]:
     """The float32 features of one split's first `subset` windows, and with fit their stats.
 
-    The stats are bit for bit fit_normalizer_arrays' of the extract_split
+    `spills` are nine open binary files, one per stream in STREAM_NAMES
+    order, that the caller opened before and closes after: the features
+    stay in them, and the SpilledFeatures returned reads them back. The
+    stats are bit for bit fit_normalizer_arrays' of the extract_split
     stacks. dataset.read_split runs one task per signal file. The task
-    takes its file from dataset.signal_blocks and casts each block's
-    features, cut to `subset` rows, into its stream's column of the
-    split's (n, 9, F) and (n, 9, P) float32 stacks before the next block
-    is parsed; with fit it keeps its stream's float64 features for their
-    moments. The first task to see a file row count makes the stacks for
-    it. A block at start 0 begins the file afresh, so a file re-read whole
-    by the text parser overwrites what its earlier blocks wrote, and the
-    stacks returned are those of the row count every file ended with. A
-    fault is reported as by every command that reads a split, and an
-    overflow in the transforms or in the float32 casts (a finite power can
-    exceed float32) only after the rest of its file is parsed and the
-    split's checks pass, as extract_split's was. Nothing is written.
+    takes its file from dataset.signal_blocks, casts each block's
+    features, cut to `subset` rows, into its reused (BLOCK_ROWS, F + P)
+    float32 buffer and writes it at the block's offset in its spill before
+    the next block is parsed; with fit it keeps its stream's float64
+    features for their moments. A block at start 0 begins the file afresh,
+    so a file re-read whole by the text parser overwrites what its
+    earlier blocks wrote. A fault is reported as by every command that
+    reads a split, and an overflow in the transforms or in the float32
+    casts (a finite power can exceed float32) only after the rest of its
+    file is parsed and the split's checks pass, as extract_split's was.
     """
     stream_of = {path: s for s, path in enumerate(split_files(root, split)[:N_STREAMS])}
-    stacks = {}  # file row count -> the (freq, power) stacks made for it
-    lock = threading.Lock()
 
     def stream_task(path: Path):
-        s = stream_of[path]
+        fd = spills[stream_of[path]].fileno()
+        buffer = np.empty((BLOCK_ROWS, FREQ_BINS + cfg.n_bins), np.float32)
         for n_rows, start, rows in signal_blocks(path):
             if start == 0:
                 n_keep = n_rows if subset is None else min(n_rows, subset)
-                with lock:
-                    if n_rows not in stacks:
-                        stacks[n_rows] = (np.empty((n_keep, N_STREAMS, FREQ_BINS), np.float32),
-                                          np.empty((n_keep, N_STREAMS, cfg.n_bins), np.float32))
-                    freq_stack, power_stack = stacks[n_rows]
                 kept = (np.empty((n_keep, FREQ_BINS)), np.empty((n_keep, cfg.n_bins))) if fit else None
                 overflow = None
             if overflow or start >= n_keep:
@@ -190,7 +250,12 @@ def extract_features(
             block = slice(start, start + len(rows))
             try:
                 freq, power = _rows_features(rows, cfg)
-                freq_stack[block, s], power_stack[block, s] = freq, power
+                # The text parser yields a whole file as one block.
+                for at in range(0, len(rows), BLOCK_ROWS):
+                    out, part = buffer[: len(rows) - at], slice(at, at + BLOCK_ROWS)
+                    out[:, :FREQ_BINS], out[:, FREQ_BINS:] = freq[part], power[part]
+                    if os.pwrite(fd, out, (start + at) * out[0].nbytes) != out.nbytes:
+                        raise OSError(f"short write to the feature spill of {path.name}")
             except FloatingPointError as exc:
                 overflow = exc
                 continue
@@ -205,11 +270,10 @@ def extract_features(
     for result in moments:
         if isinstance(result, FloatingPointError):
             raise result
-    freq, power = stacks[len(labels)]
     labels = labels[:subset]
     if fit and not len(labels):
         raise ValueError("cannot fit a normalizer on an empty sequence")
-    features = FeatureSet(freq, power, labels)
+    features = SpilledFeatures(list(spills), labels, (FREQ_BINS, cfg.n_bins))
     if not fit:
         return features, None
     return features, NormStats(*(np.stack(column).astype(np.float32) for column in zip(*moments)))
@@ -277,32 +341,35 @@ def _record_dtype(freq_bins: int, power_bins: int) -> np.dtype:
     )
 
 
-def write_feature_cache(path: str | Path, features: FeatureSet) -> None:
-    """Serialize a feature set to the binary cache format (atomic write).
+def write_feature_cache(path: str | Path, features: FeatureSet | SpilledFeatures) -> None:
+    """Serialize a split's features to the binary cache format (atomic write).
 
     Layout: magic, u32 sample count, u32 freq bins, u32 power bins, then per
     sample a u8 class id followed by the freq and power matrices as
-    little-endian float32, row-major. The header is written first, then the
-    records CACHE_CHUNK_WINDOWS at a time from one reused buffer, so the
-    file's bytes are never held whole.
+    little-endian float32, row-major. The header is written first, then
+    the records as `features` builds them, CACHE_CHUNK_WINDOWS at a time in
+    one reused buffer, so the file's bytes are never held whole.
     """
-    freq_bins, power_bins = features.freq.shape[-1], features.power.shape[-1]
     n = len(features)
-    header = CACHE_MAGIC + struct.pack("<III", n, freq_bins, power_bins)
-    dtype = _record_dtype(freq_bins, power_bins)
-    buffer = np.empty(CACHE_CHUNK_WINDOWS * dtype.itemsize, dtype=np.uint8)
+    header = CACHE_MAGIC + struct.pack("<III", n, *features.bins)
+    chunks = (records.view(np.uint8) for records in features.record_chunks())
+    size = len(header) + n * _record_dtype(*features.bins).itemsize
+    atomic_write_bytes(path, Parts(itertools.chain([header], chunks), size))
 
-    def parts():
-        yield header
-        for start in range(0, n, CACHE_CHUNK_WINDOWS):
-            chunk = buffer[: min(n - start, CACHE_CHUNK_WINDOWS) * dtype.itemsize]
-            records, rows = chunk.view(dtype), slice(start, start + CACHE_CHUNK_WINDOWS)
-            records["label"] = features.labels[rows]
-            records["freq"] = features.freq[rows]
-            records["power"] = features.power[rows]
-            yield chunk
 
-    atomic_write_bytes(path, Parts(parts(), len(header) + n * dtype.itemsize))
+def _cache_header(path, data: bytes) -> tuple[int, int, int]:
+    """(sample count, freq bins, power bins) from the start of a cache's bytes."""
+    if data[:8] != CACHE_MAGIC:
+        raise FormatError(f"{path}: bad feature cache magic {data[:8]!r}")
+    if len(data) < CACHE_HEADER_BYTES:
+        raise FormatError(f"{path}: truncated feature cache header")
+    return struct.unpack_from("<III", data, 8)
+
+
+def cache_record_count(path: str | Path) -> int:
+    """The sample count in a feature cache's header, read without the records."""
+    with open(path, "rb") as f:
+        return _cache_header(path, f.read(CACHE_HEADER_BYTES))[0]
 
 
 def read_feature_cache(path: str | Path) -> FeatureSet:
@@ -314,16 +381,12 @@ def read_feature_cache(path: str | Path) -> FeatureSet:
     FormatError that starts with the path.
     """
     data = Path(path).read_bytes()
-    if data[:8] != CACHE_MAGIC:
-        raise FormatError(f"{path}: bad feature cache magic {data[:8]!r}")
-    if len(data) < 20:
-        raise FormatError(f"{path}: truncated feature cache header")
-    n, freq_bins, power_bins = struct.unpack("<III", data[8:20])
+    n, freq_bins, power_bins = _cache_header(path, data)
     dtype = _record_dtype(freq_bins, power_bins)
-    expected = 20 + n * dtype.itemsize
+    expected = CACHE_HEADER_BYTES + n * dtype.itemsize
     if len(data) != expected:
         raise FormatError(f"{path}: cache size {len(data)} != expected {expected}")
-    records = np.frombuffer(data, dtype=dtype, count=n, offset=20)
+    records = np.frombuffer(data, dtype=dtype, count=n, offset=CACHE_HEADER_BYTES)
     labels = records["label"]
     bad = (labels < 1) | (labels > N_CLASSES)
     if bad.any():

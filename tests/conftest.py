@@ -8,7 +8,9 @@ numbers.
 
 import os
 import sys
+import tempfile
 import threading
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,8 @@ import pytest
 
 from harcnn import dataset, model
 from harcnn.dataset import Activity, N_STREAMS, STREAM_NAMES, WINDOW_LEN
-from harcnn.features import NormStats
+from harcnn.dsp import WelchConfig
+from harcnn.features import NormStats, extract_features
 
 # Dominant frequency bin and amplitude profile per class.
 _CLASS_BINS = {
@@ -97,6 +100,20 @@ def write_uci_layout_split(root, split, rows, lines=16, seed=0):
         (base / "Inertial Signals" / f"{stream}_{split}.txt").write_text(text)
     (base / f"y_{split}.txt").write_text("".join(f"{i % 6 + 1}\n" for i in range(rows)))
     (base / f"subject_{split}.txt").write_text("".join(f"{i % 30 + 1}\n" for i in range(rows)))
+
+
+def open_spills(stack, directory):
+    """Nine unnamed scratch files in `directory`, closed with the ExitStack `stack`."""
+    return [stack.enter_context(tempfile.TemporaryFile(dir=directory)) for _ in range(N_STREAMS)]
+
+
+def extract(root, split, cfg=WelchConfig(), **kwargs):
+    """features.extract_features with its spills under `root`, closed before it returns:
+    the features as one FeatureSet, and the stats."""
+    with ExitStack() as stack:
+        spilled, stats = extract_features(root, split, cfg, spills=open_spills(stack, root),
+                                          **kwargs)
+        return spilled.load(), stats
 
 
 def build_synthetic_dataset(root, train_per_class=8, test_per_class=4, seed=1234):

@@ -2,11 +2,12 @@ import copy
 import json
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 import tracemalloc
-import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -471,13 +472,16 @@ class TestExtract:
         want = tmp_path / "want"
         want.mkdir()
         keep = slice(subset)
+        # The sidecar's record also holds each split's record count.
+        record = extraction_record(root, cfg.welch, subset)
         for split in SPLITS:
             whole = extract_split(load_split(root, split, strict_counts=False), cfg.welch)
             cut = FeatureSet(whole.freq[keep], whole.power[keep], whole.labels[keep])
             write_feature_cache(want / cli.CACHE_NAMES[split], cut)
+            record[split]["records"] = len(cut)
             if split == "train":
                 norm = fit_normalizer_arrays(cut.freq, cut.power)
-        save_norm_stats(want / cli.NORM_NAME, norm, extraction_record(root, cfg.welch, subset))
+        save_norm_stats(want / cli.NORM_NAME, norm, record)
         for name in (*cli.CACHE_NAMES.values(), cli.NORM_NAME):
             assert (tmp_path / "out" / name).read_bytes() == (want / name).read_bytes(), name
 
@@ -525,16 +529,15 @@ class TestExtract:
                                                                         monkeypatch):
         root = build_synthetic_dataset(tmp_path / "data", train_per_class=50, test_per_class=2)
         cfg_path = write_config(tmp_path / "c.json", smoke_config(root, tmp_path / "out"))
-        extract, train_arrays, held = cli.extract_features, [], {}
+        extract, train_spills, held = cli.extract_features, [], {}
 
-        def watched(root, split, *args, **kwargs):
+        def watched(root, split, *args, spills, **kwargs):
             held[split] = tracemalloc.get_traced_memory()[0]
             if split == "test":
-                held["alive"] = [ref() is not None for ref in train_arrays]
-            got = extract(root, split, *args, **kwargs)
-            if split == "train":
-                train_arrays.extend(weakref.ref(a) for a in (got[0].freq, got[0].power))
-            return got
+                held["open"] = [not spill.closed for spill in train_spills]
+            else:
+                train_spills.extend(spills)
+            return extract(root, split, *args, spills=spills, **kwargs)
 
         monkeypatch.setattr(cli, "extract_features", watched)
         tracemalloc.start()
@@ -543,7 +546,7 @@ class TestExtract:
         finally:
             tracemalloc.stop()
         train = read_feature_cache(tmp_path / "out" / "train_features.bin")
-        assert held["alive"] == [False, False]
+        assert held["open"] == [False] * N_STREAMS
         assert held["test"] - held["train"] < 0.1 * (train.freq.nbytes + train.power.nbytes)
 
     def test_empty_train_split_fails_before_any_cache_is_written(self, tmp_path, capsys):
@@ -616,6 +619,91 @@ class TestExtract:
             tracemalloc.stop()
         whole_split = n * window_bytes
         assert peak < whole_split, (peak, whole_split)
+
+    def test_peak_memory_grows_less_than_the_added_windows_features(self, tmp_path, monkeypatch):
+        # From 1500 to 3000 train windows on two threads, the peak grows by the two running
+        # tasks' float64 features for the moments (about 2.3 MB), not by the added windows'
+        # float32 features: the split's float32 stacks grew it by 7.6 MB.
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)  # the same threads on any host
+        peaks = []
+        for n in (1500, 3000):
+            root = tmp_path / str(n)
+            for split, rows in (("train", n), ("test", 6)):
+                write_uci_layout_split(root, split, rows)
+            cfg_path = write_config(tmp_path / f"{n}.json",
+                                    smoke_config(root, tmp_path / f"out{n}"))
+            tracemalloc.start()
+            try:
+                assert main(["extract", "--config", cfg_path]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            shutil.rmtree(root)
+        added = 1500 * N_STREAMS * (FREQ_BINS + WelchConfig().n_bins) * 4  # 5.29 MB
+        assert peaks[1] - peaks[0] < added, (peaks, added)
+
+
+class TestSpills:
+    """extract and evaluate close every spill and leave their outputs alone, or no directory,
+    on every path. The spills never use the default temporary directory."""
+
+    @pytest.fixture(autouse=True)
+    def no_default_temp_dir(self, tmp_path, monkeypatch):
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd to count open descriptors")
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "no_such_dir"))
+
+    @staticmethod
+    def run(args, out_dir, code):
+        """The output directory's entries (None when there is none) after `args` exit `code`,
+        checking that the process's open descriptors are those it had."""
+        before = len(os.listdir("/proc/self/fd"))
+        assert main([*args, "--out", str(out_dir)]) == code
+        assert len(os.listdir("/proc/self/fd")) == before
+        return sorted(os.listdir(out_dir)) if out_dir.exists() else None
+
+    @staticmethod
+    def dataset(root):
+        """Two blocks of BLOCK_ROWS rows a train signal file; a split's signal files."""
+        write_uci_layout_split(root, "train", BLOCK_ROWS + 12, lines=61)
+        write_uci_layout_split(root, "test", 6)
+        return root / "train" / "Inertial Signals"
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_extract(self, tmp_path, monkeypatch, cpus):
+        self.dataset(tmp_path / "data")
+        monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+        cfg_path = write_config(tmp_path / "c.json", smoke_config(tmp_path / "data", "unused"))
+        for _ in range(2):  # into a new directory, then into the one it made
+            assert self.run(["extract", "--config", cfg_path], tmp_path / "out", 0) == \
+                ["norm_stats.bin", "test_features.bin", "train_features.bin"]
+
+    # The last stream's file fails on its last line, after the streams before it have
+    # finished, or a finite power overflows the float32 cast in the first stream's file.
+    @pytest.mark.parametrize("cpus", [1, 4])
+    @pytest.mark.parametrize("fault, line, text, code", [
+        ("late_stream", -1, "  2.5808950x-001" + " 0.0000000e+000" * 127, 2),
+        ("cast_overflow", 1, uci_line([1e21] * WINDOW_LEN), 1),
+    ])
+    def test_failed_extract(self, tmp_path, monkeypatch, capsys, cpus, fault, line, text, code):
+        signals = self.dataset(tmp_path / "data")
+        stream = "total_acc_z" if fault == "late_stream" else "body_acc_x"
+        set_line(signals / f"{stream}_train.txt", line, text)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+        cfg_path = write_config(tmp_path / "c.json", smoke_config(tmp_path / "data", "unused"))
+        assert self.run(["extract", "--config", cfg_path], tmp_path / "out", code) is None
+        err = capsys.readouterr().err
+        assert err.startswith("dataset error: " if code == 2 else "error: arithmetic failed: ")
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_failed_evaluate(self, trained_pipeline, tmp_path, monkeypatch, cpus):
+        _, out_dir, _ = trained_pipeline
+        self.dataset(tmp_path / "data")
+        set_line(tmp_path / "data" / "test" / "y_test.txt", 0, "9")
+        monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+        cfg_path = write_config(tmp_path / "c.json", smoke_config(tmp_path / "data", "unused"))
+        args = ["evaluate", "--config", cfg_path, "--checkpoint", str(out_dir / "checkpoint.bin")]
+        assert self.run(args, tmp_path / "out", 2) is None
 
 
 class TestTrain:
@@ -699,6 +787,20 @@ class TestStaleCaches:
         assert self.train_line(capsys, cfg_path) == \
             "extracting features: train.subset differs from this run's"
         assert len(read_feature_cache(out_dir / "train_features.bin")) == 18
+
+    def test_train_cache_of_another_subset_is_re_extracted(self, tmp_path, capsys):
+        # Each sidecar matches its own run; only the copied cache's header gives it away.
+        root = build_synthetic_dataset(tmp_path / "data", train_per_class=3, test_per_class=2)
+        cfg_paths = {}
+        for subset in (5, 10):
+            cfg = replace(smoke_config(root, tmp_path / str(subset), epochs=1), subset=subset)
+            cfg_paths[subset] = write_config(tmp_path / f"{subset}.json", cfg)
+            assert main(["extract", "--config", cfg_paths[subset]]) == 0
+        name = "train_features.bin"
+        shutil.copyfile(tmp_path / "5" / name, tmp_path / "10" / name)
+        assert self.train_line(capsys, cfg_paths[10]) == \
+            "extracting features: train.records differs from train_features.bin's header"
+        assert len(read_feature_cache(tmp_path / "10" / "train_features.bin")) == 10
 
     def test_changed_welch_overlap_is_re_extracted(self, tmp_path, capsys):
         # Overlap 16 gives the same 33 Welch bins, so no shape check would catch it.

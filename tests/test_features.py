@@ -1,3 +1,4 @@
+import contextlib
 import os
 import sys
 import threading
@@ -6,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import write_uci_layout_split, write_uci_split
+from conftest import extract, open_spills, write_uci_layout_split, write_uci_split
 from harcnn import features, parallel
 from harcnn.binio import FormatError
 from harcnn.dataset import (
@@ -154,7 +155,7 @@ class TestExtractFeaturesPerStream:
         windows = rng.standard_normal((n, N_STREAMS, 128)) * rng.uniform(0.1, 10, (1, N_STREAMS, 1))
         labels, subjects = np.arange(n) % 6 + 1, np.arange(n) % 30 + 1
         write_uci_split(tmp_path, "train", windows, labels, subjects)
-        got_set, got = extract_features(tmp_path, "train", strict_counts=False, fit=True)
+        got_set, got = extract(tmp_path, "train", strict_counts=False, fit=True)
         whole = extract_split(load_split(tmp_path, "train", strict_counts=False))
         want = fit_normalizer_arrays(whole.freq, whole.power)
         assert len(got_set) == n
@@ -171,7 +172,7 @@ class TestExtractFeaturesPerStream:
         windows = np.random.default_rng(2).standard_normal((4, N_STREAMS, 128))
         write_uci_split(tmp_path, "test", windows, np.arange(4) + 1, np.arange(4) + 1)
         files = sorted(tmp_path.rglob("*"))
-        got, stats = extract_features(tmp_path, "test", strict_counts=False, subset=3)
+        got, stats = extract(tmp_path, "test", strict_counts=False, subset=3)
         assert stats is None
         assert sorted(tmp_path.rglob("*")) == files
         whole = extract_split(load_split(tmp_path, "test", strict_counts=False))
@@ -182,16 +183,16 @@ class TestExtractFeaturesPerStream:
 
     def test_empty_split_cannot_be_fitted(self, tmp_path):
         write_uci_split(tmp_path, "train", np.zeros((0, N_STREAMS, 128)), [], [])
-        assert len(extract_features(tmp_path, "train", strict_counts=False)[0]) == 0
+        assert len(extract(tmp_path, "train", strict_counts=False)[0]) == 0
         with pytest.raises(ValueError, match="cannot fit a normalizer on an empty sequence"):
-            extract_features(tmp_path, "train", strict_counts=False, fit=True)
+            extract(tmp_path, "train", strict_counts=False, fit=True)
 
     def test_one_cpu_starts_no_thread_and_gives_the_same_bytes(self, tmp_path, monkeypatch,
                                                               four_cpus):
         n = BLOCK_ROWS + 12  # two blocks in each stream
         windows = np.random.default_rng(23).standard_normal((n, N_STREAMS, 128))
         write_uci_split(tmp_path, "train", windows, np.arange(n) % 6 + 1, np.arange(n) % 30 + 1)
-        threaded = extract_features(tmp_path, "train", strict_counts=False, fit=True)
+        threaded = extract(tmp_path, "train", strict_counts=False, fit=True)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         before = threading.active_count()
         seen = []
@@ -201,27 +202,27 @@ class TestExtractFeaturesPerStream:
             return rfft(*args)
 
         monkeypatch.setattr(features, "rfft", fft)
-        serial = extract_features(tmp_path, "train", strict_counts=False, fit=True)
+        serial = extract(tmp_path, "train", strict_counts=False, fit=True)
         assert seen == [(threading.current_thread(), before)] * 2 * N_STREAMS
         for got, want in zip(serial, threaded):
             for name, value in vars(want).items():
                 assert getattr(got, name).tobytes() == value.tobytes(), name
 
 
-    def test_racing_stream_tasks_make_one_pair_of_stacks(self, tmp_path, monkeypatch):
-        # Nine threads on this host's cores, switching every microsecond: a second pair of
-        # stacks made by a racing task would lose that task's columns.
+    def test_racing_stream_tasks_give_the_serial_bytes(self, tmp_path, monkeypatch):
+        # Nine threads on this host's cores, switching every microsecond, each writing its
+        # blocks at their offsets in its own spill.
         n = 40
         windows = np.random.default_rng(31).standard_normal((n, N_STREAMS, 128))
         write_uci_split(tmp_path, "train", windows, np.arange(n) % 6 + 1, np.arange(n) % 30 + 1)
         monkeypatch.setattr(parallel, "cpu_count", lambda: 1)
-        want = extract_features(tmp_path, "train", strict_counts=False)[0]
+        want = extract(tmp_path, "train", strict_counts=False)[0]
         monkeypatch.setattr(parallel, "cpu_count", lambda: N_STREAMS)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(10):
-                got = extract_features(tmp_path, "train", strict_counts=False)[0]
+                got = extract(tmp_path, "train", strict_counts=False)[0]
                 assert got.freq.tobytes() == want.freq.tobytes()
                 assert got.power.tobytes() == want.power.tobytes()
         finally:
@@ -229,10 +230,10 @@ class TestExtractFeaturesPerStream:
 
     @pytest.mark.parametrize("fit", [False, True])
     def test_allocates_almost_nothing_once_the_split_is_read(self, tmp_path, monkeypatch, fit):
-        # The stream tasks cast their features into the split's stacks, so no stack is made after.
-        n = 600
-        windows = np.random.default_rng(29).standard_normal((n, N_STREAMS, 128))
-        write_uci_split(tmp_path, "train", windows, np.arange(n) % 6 + 1, np.arange(n) % 30 + 1)
+        # The stream tasks write their features to the spills, so no stack is made after, and
+        # the cache is written from one chunk of records and one of spill rows.
+        n = 3 * features.CACHE_CHUNK_WINDOWS + 5
+        write_uci_layout_split(tmp_path, "train", n, lines=61)
         read_split, held = features.read_split, []
 
         def reading(*args):
@@ -242,33 +243,48 @@ class TestExtractFeaturesPerStream:
             return result
 
         monkeypatch.setattr(features, "read_split", reading)
-        tracemalloc.start()
-        try:
-            got, _ = extract_features(tmp_path, "train", strict_counts=False, fit=fit)
-            allocated = tracemalloc.get_traced_memory()[1] - held[0]
-        finally:
-            tracemalloc.stop()
-        stack_bytes = got.freq.nbytes + got.power.nbytes
-        assert allocated < 0.05 * stack_bytes, (allocated, stack_bytes)
-
-    def test_peak_above_the_stacks_does_not_grow_with_the_split(self, tmp_path, monkeypatch):
-        # A stream task holds one block of its file, not the parsed file: from 600 to 2,400
-        # windows the peak above the stacks stays put. Whether the two tasks' block peaks
-        # coincide moves it by up to about 0.5 MB; when each task held its parsed file and
-        # its float64 features, it grew by about 6.5 MB.
-        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)  # the same threads on any host
-        above = []
-        for n in (600, 2400):
-            write_uci_layout_split(tmp_path / str(n), "train", n, lines=61)
+        with contextlib.ExitStack() as stack:
+            spills = open_spills(stack, tmp_path)
             tracemalloc.start()
             try:
-                held = tracemalloc.get_traced_memory()[0]
-                got, _ = extract_features(tmp_path / str(n), "train", strict_counts=False)
-                peak = tracemalloc.get_traced_memory()[1] - held
+                got, _ = extract_features(tmp_path, "train", spills=spills,
+                                          strict_counts=False, fit=fit)
+                allocated = tracemalloc.get_traced_memory()[1] - held[0]
+                tracemalloc.reset_peak()
+                write_feature_cache(tmp_path / "train.harfeat", got)
+                writing = tracemalloc.get_traced_memory()[1] - held[0]
             finally:
                 tracemalloc.stop()
-            above.append(peak - got.freq.nbytes - got.power.nbytes)
-        assert above[1] - above[0] < 1e6, above
+        chunk_bytes = features.CACHE_CHUNK_WINDOWS * (1 + N_STREAMS * 4 * (65 + 33))
+        assert allocated < 0.05 * chunk_bytes, (allocated, chunk_bytes)
+        assert writing < 2.1 * chunk_bytes, (writing, chunk_bytes)
+        cached = read_feature_cache(tmp_path / "train.harfeat")
+        whole = extract_split(load_split(tmp_path, "train", strict_counts=False))
+        assert cached.freq.tobytes() == whole.freq.astype(np.float32).tobytes()
+        assert cached.power.tobytes() == whole.power.astype(np.float32).tobytes()
+
+    def test_peak_does_not_grow_with_the_split(self, tmp_path, monkeypatch):
+        # A stream task holds one block of its file, not the parsed file, and writes its
+        # features to its spill: from 600 to 2,400 windows the peak stays put. Whether the two
+        # tasks' block peaks coincide moves it by up to about 0.5 MB; when each task held its
+        # parsed file and its float64 features, it grew by about 6.5 MB, and the float32
+        # stacks grew it by 5.3 MB more.
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)  # the same threads on any host
+        peaks = []
+        for n in (600, 2400):
+            write_uci_layout_split(tmp_path / str(n), "train", n, lines=61)
+            with contextlib.ExitStack() as stack:
+                spills = open_spills(stack, tmp_path)
+                tracemalloc.start()
+                try:
+                    held = tracemalloc.get_traced_memory()[0]
+                    got, _ = extract_features(tmp_path / str(n), "train", spills=spills,
+                                              strict_counts=False)
+                    peaks.append(tracemalloc.get_traced_memory()[1] - held)
+                finally:
+                    tracemalloc.stop()
+                assert len(got) == n
+        assert peaks[1] - peaks[0] < 1e6, peaks
 
 
 class TestLayoutBreakAfterTheFirstBlock:
@@ -287,7 +303,7 @@ class TestLayoutBreakAfterTheFirstBlock:
         whole = extract_split(load_split(root, "train", strict_counts=False))
         want = fit_normalizer_arrays(whole.freq, whole.power)
         for fit in (False, True):
-            got, stats = extract_features(root, "train", strict_counts=False, fit=fit)
+            got, stats = extract(root, "train", strict_counts=False, fit=fit)
             assert got.freq.tobytes() == whole.freq.astype(np.float32).tobytes()
             assert got.power.tobytes() == whole.power.astype(np.float32).tobytes()
             if fit:
@@ -323,7 +339,7 @@ class TestLayoutBreakAfterTheFirstBlock:
         assert "line 300: unparsable value '2.5808950x-001' at column 1" in str(want.value)
         monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
         with pytest.raises(DatasetError) as got:
-            extract_features(tmp_path, "train", strict_counts=False)
+            extract(tmp_path, "train", strict_counts=False)
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("cpus", [1, 4])
