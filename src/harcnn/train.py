@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FeatureSet, NormStats
-from .layers import softmax_cross_entropy_batch
+from .layers import softmax, softmax_cross_entropy_batch
 from .metrics import accuracy_of, confusion, macro_prf
 from .model import ModelParams, ModelSpec, backward_batch, forward_batch, init_model, predict_batch
 
@@ -95,17 +95,16 @@ def adam_step(
         arr -= m_hat
 
 
-def split_metrics(params: ModelParams, features: FeatureSet) -> tuple[float, float, float, float, float]:
-    """(loss, accuracy, precision, recall, f1) of the model on raw features.
+def split_metrics(params: ModelParams, features: FeatureSet) -> tuple[float, float, float, float]:
+    """(accuracy, precision, recall, f1) of the model on raw features.
 
-    The loss is the mean of the training step's cross-entropy
-    (softmax_cross_entropy_batch), with no cap on a window's loss.
+    A window's prediction is the argmax of the softmax probabilities of
+    predict_batch's logits, the probabilities the evaluate report scores.
     """
-    logits = predict_batch(params, features.freq, features.power)
-    losses, _, probs = softmax_cross_entropy_batch(logits, features.labels - 1)
+    probs = softmax(predict_batch(params, features.freq, features.power))
     cm = confusion(np.argmax(probs, axis=1) + 1, features.labels)
     p, r, f1 = macro_prf(cm)
-    return float(np.mean(losses)), accuracy_of(cm), p, r, f1
+    return accuracy_of(cm), p, r, f1
 
 
 def train(
@@ -122,6 +121,9 @@ def train(
     batch with them. Both sets must have the stats' widths, which is
     checked before the first step; the caller's arrays are left unchanged.
     `on_epoch`, when given, gets each epoch's stats as that epoch ends.
+    An epoch's train_loss and train_acc are the means over its steps' windows
+    of each step's cross-entropy and correctness, taken before that step's
+    update; only the test split is scored after the epoch.
     """
     if len(train_set) == 0 or len(test_set) == 0:
         raise ValueError("cannot train on an empty split")
@@ -139,21 +141,25 @@ def train(
     best_acc = -1.0
     for epoch in range(1, cfg.epochs + 1):
         perm = shuffle_rng.permutation(n)
+        loss_sum = 0.0
+        correct = 0
         for start in range(0, n, cfg.batch_size):
             batch = perm[start : start + cfg.batch_size]
+            labels0 = train_labels0[batch]
             logits, cache = forward_batch(
                 params, train_set.freq[batch], train_set.power[batch], want_cache=True
             )
-            _, d_logits, _ = softmax_cross_entropy_batch(logits, train_labels0[batch])
+            losses, d_logits, probs = softmax_cross_entropy_batch(logits, labels0)
+            loss_sum += float(losses.sum(dtype=np.float64))
+            correct += int(np.count_nonzero(np.argmax(probs, axis=1) == labels0))
             grads = backward_batch(params, cache, d_logits / len(batch))
             adam_step(params, grads, adam, cfg)
 
-        train_loss, train_acc, *_ = split_metrics(params, train_set)
-        _, test_acc, test_p, test_r, test_f1 = split_metrics(params, test_set)
+        test_acc, test_p, test_r, test_f1 = split_metrics(params, test_set)
         stats = EpochStats(
             epoch=epoch,
-            train_loss=train_loss,
-            train_acc=train_acc,
+            train_loss=loss_sum / n,
+            train_acc=correct / n,
             test_acc=test_acc,
             test_precision=test_p,
             test_recall=test_r,

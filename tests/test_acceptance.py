@@ -231,6 +231,10 @@ class TestCriterion06GradientCorrectness:
         passed(6, self.NAME, f"{checked} parameters, worst rel err {worst:.2e}, {elapsed:.1f}s")
 
 
+# train_acc is the running accuracy over an epoch's steps, taken before each
+# update. The 50 windows make one batch, so an epoch reports the accuracy of the
+# params the previous epoch left: 1.0 shows one epoch later than a pass over the
+# split after the update would show it, still well within the 200 epochs.
 class TestCriterion07CapacitySanity:
     NAME = "50-sample subset reaches 100% train accuracy within 200 epochs"
 

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 import harcnn.model
+import harcnn.parallel
 import harcnn.train
 from conftest import make_norm, make_split_arrays
 from harcnn.checkpoint import save_checkpoint
 from harcnn.dataset import Activity
 from harcnn.dsp import WelchConfig
 from harcnn.features import FeatureSet, extract_features_batch, fit_normalizer_arrays
-from harcnn.layers import softmax_cross_entropy_batch
+from harcnn.layers import softmax, softmax_cross_entropy_batch
 from harcnn.model import ConvLayerSpec, ModelSpec, init_model, predict_batch
 from harcnn.train import AdamState, TrainConfig, adam_step, split_metrics, train
 from test_layers import (
@@ -99,22 +100,102 @@ def adam_steps(monkeypatch):
     return steps
 
 
-class TestSplitMetrics:
-    def test_loss_is_the_training_cross_entropy_without_a_cap(self):
+@pytest.fixture
+def loss_calls(monkeypatch):
+    """A list of train()'s softmax_cross_entropy_batch and adam_step calls, in order.
+
+    A cross-entropy call appears as (labels, losses, probs) and an Adam
+    step as None.
+    """
+    calls = []
+    real_loss = harcnn.train.softmax_cross_entropy_batch
+    real_adam = harcnn.train.adam_step
+
+    def recorded_loss(logits, class_indices):
+        losses, grads, probs = real_loss(logits, class_indices)
+        calls.append((class_indices, losses, probs))
+        return losses, grads, probs
+
+    def recorded_adam(*args):
+        calls.append(None)
+        real_adam(*args)
+
+    monkeypatch.setattr(harcnn.train, "softmax_cross_entropy_batch", recorded_loss)
+    monkeypatch.setattr(harcnn.train, "adam_step", recorded_adam)
+    return calls
+
+
+class TestRunningTrainMetrics:
+    def test_train_columns_are_the_means_of_each_steps_pre_update_figures(self, loss_calls):
+        train_set, test_set, norm = synthetic_feature_sets()
+        cfg = TrainConfig(epochs=2, batch_size=16, seed=5)
+        _, run = train(train_set, test_set, SMALL_SPEC, cfg, norm)
+        n = len(train_set)
+        steps = -(-n // cfg.batch_size)
+        # Each step's cross-entropy comes before its own Adam update, and no
+        # other cross-entropy is taken.
+        assert len(loss_calls) == 2 * cfg.epochs * steps
+        assert loss_calls[1::2] == [None] * (cfg.epochs * steps)
+        for k, stats in enumerate(run.epochs):
+            step_calls = loss_calls[2 * k * steps : 2 * (k + 1) * steps : 2]
+            assert [len(labels) for labels, _, _ in step_calls] == [16, 16, 16, 12]
+            loss_sum = sum(float(losses.sum(dtype=np.float64)) for _, losses, _ in step_calls)
+            correct = sum(int(np.sum(np.argmax(p, axis=1) == y)) for y, _, p in step_calls)
+            assert stats.train_loss == loss_sum / n
+            assert stats.train_acc == correct / n
+
+    def test_loss_is_the_training_cross_entropy_without_a_cap(self, monkeypatch):
         # Every window's true logit is 120 below Lay's, so its probability underflows
-        # to 0; a loss of -log(max(p, 1e-30)) would read 69.08.
-        train_set, _, norm = synthetic_feature_sets()
+        # to 0; a loss of -log(max(p, 1e-30)) would read 69.08. One epoch of one
+        # step reports that step's loss, taken before its update.
+        train_set, test_set, norm = synthetic_feature_sets()
         keep = train_set.labels != Activity.LAYING.value
         windows = FeatureSet(train_set.freq[keep], train_set.power[keep], train_set.labels[keep])
-        params = init_model(SMALL_SPEC, seed=1, norm=norm)
-        params.arrays["fusion.w"][:] = 0.0
-        params.arrays["fusion.b"][Activity.LAYING.value - 1] = 120.0
-        loss, acc, *_ = split_metrics(params, windows)
+        real_init = harcnn.train.init_model
+
+        def init_lay_120(*args, **kwargs):
+            params = real_init(*args, **kwargs)
+            params.arrays["fusion.w"][:] = 0.0
+            params.arrays["fusion.b"][Activity.LAYING.value - 1] = 120.0
+            return params
+
+        monkeypatch.setattr(harcnn.train, "init_model", init_lay_120)
+        cfg = TrainConfig(epochs=1, batch_size=len(windows), seed=1)
+        _, run = train(windows, test_set, SMALL_SPEC, cfg, norm)
+        params = init_lay_120(SMALL_SPEC, cfg.seed, norm=norm)
         logits = predict_batch(params, windows.freq, windows.power)
         losses, _, _ = softmax_cross_entropy_batch(logits, windows.labels - 1)
-        assert loss == float(np.mean(losses))
-        assert loss == pytest.approx(120.0, abs=1e-3)
-        assert acc == 0.0
+        (stats,) = run.epochs
+        assert stats.train_loss == float(losses.sum(dtype=np.float64)) / len(windows)
+        assert stats.train_loss == pytest.approx(120.0, abs=1e-3)
+        assert stats.train_acc == 0.0
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_each_epoch_predicts_the_test_split_only(self, monkeypatch, cpus):
+        monkeypatch.setattr(harcnn.parallel, "cpu_count", lambda: cpus)
+        rows = []
+        real = harcnn.train.predict_batch
+
+        def counted(params, freq, power):
+            rows.append(len(freq))
+            return real(params, freq, power)
+
+        monkeypatch.setattr(harcnn.train, "predict_batch", counted)
+        train_set, test_set, norm = synthetic_feature_sets()
+        cfg = TrainConfig(epochs=3, batch_size=16, seed=5)
+        train(train_set, test_set, SMALL_SPEC, cfg, norm)
+        assert rows == [len(test_set)] * cfg.epochs
+
+
+class TestSplitMetrics:
+    def test_scores_the_argmax_of_the_softmax(self):
+        _, test_set, norm = synthetic_feature_sets()
+        params = init_model(SMALL_SPEC, seed=1, norm=norm)
+        acc, p, r, f1 = split_metrics(params, test_set)
+        probs = softmax(predict_batch(params, test_set.freq, test_set.power))
+        preds = np.argmax(probs, axis=1) + 1
+        assert acc == float(np.mean(preds == test_set.labels))
+        assert 0.0 <= min(p, r, f1) and max(p, r, f1) <= 1.0
 
 
 class TestTrain:
