@@ -31,11 +31,11 @@ from .dataset import (
 from .dsp import WelchConfig
 from .features import (
     FREQ_BINS,
+    FeatureCache,
     NormStats,
     cache_record_count,
     extract_features,
     extraction_record,
-    read_feature_cache,
     write_feature_cache,
 )
 from .layers import softmax
@@ -231,14 +231,6 @@ def cmd_train(cfg: RunConfig) -> int:
         print(f"extracting features: {stale}")
         cmd_extract(cfg)
         _, norm = load_norm_stats(out_dir / NORM_NAME)
-    # Always train on the cached float32 values, so a run that extracted
-    # first trains exactly like one that found the caches.
-    train_set, test_set = (read_feature_cache(cache_paths[split]) for split in SPLITS)
-
-    # Each line ends in the wall seconds since the previous one (the first
-    # also counts the model set-up, which is negligible beside an epoch).
-    epoch_start = time.perf_counter()
-
     def print_epoch(e: EpochStats) -> None:
         nonlocal epoch_start
         now = time.perf_counter()
@@ -249,7 +241,16 @@ def cmd_train(cfg: RunConfig) -> int:
         )
         epoch_start = now
 
-    params, run = train(train_set, test_set, cfg.model, cfg.train, norm, on_epoch=print_epoch)
+    # Always train on the cached float32 values, so a run that extracted
+    # first trains exactly like one that found the caches. Each cache is
+    # checked whole as it is opened, and its rows are read as they are used.
+    with (FeatureCache(cache_paths["train"]) as train_set,
+          FeatureCache(cache_paths["test"]) as test_set):
+        # Each line ends in the wall seconds since the previous one (the first
+        # also counts the model set-up, which is negligible beside an epoch).
+        epoch_start = time.perf_counter()
+        params, run = train(train_set, test_set, cfg.model, cfg.train, norm,
+                            on_epoch=print_epoch)
     save_checkpoint(out_dir / CHECKPOINT_NAME, params, cfg.welch, run.best_epoch)
     atomic_write_bytes(out_dir / EPOCHS_NAME, _epochs_csv(run).encode())
     best = run.epochs[run.best_epoch - 1]
@@ -289,7 +290,7 @@ def _evaluate(params, cfg: RunConfig, welch: WelchConfig, split: str) -> None:
         features = spilled.load()
     if not len(features):
         raise ValueError("cannot evaluate an empty split")
-    probs = softmax(predict_batch(params, features.freq, features.power))
+    probs = softmax(predict_batch(params, features))
     report, roc_points = report_from_predictions(probs, features.labels)
     d = _report_json_dict(report, split)
     gap = d.get("reference_gap")

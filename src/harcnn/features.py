@@ -19,6 +19,12 @@ as in external-memory algorithms), and write_feature_cache streams
 those chunks into the file. extract_split and extract_features_batch
 derive the same features from a loaded split's windows; tests hold
 extract_features to them.
+
+FeatureCache is the one cache reader: it checks a cache whole, a chunk
+at a time, when it opens it, keeps only the labels, and reads the rows
+that rows() names from the file. FeatureSet has the same rows(), so
+training and inference read a split in memory and an open cache alike;
+read_feature_cache opens a cache and reads every row.
 """
 
 from __future__ import annotations
@@ -104,6 +110,10 @@ class FeatureSet:
     @property
     def bins(self) -> tuple[int, int]:
         return self.freq.shape[-1], self.power.shape[-1]
+
+    def rows(self, index) -> tuple[np.ndarray, np.ndarray]:
+        """freq and power at `index`, a slice or an array of row numbers, as FeatureCache.rows."""
+        return self.freq[index], self.power[index]
 
     def record_chunks(self):
         """The cache records, CACHE_CHUNK_WINDOWS at a time, each chunk in one reused buffer."""
@@ -372,28 +382,96 @@ def cache_record_count(path: str | Path) -> int:
         return _cache_header(path, f.read(CACHE_HEADER_BYTES))[0]
 
 
-def read_feature_cache(path: str | Path) -> FeatureSet:
-    """Read a feature cache back; values come out float32 exactly as stored.
+class FeatureCache:
+    """An open feature cache, checked whole, whose records are read from the file when asked for.
 
-    freq and power are read-only views over the file's bytes, so the
-    stacks are never held twice; labels are an int64 copy. A layout
-    mismatch, a label outside 1..6 or a non-finite value raises a
-    FormatError that starts with the path.
+    Opening it reads the header, then every record CACHE_CHUNK_WINDOWS at a
+    time through one buffer: a layout mismatch, a label outside 1..6 or a
+    non-finite value raises a FormatError that starts with the path, the
+    first bad label before a non-finite value wherever each lies. Only the
+    int64 labels and the open file are kept. rows() reads records with
+    os.preadv on that file, so they come from the inode that was checked
+    even if the path is replaced, and any thread may call it. Close the
+    cache, or use it as a context manager.
     """
-    data = Path(path).read_bytes()
-    n, freq_bins, power_bins = _cache_header(path, data)
-    dtype = _record_dtype(freq_bins, power_bins)
-    expected = CACHE_HEADER_BYTES + n * dtype.itemsize
-    if len(data) != expected:
-        raise FormatError(f"{path}: cache size {len(data)} != expected {expected}")
-    records = np.frombuffer(data, dtype=dtype, count=n, offset=CACHE_HEADER_BYTES)
-    labels = records["label"]
-    bad = (labels < 1) | (labels > N_CLASSES)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise FormatError(
-            f"{path}: record {i} has label {labels[i]}, not a class id in 1..{N_CLASSES}"
-        )
-    if not (np.isfinite(records["freq"]).all() and np.isfinite(records["power"]).all()):
-        raise FormatError(f"{path}: feature cache holds non-finite values")
-    return FeatureSet(freq=records["freq"], power=records["power"], labels=labels.astype(np.int64))
+
+    def __init__(self, path: str | Path):
+        self.path = path
+        self._file = open(path, "rb", buffering=0)
+        try:
+            self._check()
+        except BaseException:
+            self._file.close()
+            raise
+
+    def _check(self) -> None:
+        n, freq_bins, power_bins = _cache_header(self.path, self._file.read(CACHE_HEADER_BYTES))
+        self._dtype = _record_dtype(freq_bins, power_bins)
+        size = os.fstat(self._file.fileno()).st_size
+        expected = CACHE_HEADER_BYTES + n * self._dtype.itemsize
+        if size != expected:
+            raise FormatError(f"{self.path}: cache size {size} != expected {expected}")
+        self.labels = np.empty(n, np.int64)
+        buffer = np.empty(min(n, CACHE_CHUNK_WINDOWS), self._dtype)
+        finite = True
+        for start in range(0, n, CACHE_CHUNK_WINDOWS):
+            records = buffer[: n - start]
+            self._read(records, start)
+            labels = records["label"]
+            bad = (labels < 1) | (labels > N_CLASSES)
+            if bad.any():
+                i = int(np.flatnonzero(bad)[0])
+                raise FormatError(f"{self.path}: record {start + i} has label {labels[i]}, "
+                                  f"not a class id in 1..{N_CLASSES}")
+            finite = finite and bool(np.isfinite(records["freq"]).all()
+                                     and np.isfinite(records["power"]).all())
+            self.labels[start : start + len(records)] = labels
+        if not finite:
+            raise FormatError(f"{self.path}: feature cache holds non-finite values")
+
+    def _read(self, records: np.ndarray, first: int) -> None:
+        """Read records first, first + 1, ... into `records` with one os.preadv."""
+        offset = CACHE_HEADER_BYTES + first * self._dtype.itemsize
+        if os.preadv(self._file.fileno(), [records], offset) != records.nbytes:
+            raise FormatError(
+                f"{self.path}: feature cache ends before record {first + len(records)}")
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def rows(self, index) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only float32 freq (k,9,F) and power (k,9,P) of the records `index` names.
+
+        A slice of step 1 is read with one os.preadv, an array of record
+        numbers with one per record, each into its row in the array's order.
+        """
+        if isinstance(index, slice):
+            start, stop, _ = index.indices(len(self))
+            records = np.empty(max(stop - start, 0), self._dtype)
+            self._read(records, start)
+        else:
+            records = np.empty(len(index), self._dtype)
+            for row, i in enumerate(index.tolist()):
+                self._read(records[row : row + 1], i)
+        records.flags.writeable = False
+        return records["freq"], records["power"]
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self) -> FeatureCache:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def read_feature_cache(path: str | Path) -> FeatureSet:
+    """Read a feature cache back whole; values come out float32 exactly as stored.
+
+    The cache is opened and checked as FeatureCache does, then all its rows
+    are read at once: freq and power are read-only views of one record
+    array, so the stacks are never held twice; labels are int64.
+    """
+    with FeatureCache(path) as cache:
+        return FeatureSet(*cache.rows(slice(None)), cache.labels)

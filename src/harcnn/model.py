@@ -261,14 +261,16 @@ def backward_batch(params: ModelParams, cache, d_logits) -> dict[str, np.ndarray
     return grads
 
 
-def predict_batch(params: ModelParams, freq, power) -> np.ndarray:
-    """Class logits (n, 6) of raw features, computed in PREDICT_CHUNK-row chunks to bound memory.
+def predict_batch(params: ModelParams, features) -> np.ndarray:
+    """Class logits (n, 6) of a FeatureSet's or an open FeatureCache's raw features.
 
-    The chunks run on every available CPU (see parallel.map_blocks); layers.softmax
-    turns the logits into probabilities. Zero rows make one empty chunk, so
-    they give (0, 6) logits.
+    They are computed in PREDICT_CHUNK-row chunks to bound memory, and
+    each chunk's rows are read through features.rows() inside its task.
+    The chunks run on every available CPU (see parallel.map_blocks);
+    layers.softmax turns the logits into probabilities. Zero rows make one
+    empty chunk, so they give (0, 6) logits.
     """
     chunk = PREDICT_CHUNK
-    rows = [slice(start, start + chunk) for start in range(0, max(freq.shape[0], 1), chunk)]
-    logits = map_blocks(lambda r: forward_batch(params, freq[r], power[r])[0], rows)
+    rows = [slice(start, start + chunk) for start in range(0, max(len(features), 1), chunk)]
+    logits = map_blocks(lambda r: forward_batch(params, *features.rows(r))[0], rows)
     return np.concatenate(logits, axis=0)

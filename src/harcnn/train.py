@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureSet, NormStats
+from .features import FeatureCache, FeatureSet, NormStats
 from .layers import softmax, softmax_cross_entropy_batch
 from .metrics import accuracy_of, confusion, macro_prf
 from .model import ModelParams, ModelSpec, backward_batch, forward_batch, init_model, predict_batch
@@ -95,28 +95,31 @@ def adam_step(
         arr -= m_hat
 
 
-def split_metrics(params: ModelParams, features: FeatureSet) -> tuple[float, float, float, float]:
-    """(accuracy, precision, recall, f1) of the model on raw features.
+def split_metrics(params: ModelParams, features) -> tuple[float, float, float, float]:
+    """(accuracy, precision, recall, f1) of the model on a FeatureSet or an open FeatureCache.
 
     A window's prediction is the argmax of the softmax probabilities of
     predict_batch's logits, the probabilities the evaluate report scores.
     """
-    probs = softmax(predict_batch(params, features.freq, features.power))
+    probs = softmax(predict_batch(params, features))
     cm = confusion(np.argmax(probs, axis=1) + 1, features.labels)
     p, r, f1 = macro_prf(cm)
     return accuracy_of(cm), p, r, f1
 
 
 def train(
-    train_set: FeatureSet,
-    test_set: FeatureSet,
+    train_set: FeatureSet | FeatureCache,
+    test_set: FeatureSet | FeatureCache,
     spec: ModelSpec,
     cfg: TrainConfig,
     norm: NormStats,
     on_epoch: Callable[[EpochStats], None] | None = None,
 ) -> tuple[ModelParams, TrainRun]:
-    """Train on raw feature sets; returns the best-test-accuracy params.
+    """Train on raw features; returns the best-test-accuracy params.
 
+    Each split is a FeatureSet in memory or an open FeatureCache, and a
+    step reads its batch's rows through rows() in the permutation's order,
+    the order the weight gradients sum them in, so both give the same bits.
     The model carries the training-split stats `norm` and normalizes every
     batch with them. Both sets must have the stats' widths, which is
     checked before the first step; the caller's arrays are left unchanged.
@@ -128,7 +131,7 @@ def train(
     if len(train_set) == 0 or len(test_set) == 0:
         raise ValueError("cannot train on an empty split")
     for features in (train_set, test_set):
-        norm.check_shapes(features.freq, features.power)
+        norm.check_shapes(*features.rows(slice(0, 0)))
     n = len(train_set)
     params = init_model(spec, cfg.seed, norm=norm)
     shuffle_rng = np.random.default_rng(cfg.seed + 1)
@@ -146,9 +149,7 @@ def train(
         for start in range(0, n, cfg.batch_size):
             batch = perm[start : start + cfg.batch_size]
             labels0 = train_labels0[batch]
-            logits, cache = forward_batch(
-                params, train_set.freq[batch], train_set.power[batch], want_cache=True
-            )
+            logits, cache = forward_batch(params, *train_set.rows(batch), want_cache=True)
             losses, d_logits, probs = softmax_cross_entropy_batch(logits, labels0)
             loss_sum += float(losses.sum(dtype=np.float64))
             correct += int(np.count_nonzero(np.argmax(probs, axis=1) == labels0))

@@ -19,7 +19,7 @@ import pytest
 from harcnn import dataset, model
 from harcnn.dataset import Activity, N_STREAMS, STREAM_NAMES, WINDOW_LEN
 from harcnn.dsp import WelchConfig
-from harcnn.features import NormStats, extract_features
+from harcnn.features import FeatureSet, NormStats, extract_features
 
 # Dominant frequency bin and amplitude profile per class.
 _CLASS_BINS = {
@@ -123,6 +123,11 @@ def build_synthetic_dataset(root, train_per_class=8, test_per_class=4, seed=1234
     write_uci_split(root, "train", *make_split_arrays(rng, train_counts))
     write_uci_split(root, "test", *make_split_arrays(rng, test_counts))
     return root
+
+
+def unlabelled(freq, power):
+    """Raw (n,9,F)/(n,9,P) stacks as the FeatureSet predict_batch reads; it reads no labels."""
+    return FeatureSet(freq, power, labels=None)
 
 
 def make_norm(freq_bins=65, power_bins=33, seed=0, min_std=0.0):

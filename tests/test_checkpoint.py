@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import make_norm
+from conftest import make_norm, unlabelled
 from harcnn.binio import FormatError, pack_tensor_record, unpack_tensor_records
 from harcnn.checkpoint import (
     CHECKPOINT_MAGIC,
@@ -54,7 +54,8 @@ class TestCheckpointRoundTrip:
         freq = rng.standard_normal((100, 9, 65)).astype(np.float32)
         power = rng.standard_normal((100, 9, 33)).astype(np.float32)
         assert np.array_equal(
-            predict_batch(params, freq, power), predict_batch(loaded, freq, power)
+            predict_batch(params, unlabelled(freq, power)),
+            predict_batch(loaded, unlabelled(freq, power)),
         )
 
     def test_save_is_deterministic(self, tmp_path):

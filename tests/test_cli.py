@@ -19,7 +19,9 @@ from conftest import (
     write_uci_split,
 )
 import harcnn
+import harcnn.train
 from harcnn import cli, dataset, features, metrics, model, parallel
+from harcnn.binio import atomic_write_bytes
 from harcnn.checkpoint import load_norm_stats, save_norm_stats
 from harcnn.dataset import (
     BLOCK_ROWS, N_STREAMS, SPLITS, WINDOW_LEN, DatasetError, load_split,
@@ -747,6 +749,102 @@ class TestTrain:
         assert runs[0] == runs[1]
 
 
+def copy_artifacts(source, work, names=("train_features.bin", "test_features.bin",
+                                        "norm_stats.bin")):
+    work.mkdir()
+    for name in names:
+        (work / name).write_bytes((source / name).read_bytes())
+
+
+def open_descriptors():
+    """The names of this process's open file descriptors (Linux)."""
+    return set(os.listdir("/proc/self/fd"))
+
+
+needs_proc_fds = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                                    reason="lists open descriptors from /proc/self/fd")
+
+
+class TestTrainReadsOpenCaches:
+    """train checks each cache whole as it opens it, then reads its rows as they are used."""
+
+    def test_peak_memory_does_not_grow_with_the_split(self, tmp_path, monkeypatch):
+        # Only the labels grow with the train split, 8 bytes a record, where the cache's
+        # bytes held whole grew by 1,800 x 3,529 bytes (6.4 MB) from 600 to 2,400 windows.
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)  # the same threads on any host
+        peaks = []
+        for n in (600, 2400):
+            root = tmp_path / str(n)
+            write_uci_layout_split(root, "train", n)
+            write_uci_layout_split(root, "test", 150)
+            cfg_path = write_config(tmp_path / f"{n}.json",
+                                    smoke_config(root, root / "out", epochs=1))
+            assert main(["extract", "--config", cfg_path]) == 0
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                assert main(["train", "--config", cfg_path]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1] - held)
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 1e6, peaks
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("fault, message", [
+        ("cut", r"cache size \d+ != expected \d+"),
+        ("resized", r"cache size \d+ != expected \d+"),
+        ("bad_magic", r"bad feature cache magic b'NOTMAGIC'"),
+    ])
+    @needs_proc_fds
+    def test_a_faulty_cache_stops_before_any_step(self, trained_pipeline, tmp_path, capsys,
+                                                  monkeypatch, split, fault, message):
+        root, out_dir, _ = trained_pipeline
+        work = tmp_path / "out"
+        copy_artifacts(out_dir, work)
+        path = work / f"{split}_features.bin"
+        data = path.read_bytes()
+        path.write_bytes({"cut": data[:-10], "resized": data + bytes(3529),
+                          "bad_magic": b"NOTMAGIC" + data[8:]}[fault])
+        cfg_path = write_config(tmp_path / "c.json", smoke_config(root, work, epochs=1))
+        forbid_calls(monkeypatch, model.forward_batch, "a step ran on a faulty cache")
+        before = open_descriptors()
+        err = one_line_error(capsys, ["train", "--config", cfg_path])
+        assert re.fullmatch(rf"error: {re.escape(str(path))}: {message}\n", err)
+        assert not (work / "checkpoint.bin").exists() and not (work / "epochs.csv").exists()
+        assert open_descriptors() == before
+
+    @needs_proc_fds
+    def test_reads_the_checked_files_when_the_caches_are_replaced(self, trained_pipeline,
+                                                                  tmp_path, monkeypatch):
+        root, out_dir, _ = trained_pipeline
+        replace_at_next_step = []
+        real_adam_step = harcnn.train.adam_step
+
+        def step(*args):
+            for path, data in replace_at_next_step:
+                atomic_write_bytes(path, data)
+            replace_at_next_step.clear()
+            real_adam_step(*args)
+
+        monkeypatch.setattr(harcnn.train, "adam_step", step)
+        outputs = {}
+        for run in ("kept", "replaced"):
+            work = tmp_path / run
+            copy_artifacts(out_dir, work)
+            paths = [work / "train_features.bin", work / "test_features.bin"]
+            swapped = [path.read_bytes() for path in reversed(paths)]
+            if run == "replaced":
+                # At epoch 1's first update each cache's path comes to name the other's bytes.
+                replace_at_next_step.extend(zip(paths, swapped))
+            cfg_path = write_config(tmp_path / f"{run}.json", smoke_config(root, work, epochs=2))
+            before = open_descriptors()
+            assert main(["train", "--config", cfg_path]) == 0
+            assert open_descriptors() == before
+            outputs[run] = [(work / name).read_bytes() for name in ("checkpoint.bin", "epochs.csv")]
+        assert [path.read_bytes() for path in paths] == swapped
+        assert outputs["replaced"] == outputs["kept"]
+
+
 class TestStaleCaches:
     """train reuses the caches only when their extraction record matches this run's."""
 
@@ -940,9 +1038,9 @@ class TestEvaluate:
         assert main(["extract", "--config", cfg_path]) == 0
         predicted, reported = [], []
 
-        def predicting(params, freq, power):
-            predicted.append({"freq": freq, "power": power})
-            return model.predict_batch(params, freq, power)
+        def predicting(params, features):
+            predicted.append({"freq": features.freq, "power": features.power})
+            return model.predict_batch(params, features)
 
         def reporting(probs, labels):
             reported.append({"labels": labels})

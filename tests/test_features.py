@@ -16,6 +16,7 @@ from harcnn.dataset import (
 from harcnn.dsp import WelchConfig, rfft, welch_psd
 from harcnn.features import (
     EPSILON,
+    FeatureCache,
     FeatureSet,
     NormStats,
     extract_features,
@@ -524,6 +525,49 @@ class TestFeatureCache:
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(FormatError, match="cache size"):
             read_feature_cache(path)
+
+    # The check reads CACHE_CHUNK_WINDOWS (256) records at a time: each fault below lies
+    # in another chunk than the one it must win against.
+    @pytest.mark.parametrize("faults, message", [
+        ({10: "nan", 500: 0}, "record 500 has label 0, not a class id in 1..6"),
+        ({300: 9, 520: 0}, "record 300 has label 9, not a class id in 1..6"),
+        ({10: "nan", 599: "inf"}, "feature cache holds non-finite values"),
+        ({599: "inf"}, "feature cache holds non-finite values"),
+    ])
+    @pytest.mark.parametrize("reader", [read_feature_cache, FeatureCache])
+    def test_checks_keep_their_precedence_across_chunks(self, tmp_path, reader, faults, message):
+        fs = self._feature_set(n=600)
+        for record, fault in faults.items():
+            if isinstance(fault, str):
+                fs.power[record, 8, 32] = float(fault)
+            else:
+                fs.labels[record] = fault
+        path = tmp_path / "faulty.harfeat"
+        write_feature_cache(path, fs)
+        with pytest.raises(FormatError) as info:
+            reader(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_open_cache_keeps_only_its_labels_and_reads_rows_as_asked(self, tmp_path):
+        fs = self._feature_set(n=2000)
+        path = tmp_path / "train.harfeat"
+        write_feature_cache(path, fs)
+        tracemalloc.start()
+        try:
+            with FeatureCache(path) as cache:
+                held = tracemalloc.get_traced_memory()[0]
+                batch = np.random.default_rng(3).permutation(len(cache))[:64]
+                freq, power = cache.rows(batch)
+                chunk_freq, chunk_power = cache.rows(slice(1536, 2048))
+        finally:
+            tracemalloc.stop()
+        assert held < 2000 * 8 + 10_000, held  # the int64 labels and the file object
+        assert np.array_equal(cache.labels, fs.labels)
+        assert np.array_equal(freq, fs.freq[batch]) and np.array_equal(power, fs.power[batch])
+        assert np.array_equal(chunk_freq, fs.freq[1536:])
+        assert np.array_equal(chunk_power, fs.power[1536:])
+        with pytest.raises(ValueError, match="read-only"):
+            freq[0, 0, 0] = 1.0
 
     def test_default_welch_shapes(self):
         welch = WelchConfig()

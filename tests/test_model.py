@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_norm, nan_in_worker_chunks
+from conftest import make_norm, nan_in_worker_chunks, unlabelled
 from harcnn import model
 from harcnn.config import from_json, to_json
 from harcnn.dataset import N_STREAMS
@@ -128,7 +128,7 @@ class TestForward:
             params = init_model(seed=seed, norm=make_norm())
             freq = rng.standard_normal((10, 9, 65))
             power = rng.standard_normal((10, 9, 33))
-            means.append(softmax(predict_batch(params, freq, power)).mean(axis=0))
+            means.append(softmax(predict_batch(params, unlabelled(freq, power))).mean(axis=0))
         mean_probs = np.mean(means, axis=0)
         assert np.all(mean_probs >= 0.10)
         assert np.all(mean_probs <= 0.24)
@@ -216,7 +216,8 @@ class TestForward:
         params = init_model(seed=2, norm=make_norm())
         freq = np.zeros((0, 9, 65), dtype=np.float32)
         power = np.zeros((0, 9, 33), dtype=np.float32)
-        for logits in (forward_batch(params, freq, power)[0], predict_batch(params, freq, power)):
+        for logits in (forward_batch(params, freq, power)[0],
+                       predict_batch(params, unlabelled(freq, power))):
             assert logits.shape == (0, 6) and logits.dtype == np.float32
 
     @pytest.mark.parametrize("cpus", ["one_cpu", "four_cpus"])
@@ -227,7 +228,7 @@ class TestForward:
         params = init_model(seed=2, norm=make_norm(min_std=1.0))
         freq = rng.standard_normal((600, 9, 65)).astype(np.float32)
         power = rng.standard_normal((600, 9, 33)).astype(np.float32)
-        got = predict_batch(params, freq, power)
+        got = predict_batch(params, unlabelled(freq, power))
         # One block with caches, as a training step runs it: other GEMM shapes,
         # so the same logits to float32 round-off.
         cached = forward_batch(params, freq, power, want_cache=True)[0]
@@ -245,8 +246,9 @@ class TestForward:
         params = init_model(seed=2, norm=make_norm())
         freq = (np.abs(rng.standard_normal((20, 9, 65))) * 5.0).astype(np.float32)
         power = (np.abs(rng.standard_normal((20, 9, 33))) * 0.1).astype(np.float32)
-        from32 = predict_batch(params, freq, power)
-        from64 = predict_batch(params, freq.astype(np.float64), power.astype(np.float64))
+        from32 = predict_batch(params, unlabelled(freq, power))
+        from64 = predict_batch(params, unlabelled(freq.astype(np.float64),
+                                                  power.astype(np.float64)))
         assert np.array_equal(from32, from64)
 
     def test_predict_leaves_the_callers_raw_features_unchanged(self, seven_row_chunks):
@@ -256,7 +258,7 @@ class TestForward:
             freq = rng.standard_normal((20, 9, 65)).astype(dtype)
             power = rng.standard_normal((20, 9, 33)).astype(dtype)
             kept = freq.copy(), power.copy()
-            predict_batch(params, freq, power)
+            predict_batch(params, unlabelled(freq, power))
             assert np.array_equal(freq, kept[0]) and np.array_equal(power, kept[1])
 
     def test_predict_chunking_matches_single_pass(self, seven_row_chunks):
@@ -267,7 +269,7 @@ class TestForward:
         params = init_model(seed=2, norm=make_norm(min_std=1.0))
         freq = rng.standard_normal((20, 9, 65)).astype(np.float32)
         power = rng.standard_normal((20, 9, 33)).astype(np.float32)
-        chunked = softmax(predict_batch(params, freq, power))
+        chunked = softmax(predict_batch(params, unlabelled(freq, power)))
         single = softmax(forward_batch(params, freq, power)[0])
         assert np.max(np.abs(chunked - single)) <= 1e-6
 
@@ -280,7 +282,7 @@ class TestForward:
             [softmax(forward_batch(params, freq[s : s + 7], power[s : s + 7])[0])
              for s in range(0, 20, 7)]
         )
-        assert np.array_equal(softmax(predict_batch(params, freq, power)), serial)
+        assert np.array_equal(softmax(predict_batch(params, unlabelled(freq, power))), serial)
 
     def test_predict_on_one_cpu_starts_no_thread_and_gives_the_same_bytes(
         self, monkeypatch, four_cpus, seven_row_chunks
@@ -289,7 +291,7 @@ class TestForward:
         params = init_model(seed=2, norm=make_norm())
         freq = rng.standard_normal((20, 9, 65)).astype(np.float32)
         power = rng.standard_normal((20, 9, 33)).astype(np.float32)
-        threaded = predict_batch(params, freq, power)
+        threaded = predict_batch(params, unlabelled(freq, power))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         before = threading.active_count()
         seen = []
@@ -300,7 +302,7 @@ class TestForward:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(model, "forward_batch", forward)
-        assert np.array_equal(predict_batch(params, freq, power), threaded)
+        assert np.array_equal(predict_batch(params, unlabelled(freq, power)), threaded)
         assert seen == [(threading.current_thread(), before)] * 3
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN fed on purpose
@@ -318,7 +320,7 @@ class TestForward:
         assert "\n" not in str(serial.value) and "non-finite" in str(serial.value)
         nan_in_worker_chunks(monkeypatch)
         with pytest.raises(ValueError) as threaded:
-            predict_batch(params, freq, power)
+            predict_batch(params, unlabelled(freq, power))
         assert str(threaded.value) == str(serial.value)
 
     def test_predict_is_deterministic_across_calls(self):
@@ -327,7 +329,8 @@ class TestForward:
         freq = rng.standard_normal((20, 9, 65)).astype(np.float32)
         power = rng.standard_normal((20, 9, 33)).astype(np.float32)
         assert np.array_equal(
-            predict_batch(params, freq, power), predict_batch(params, freq, power)
+            predict_batch(params, unlabelled(freq, power)),
+            predict_batch(params, unlabelled(freq, power)),
         )
 
 

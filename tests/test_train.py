@@ -8,7 +8,10 @@ from conftest import make_norm, make_split_arrays
 from harcnn.checkpoint import save_checkpoint
 from harcnn.dataset import Activity
 from harcnn.dsp import WelchConfig
-from harcnn.features import FeatureSet, extract_features_batch, fit_normalizer_arrays
+from harcnn.features import (
+    FeatureCache, FeatureSet, extract_features_batch, fit_normalizer_arrays, read_feature_cache,
+    write_feature_cache,
+)
 from harcnn.layers import softmax, softmax_cross_entropy_batch
 from harcnn.model import ConvLayerSpec, ModelSpec, init_model, predict_batch
 from harcnn.train import AdamState, TrainConfig, adam_step, split_metrics, train
@@ -163,7 +166,7 @@ class TestRunningTrainMetrics:
         cfg = TrainConfig(epochs=1, batch_size=len(windows), seed=1)
         _, run = train(windows, test_set, SMALL_SPEC, cfg, norm)
         params = init_lay_120(SMALL_SPEC, cfg.seed, norm=norm)
-        logits = predict_batch(params, windows.freq, windows.power)
+        logits = predict_batch(params, windows)
         losses, _, _ = softmax_cross_entropy_batch(logits, windows.labels - 1)
         (stats,) = run.epochs
         assert stats.train_loss == float(losses.sum(dtype=np.float64)) / len(windows)
@@ -176,9 +179,9 @@ class TestRunningTrainMetrics:
         rows = []
         real = harcnn.train.predict_batch
 
-        def counted(params, freq, power):
-            rows.append(len(freq))
-            return real(params, freq, power)
+        def counted(params, features):
+            rows.append(len(features))
+            return real(params, features)
 
         monkeypatch.setattr(harcnn.train, "predict_batch", counted)
         train_set, test_set, norm = synthetic_feature_sets()
@@ -192,7 +195,7 @@ class TestSplitMetrics:
         _, test_set, norm = synthetic_feature_sets()
         params = init_model(SMALL_SPEC, seed=1, norm=norm)
         acc, p, r, f1 = split_metrics(params, test_set)
-        probs = softmax(predict_batch(params, test_set.freq, test_set.power))
+        probs = softmax(predict_batch(params, test_set))
         preds = np.argmax(probs, axis=1) + 1
         assert acc == float(np.mean(preds == test_set.labels))
         assert 0.0 <= min(p, r, f1) and max(p, r, f1) <= 1.0
@@ -309,3 +312,37 @@ class TestTrain:
         # The best epoch is a later one, so the saved params are the keep-best copy
         # taken after some updates, not the initial or the final params.
         assert 1 < new_run.best_epoch < cfg.epochs
+
+
+class TestTrainFromOpenCaches:
+    @pytest.mark.parametrize("cpus", ["one_cpu", "four_cpus"])
+    def test_open_caches_train_as_the_sets_read_whole(self, tmp_path, request, cpus):
+        # 150 train rows are batches of 64, 64 and 22; 1,061 test rows are two
+        # 512-row predict chunks and a 37-row one.
+        request.getfixturevalue(cpus)
+        rng = np.random.default_rng(12)
+        paths = []
+        for split, n in (("train", 150), ("test", 2 * 512 + 37)):
+            path = tmp_path / f"{split}_features.bin"
+            write_feature_cache(path, FeatureSet(
+                rng.standard_normal((n, 9, 65)).astype(np.float32),
+                np.abs(rng.standard_normal((n, 9, 33))).astype(np.float32),
+                rng.integers(1, 7, size=n),
+            ))
+            paths.append(path)
+        sets = [read_feature_cache(path) for path in paths]
+        norm = fit_normalizer_arrays(sets[0].freq, sets[0].power)
+        cfg = TrainConfig(epochs=3, batch_size=64, seed=3)
+
+        def run(train_set, test_set, name):
+            params, history = train(train_set, test_set, SMALL_SPEC, cfg, norm)
+            save_checkpoint(tmp_path / name, params, WelchConfig(), history.best_epoch)
+            return params, history, (tmp_path / name).read_bytes()
+
+        whole = run(*sets, "whole.bin")
+        with FeatureCache(paths[0]) as train_cache, FeatureCache(paths[1]) as test_cache:
+            opened = run(train_cache, test_cache, "opened.bin")
+        assert opened[1] == whole[1]
+        for name, arr in whole[0].arrays.items():
+            assert np.array_equal(opened[0].arrays[name], arr), name
+        assert opened[2] == whole[2]
