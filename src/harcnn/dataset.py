@@ -155,44 +155,88 @@ _UCI_TOKEN = np.array([list(b"  0.0000000e+000"), [0, 13, 9, 0, *[9] * 7, 0, 2, 
 _POW10 = np.array([float(10**k) for k in range(23)])
 _UCI_TIMES = np.concatenate([np.ones(22), _POW10, -np.ones(22), -_POW10])
 _UCI_OVER = np.tile(np.concatenate([_POW10[:0:-1], np.ones(23)]), 2)
+# A left shift, then a mask, for each little-endian word of a token less _UCI_TOKEN's row 0:
+# they leave 4 digits in it, leading ones 0, namely the mantissa's first digit, its digits 2-5,
+# its digits 6-8 and the exponent's 3 digits.
+_UCI_WORD = np.array([[8, 0, 8, 0], [0xFF000000, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFF00]],
+                     dtype=np.uint32)
 
 
 def _uci_blocks(path: Path, columns: int):
     """Yield the blocks of a file of LF-ended lines of `columns` UCI tokens, as signal_blocks.
 
     Returns True when the whole file was yielded, and False at the first
-    block not in the layout. A token is a mantissa below 10**8 times an
-    exact 10**k with |k| <= 22, so one IEEE multiply or divide gives the
-    correctly rounded value of float() (Clinger 1990). Each block is read
-    into one reused buffer and parsed by numpy.
+    block not in the layout. One os.readv puts each block's tokens, line
+    after line, in one reused buffer and its line ends in another, and
+    _parse_uci_block writes their values into one reused array: between
+    two blocks the generator holds these buffers and nothing else, so the
+    consumer takes each block's values before it asks for the next.
     """
     width = columns * 16 + 1
     with open(path, "rb", buffering=0) as f:
         rows, rest = divmod(os.fstat(f.fileno()).st_size, width)
         if rest or not rows:
             return False
-        base, span = np.append(np.tile(_UCI_TOKEN, columns), [[10], [0]], axis=1).astype(np.uint8)
-        buffer = np.empty((min(rows, BLOCK_ROWS), width), dtype=np.uint8)
+        layout = (*np.tile(_UCI_TOKEN, columns).astype(np.uint8), *np.tile(_UCI_WORD, columns))
+        tokens = np.empty((min(rows, BLOCK_ROWS), width - 1), dtype=np.uint8)
+        ends = np.empty(len(tokens), dtype=np.uint8)
+        # Each line's tokens and its LF, as readv's buffers.
+        text, lf = memoryview(tokens).cast("B"), memoryview(ends)
+        parts = [part for i in range(len(tokens))
+                 for part in (text[i * (width - 1) : (i + 1) * (width - 1)], lf[i : i + 1])]
+        values = np.empty((len(tokens), columns))
         for start in range(0, rows, BLOCK_ROWS):
-            lines = buffer[: rows - start]
-            if f.readinto(lines) != lines.nbytes or np.any(np.subtract(lines, base, lines) > span):
+            n = min(rows - start, BLOCK_ROWS)
+            if (os.readv(f.fileno(), parts[: 2 * n]) != n * width or np.any(ends[:n] != 10)
+                    or not _parse_uci_block(tokens[:n], layout, values[:n])):
                 return False
-            tokens = np.ascontiguousarray(lines[:, :-1]).reshape(-1, 16)
-            negative, exp_negative = tokens[:, 1] == 13, tokens[:, 12] == 2
-            signed = (negative | (tokens[:, 1] == 0)) & (exp_negative | (tokens[:, 12] == 0))
-            # Little-endian words 1-3 hold mantissa digits 2-5, then its last 3 and the exponent's
-            # 3 put behind a zero byte; two SWAR steps make each word's number (Lemire 2021).
-            words = tokens.view("<u4")
-            lanes = np.stack([words[:, 1], words[:, 2] << 8, words[:, 3] & 0xFFFFFF00], axis=1)
-            lanes = (lanes * 10 + (lanes >> 8)) & 0x00FF00FF
-            lanes = (lanes * 100 + (lanes >> 16)) & 0xFFFF
-            mantissa = (words[:, 0] >> 16 & 0xFF) * 10**7 + lanes[:, 0] * 1000 + lanes[:, 1]
-            exponent = np.where(exp_negative, -lanes[:, 2].astype(np.intp), lanes[:, 2])
-            if not signed.all() or exponent.min() < -15 or exponent.max() > 29:
-                return False
-            i = exponent + 15 + 45 * negative
-            values = mantissa * _UCI_TIMES[i] / _UCI_OVER[i]
-            yield rows, start, values.reshape(len(lines), columns)
+            yield rows, start, values[:n]
+    return True
+
+
+def _parse_uci_block(tokens: np.ndarray, layout: tuple, values: np.ndarray) -> bool:
+    """Write the values of (n, 16 * columns) token bytes into (n, columns) values.
+
+    Returns False, with values undefined, when a token is not in the
+    layout. A token is a mantissa below 10**8 times an exact 10**k with
+    |k| <= 22, so one IEEE multiply or divide gives the correctly rounded
+    value of float() (Clinger 1990). The tokens are parsed in place, and
+    once the mantissas are in `values` their bytes hold each token's scale
+    index and factor, so no temporary is larger than two bytes a token.
+    """
+    base, span, shifts, masks = layout
+    if np.any(np.subtract(tokens, base, out=tokens).max(axis=0) > span):
+        return False
+    chars = tokens.reshape(-1, 16)
+    negative, exp_negative = chars[:, 1] == 13, chars[:, 12] == 2
+    signed = (negative | (chars[:, 1] == 0)) & (exp_negative | (chars[:, 12] == 0))
+    if not signed.all():
+        return False
+    # Two multiply-shift SWAR steps make each word's 4 digits its number (Lemire 2021).
+    words = tokens.view("<u4")
+    words <<= shifts
+    words &= masks
+    words *= 10 << 8 | 1
+    words >>= 8
+    words &= 0x00FF00FF
+    words *= 100 << 16 | 1
+    words >>= 16
+    digits = words.reshape(-1, 4)
+    mantissa = values.reshape(-1)
+    np.multiply(digits[:, 0], 10**7, out=mantissa)
+    digits[:, 1] *= 1000
+    mantissa += digits[:, 1]
+    mantissa += digits[:, 2]
+    exponent = digits[:, 3].astype(np.int16)
+    exponent *= 1 - 2 * exp_negative.astype(np.int16)
+    if exponent.min() < -15 or exponent.max() > 29:
+        return False
+    exponent += 15 + 45 * negative.astype(np.int16)  # the index into _UCI_TIMES and _UCI_OVER
+    index = tokens.reshape(-1)[: 8 * len(exponent)].view(np.intp)[: len(exponent)]
+    scale = tokens.reshape(-1)[8 * len(exponent) :].view(np.float64)
+    np.copyto(index, exponent)
+    mantissa *= np.take(_UCI_TIMES, index, out=scale, mode="clip")
+    mantissa /= np.take(_UCI_OVER, index, out=scale, mode="clip")
     return True
 
 

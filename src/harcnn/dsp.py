@@ -20,13 +20,20 @@ the complex transform is bit-identical to it; the split step then works
 in the same layout, and only the result is a transposed view in the
 caller's layout. Callers keep batches to a few MB (harcnn.features
 passes blocks of BLOCK_WINDOWS * 9 signals) so these buffers stay
-cache-resident. Every buffer belongs to one call and the cached plans
-are only read, so calls may run on several threads at once, as
-harcnn.features runs them.
+cache-resident.
+
+rfft and welch_psd take their large arrays from a Workspace. A caller
+that transforms block after block on one thread passes the same one to
+every call, so each block is written with out= into the memory the last
+one used, in the same operations and order; without one, a call makes
+its own and every buffer belongs to that call. The cached plans and
+windows are only read, so calls may run on several threads at once, each
+with its own workspace, as harcnn.features runs them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -70,6 +77,27 @@ class WelchConfig:
         return self.segment_len // 2 + 1
 
 
+class Workspace:
+    """Named scratch arrays that rfft and welch_psd calls reuse, for one thread.
+
+    A name keeps one flat buffer, grown to the largest size asked of it,
+    and each request is a C-ordered view of its start. An array that a call
+    returns may be such a view: it holds until the next call given the same
+    workspace.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """An uninitialized array of `shape` and `dtype` at the start of buffer `name`."""
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size or buffer.dtype != dtype:
+            buffer = self._buffers[name] = np.empty(size, dtype)
+        return buffer[:size].reshape(shape)
+
+
 @lru_cache(maxsize=32)
 def _fft_plan(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Bit-reversal permutation and per-stage twiddle factors for size n."""
@@ -86,7 +114,7 @@ def _fft_plan(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     return rev, tuple(twiddles)
 
 
-def _fft(x: np.ndarray) -> np.ndarray:
+def _fft(x: np.ndarray, work: Workspace | None = None) -> np.ndarray:
     """Iterative radix-2 decimation-in-time FFT over the last axis.
 
     The leading axes are flattened to m signals held as an (n, m)
@@ -96,21 +124,25 @@ def _fft(x: np.ndarray) -> np.ndarray:
     scales the odd halves by the twiddles (broadcast as (half, 1)) in
     place, skipping the first, which is 1, and writes even + odd and
     even - odd into the other of two ping-pong buffers. The returned array
-    is a transposed view with the input's shape.
+    is a transposed view of one of them with the input's shape.
     """
     shape = x.shape
     n = shape[-1]
     if n == 1:
         return x.astype(np.complex128)
+    if work is None:
+        work = Workspace()
     rev, twiddles = _fft_plan(n)
     signals = x.reshape(-1, n)
     m = signals.shape[0]
-    src = np.empty((n, m), dtype=np.complex128)
-    dst = np.empty_like(src)
-    even, odd = signals.T[rev[0::2]], signals.T[rev[1::2]]
+    src = work.array("fft.src", (n, m), np.complex128)
+    dst = work.array("fft.dst", (n, m), np.complex128)
+    # The bit reversal is its own inverse, so scattering signal sample j to row
+    # rev[j] gathers sample rev[i] to row i, with no temporary for the gather.
+    dst[rev] = signals.T
     pairs = src.reshape(n // 2, 2, m)
-    np.add(even, odd, out=pairs[:, 0])
-    np.subtract(even, odd, out=pairs[:, 1])
+    np.add(dst[0::2], dst[1::2], out=pairs[:, 0])
+    np.subtract(dst[0::2], dst[1::2], out=pairs[:, 1])
     half = 2
     for tw in twiddles[1:]:
         size = 2 * half
@@ -138,7 +170,7 @@ def _split_twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (0.5 * (1 - 1j * w))[:, None], (0.5 * (1 + 1j * w))[:, None]
 
 
-def rfft(signal: np.ndarray) -> np.ndarray:
+def rfft(signal: np.ndarray, work: Workspace | None = None) -> np.ndarray:
     """One-sided unnormalized DFT of a real signal whose length N is a power of two.
 
     Returns bins 0 .. N/2 (negative exponent convention, no 1/N factor).
@@ -146,7 +178,7 @@ def rfft(signal: np.ndarray) -> np.ndarray:
     half-length FFT transforms them, and a split step separates the even
     and odd samples' spectra (Sorensen et al. 1987). Bins 0 and N/2 are
     Re Z[0] +- Im Z[0], real by construction. The result is a transposed
-    view of the transform-axis-first buffer.
+    view of the transform-axis-first buffer, one of `work`'s when given.
     """
     x = np.asarray(signal, dtype=np.float64)
     shape = x.shape
@@ -155,18 +187,23 @@ def rfft(signal: np.ndarray) -> np.ndarray:
         raise ValueError(f"signal length must be a power of two >= 2, got {n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("signal contains non-finite samples")
+    if work is None:
+        work = Workspace()
     half = n // 2
     # _fft of the (m, half) packed rows is a transposed view of its (half, m) buffer.
-    z = _fft(np.ascontiguousarray(x.reshape(-1, n)).view(np.complex128)).T
+    z = _fft(np.ascontiguousarray(x.reshape(-1, n)).view(np.complex128), work).T
     a, b = _split_twiddles(n)
-    out = np.empty((half + 1, z.shape[1]), dtype=np.complex128)
+    out = work.array("rfft.out", (half + 1, z.shape[1]), np.complex128)
     out[0] = z[0].real + z[0].imag
     out[half] = z[0].real - z[0].imag
+    # Bins 1 .. half - 1 are conj(Z[half - k]) * b + Z[k] * a: the mirror is
+    # written first, then Z, which is this call's buffer, is scaled in place.
     inner = out[1:half]
-    np.multiply(z[1:], a, out=inner)
-    mirror = np.conjugate(z[:0:-1])
-    mirror *= b
-    inner += mirror
+    np.conjugate(z[:0:-1], out=inner)
+    inner *= b
+    scaled = z[1:]
+    scaled *= a
+    inner += scaled
     return out.T.reshape(shape[:-1] + (half + 1,))
 
 
@@ -196,7 +233,15 @@ def make_window(kind: str, length: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * t / (length - 1))
 
 
-def welch_psd(signal: np.ndarray, cfg: WelchConfig) -> np.ndarray:
+@lru_cache(maxsize=32)
+def _window(kind: str, length: int) -> tuple[np.ndarray, float]:
+    """make_window's window, read-only so that threads share it, and its mean squared value."""
+    win = make_window(kind, length)
+    win.flags.writeable = False
+    return win, float(np.mean(win * win))
+
+
+def welch_psd(signal: np.ndarray, cfg: WelchConfig, work: Workspace | None = None) -> np.ndarray:
     """Welch overlapped-segment-averaged PSD over the last axis: cfg.n_bins values per signal.
 
     Segments start at 0, step, 2*step, ... with step = segment_len - overlap;
@@ -204,25 +249,36 @@ def welch_psd(signal: np.ndarray, cfg: WelchConfig) -> np.ndarray:
     gives the one-sided windowed periodogram |FFT(u * y)|^2 / (O * P), with
     P the mean squared window value, keeping bins 0 .. O/2 and doubling the
     interior bins so the one-sided total matches the two-sided one. The
-    result is the mean of these periodograms over the segments.
+    result is the mean of these periodograms over the segments, in one of
+    `work`'s buffers when given.
     """
     x = np.asarray(signal, dtype=np.float64)
     n = x.shape[-1]
     length = cfg.segment_len
     if length > n:
         raise ValueError(f"segment_len {length} exceeds signal length {n}")
-    win = make_window(cfg.window_kind, length)
+    if work is None:
+        work = Workspace()
+    win, power = _window(cfg.window_kind, length)
     segments = sliding_window_view(x, length, axis=-1)[..., :: cfg.step, :]
-    spec = rfft(segments * win)
-    power = float(np.mean(win * win))
-    one_sided = (spec.real**2 + spec.imag**2) / (length * power)
+    windowed = work.array("welch.scratch", segments.shape)
+    spec = rfft(np.multiply(segments, win, out=windowed), work)
+    # The periodograms take rfft's layout, bins outermost, as a ufunc's own
+    # result would, so the segment axis that mean reduces stays innermost.
+    *lead, bins = spec.shape
+    one_sided = np.moveaxis(work.array("welch.power", (bins, *lead)), 0, -1)
+    np.square(spec.real, out=one_sided)
+    # The windowed segments are spent once rfft returns.
+    one_sided += np.square(spec.imag, out=work.array("welch.scratch", spec.shape))
+    one_sided /= length * power
     one_sided[..., 1:-1] *= 2.0
     count = one_sided.shape[-2]
+    total = work.array("welch.total", (*lead[:-1], bins))
     if count >= 8:  # numpy's mean adds 8 or more values pairwise
-        return one_sided.mean(axis=-2)
+        return np.mean(one_sided, axis=-2, out=total)
     # Fewer are added in order, so whole-row adds give mean's bits without
     # its reduction over the axis that rfft's layout leaves innermost.
-    total = one_sided[..., 0, :].copy()
+    np.copyto(total, one_sided[..., 0, :])
     for k in range(1, count):
         total += one_sided[..., k, :]
     total /= count

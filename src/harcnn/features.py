@@ -9,16 +9,19 @@ A stream's features depend on that stream's samples alone. So
 extract_features, which `extract`, `train` and `evaluate` all use, reads
 a split through dataset.read_split with one task per signal file. The
 task takes its file from dataset.signal_blocks in blocks of BLOCK_ROWS
-rows, casts each block's features to float32 in one reused buffer and
-writes them at their rows' offset in its stream's scratch file (a
-spill) before the next block is parsed: no task holds a parsed file,
-and no split-sized feature stack exists. SpilledFeatures then builds
-the cache's records CACHE_CHUNK_WINDOWS at a time from the nine spills,
-a transpose from stream-major to window-major (an out-of-core transpose,
-as in external-memory algorithms), and write_feature_cache streams
-those chunks into the file. extract_split and extract_features_batch
-derive the same features from a loaded split's windows; tests hold
-extract_features to them.
+rows, transforms each block in its own dsp.Workspace, casts the
+features to float32 in one reused buffer and writes them at their rows'
+offset in its stream's scratch file (a spill) before the next block is
+parsed. For the train split's normalizer it adds each block's float64
+features to a running mean and variance. So a task writes each block
+into the buffers the last one used and holds no parsed file and no copy
+of its features, and no split-sized feature stack exists.
+SpilledFeatures then builds the cache's records CACHE_CHUNK_WINDOWS at a
+time from the nine spills, a transpose from stream-major to window-major
+(an out-of-core transpose, as in external-memory algorithms), and
+write_feature_cache streams those chunks into the file. extract_split
+and extract_features_batch derive the same features from a loaded
+split's windows; tests hold extract_features to them.
 
 FeatureCache is the one cache reader: it checks a cache whole, a chunk
 at a time, when it opens it, keeps only the labels, and reads the rows
@@ -32,7 +35,7 @@ from __future__ import annotations
 import itertools
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +46,7 @@ from .dataset import (
     BLOCK_ROWS, N_CLASSES, N_STREAMS, SPLITS, WINDOW_LEN, SplitManifest, read_split,
     signal_blocks, split_files,
 )
-from .dsp import WelchConfig, rfft, welch_psd
+from .dsp import WelchConfig, Workspace, rfft, welch_psd
 
 FREQ_BINS = WINDOW_LEN // 2 + 1  # 65
 # Added to every std before dividing, so a constant position maps to 0.
@@ -172,19 +175,29 @@ class SpilledFeatures:
         return FeatureSet(records["freq"], records["power"], self.labels)
 
 
-def _rows_features(rows: np.ndarray, cfg: WelchConfig) -> tuple[np.ndarray, np.ndarray]:
+@dataclass
+class _Transform:
+    """A Welch config and the dsp.Workspace of the one thread that _rows_features runs on."""
+
+    cfg: WelchConfig
+    work: Workspace = field(default_factory=Workspace)
+
+
+def _rows_features(rows: np.ndarray, transform: _Transform) -> tuple[np.ndarray, np.ndarray]:
     """The float64 freq and power features of (k, 128) signal rows.
 
-    The rows go through the FFT and Welch in blocks of BLOCK_ROWS, so
-    every temporary stays a few MB and cache-resident whatever k is. Each
-    value is computed from its own row alone.
+    The rows go through the FFT and Welch in blocks of BLOCK_ROWS, so every
+    temporary stays a few MB and cache-resident whatever k is. Each value
+    is computed from its own row alone. Both arrays, and every temporary,
+    are buffers of `transform`'s workspace: they hold until its next call.
     """
-    freq = np.empty((len(rows), FREQ_BINS))
-    power = np.empty((len(rows), cfg.n_bins))
+    work = transform.work
+    freq = work.array("features.freq", (len(rows), FREQ_BINS))
+    power = work.array("features.power", (len(rows), transform.cfg.n_bins))
     for start in range(0, len(rows), BLOCK_ROWS):
         block = slice(start, start + BLOCK_ROWS)
-        freq[block] = np.abs(rfft(rows[block]))
-        power[block] = welch_psd(rows[block], cfg)
+        np.abs(rfft(rows[block], work), out=freq[block])
+        power[block] = welch_psd(rows[block], transform.cfg, work)
     return freq, power
 
 
@@ -201,8 +214,9 @@ def extract_features_batch(
         raise ValueError(f"windows shape must be (n, {N_STREAMS}, {WINDOW_LEN}), got {w.shape}")
     freq = np.empty((w.shape[0], N_STREAMS, FREQ_BINS))
     power = np.empty((w.shape[0], N_STREAMS, cfg.n_bins))
+    transform = _Transform(cfg)
     for s in range(N_STREAMS):
-        freq[:, s], power[:, s] = _rows_features(w[:, s], cfg)
+        freq[:, s], power[:, s] = _rows_features(w[:, s], transform)
     return freq, power
 
 
@@ -212,14 +226,56 @@ def extract_split(manifest: SplitManifest, cfg: WelchConfig = WelchConfig()) -> 
     return FeatureSet(freq=freq, power=power, labels=manifest.labels.copy())
 
 
+class _RunningMoments:
+    """Count, mean and sum of squared deviations (M2) of rows added in chunks, per position.
+
+    Each chunk's mean and M2 are taken in two passes through one reused
+    scratch array, then merged into the running ones by Chan, Golub and
+    LeVeque's pairwise update (1983). Every row is first shifted by the
+    first row added: a merge subtracts two means, and unshifted means of
+    data with a large offset would carry that offset's rounding into the
+    variance. No chunk may be longer than the first.
+    """
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def add(self, chunk: np.ndarray) -> None:
+        if not self.count:
+            self.shift, self.scratch = chunk[0].copy(), np.empty(chunk.shape)
+        n = len(chunk)
+        deviations = np.subtract(chunk, self.shift, out=self.scratch[:n])
+        mean = deviations.mean(axis=0)
+        deviations -= mean
+        m2 = np.square(deviations, out=deviations).sum(axis=0)
+        if not self.count:
+            self.mean, self.m2 = mean, m2
+        else:
+            total = self.count + n
+            delta = mean - self.mean
+            self.mean += delta * (n / total)
+            self.m2 += m2
+            self.m2 += delta * delta * (self.count * n / total)
+        self.count += n
+
+    def result(self) -> tuple[np.ndarray, np.ndarray]:
+        """The mean and population std of the rows added."""
+        return self.shift + self.mean, np.sqrt(self.m2 / self.count)
+
+
 def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and population std over the first axis, in float64.
 
-    numpy reduces a C-ordered array's first axis one row at a time, so
-    the moments of one stream's (n, bins) rows are bit for bit that
-    stream's slice of the moments of the (n, 9, bins) stack.
+    The rows are added to a _RunningMoments BLOCK_ROWS at a time, as a
+    stream task adds its blocks, and every step is elementwise or reduces
+    a C-ordered array's first axis one row at a time: so the moments of one
+    stream's (n, bins) rows are bit for bit that stream's slice of the
+    moments of the (n, 9, bins) stack.
     """
-    return x.mean(axis=0), x.std(axis=0)
+    moments = _RunningMoments()
+    for start in range(0, len(x), BLOCK_ROWS):
+        moments.add(x[start : start + BLOCK_ROWS])
+    return moments.result()
 
 
 def extract_features(
@@ -233,48 +289,49 @@ def extract_features(
     stay in them, and the SpilledFeatures returned reads them back. The
     stats are bit for bit fit_normalizer_arrays' of the extract_split
     stacks. dataset.read_split runs one task per signal file. The task
-    takes its file from dataset.signal_blocks, casts each block's
-    features, cut to `subset` rows, into its reused (BLOCK_ROWS, F + P)
-    float32 buffer and writes it at the block's offset in its spill before
-    the next block is parsed; with fit it keeps its stream's float64
-    features for their moments. A block at start 0 begins the file afresh,
-    so a file re-read whole by the text parser overwrites what its
-    earlier blocks wrote. A fault is reported as by every command that
-    reads a split, and an overflow in the transforms or in the float32
-    casts (a finite power can exceed float32) only after the rest of its
-    file is parsed and the split's checks pass, as extract_split's was.
+    takes its file from dataset.signal_blocks, transforms each block,
+    cut to `subset` rows, in its own workspace, casts the features into
+    its reused (BLOCK_ROWS, F + P) float32 buffer and writes them at the
+    block's offset in its spill before the next block is parsed; with fit
+    it adds the block's float64 features to its running moments, as
+    _moments adds the stacks' chunks. So a task holds the same few MB of
+    buffers whatever the split's size. A block at start 0 begins the file
+    afresh, moments included, so a file re-read whole by the text parser
+    overwrites what its earlier blocks wrote. A fault is reported as by
+    every command that reads a split, and an overflow in the transforms or
+    in the float32 casts (a finite power can exceed float32) only after
+    the rest of its file is parsed and the split's checks pass, as
+    extract_split's was.
     """
     stream_of = {path: s for s, path in enumerate(split_files(root, split)[:N_STREAMS])}
 
     def stream_task(path: Path):
         fd = spills[stream_of[path]].fileno()
+        transform = _Transform(cfg)
         buffer = np.empty((BLOCK_ROWS, FREQ_BINS + cfg.n_bins), np.float32)
         for n_rows, start, rows in signal_blocks(path):
             if start == 0:
                 n_keep = n_rows if subset is None else min(n_rows, subset)
-                kept = (np.empty((n_keep, FREQ_BINS)), np.empty((n_keep, cfg.n_bins))) if fit else None
+                running = (_RunningMoments(), _RunningMoments()) if fit else ()
                 overflow = None
             if overflow or start >= n_keep:
                 continue  # the rest of the file is still parsed, for its faults
             rows = rows[: n_keep - start]
-            block = slice(start, start + len(rows))
             try:
-                freq, power = _rows_features(rows, cfg)
+                freq, power = _rows_features(rows, transform)
                 # The text parser yields a whole file as one block.
                 for at in range(0, len(rows), BLOCK_ROWS):
                     out, part = buffer[: len(rows) - at], slice(at, at + BLOCK_ROWS)
                     out[:, :FREQ_BINS], out[:, FREQ_BINS:] = freq[part], power[part]
                     if os.pwrite(fd, out, (start + at) * out[0].nbytes) != out.nbytes:
                         raise OSError(f"short write to the feature spill of {path.name}")
+                    for moments, values in zip(running, (freq[part], power[part])):
+                        moments.add(values)
             except FloatingPointError as exc:
                 overflow = exc
-                continue
-            if fit:
-                kept[0][block], kept[1][block] = freq, power
-        # Moments of float64 features that fit float32 cannot overflow.
         if overflow or not (fit and n_keep):
             return n_rows, overflow
-        return n_rows, (*_moments(kept[0]), *_moments(kept[1]))
+        return n_rows, (*running[0].result(), *running[1].result())
 
     moments, labels, _ = read_split(root, split, stream_task, strict_counts)
     for result in moments:

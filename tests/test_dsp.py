@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from harcnn.dsp import WelchConfig, _fft, _fft_plan, fft_real, make_window, rfft, welch_psd
+from harcnn import dsp
+from harcnn.dsp import (
+    WelchConfig, Workspace, _fft, _fft_plan, fft_real, make_window, rfft, welch_psd,
+)
 
 POW2_SIZES = [8, 16, 32, 64, 128, 256, 512, 1024]
 
@@ -273,6 +276,34 @@ class TestWelchPsd:
         for i in range(3):
             for j in range(4):
                 assert np.array_equal(got[i, j], welch_psd(x[i, j], WelchConfig()))
+
+    # 15 segments of 16 samples take numpy's pairwise mean, 3 of 64 the in-order adds.
+    @pytest.mark.parametrize("cfg", [WelchConfig(), WelchConfig(16, 8, "rectangular")])
+    def test_one_workspace_gives_each_calls_own_bits(self, cfg):
+        # Blocks of 288, 12 and 288 rows, as a stream task's, each written at the start of
+        # buffers that the block before may have filled further.
+        rng = np.random.default_rng(25)
+        x = rng.standard_normal((588, 128)) * 10.0 ** rng.uniform(-3, 3, (588, 1))
+        work = Workspace()
+        for block in (slice(0, 288), slice(288, 300), slice(300, 588)):
+            assert np.abs(rfft(x[block], work)).tobytes() == np.abs(rfft(x[block])).tobytes()
+            assert welch_psd(x[block], cfg, work).tobytes() == welch_psd(x[block], cfg).tobytes()
+
+    def test_window_is_made_once_and_shared_read_only(self, monkeypatch):
+        made = []
+
+        def making(kind, length):
+            made.append((kind, length))
+            return make_window(kind, length)
+
+        dsp._window.cache_clear()
+        monkeypatch.setattr(dsp, "make_window", making)
+        x = np.random.default_rng(26).standard_normal((4, 128))
+        first = welch_psd(x, WelchConfig())
+        assert welch_psd(x, WelchConfig()).tobytes() == first.tobytes()
+        assert made == [("hamming", 64)]
+        win, power = dsp._window("hamming", 64)
+        assert not win.flags.writeable and power == np.mean(win * win)
 
     def test_white_noise_total_power_matches_variance(self):
         cfg = WelchConfig(segment_len=64, overlap=32, window_kind="hamming")

@@ -1,4 +1,5 @@
 import contextlib
+import math
 import os
 import sys
 import threading
@@ -88,6 +89,19 @@ class TestExtractFeatures:
             assert np.array_equal(freq[i], np.abs(rfft(windows[i])))
             assert np.array_equal(power[i], welch_psd(windows[i], WelchConfig()))
 
+    def test_one_workspace_gives_the_batch_bits_whatever_the_block_lengths(self):
+        # A short block between two full ones is written at the start of the same buffers,
+        # so it must read none of the rows the block before it left there.
+        n = 2 * BLOCK_ROWS + 12
+        windows = np.random.default_rng(24).standard_normal((n, N_STREAMS, 128))
+        freq, power = extract_features_batch(windows)
+        transform = features._Transform(WelchConfig())
+        for block in (slice(0, BLOCK_ROWS), slice(BLOCK_ROWS, BLOCK_ROWS + 12),
+                      slice(BLOCK_ROWS + 12, n)):
+            got = features._rows_features(np.ascontiguousarray(windows[block, 3]), transform)
+            assert got[0].tobytes() == freq[block, 3].tobytes()
+            assert got[1].tobytes() == power[block, 3].tobytes()
+
     def test_empty_batch_gives_empty_stacks(self):
         freq, power = extract_features_batch(np.zeros((0, 9, 128)))
         assert freq.shape == (0, 9, 65)
@@ -145,6 +159,18 @@ class TestFitNormalizer:
         assert np.allclose(stats.freq_mean, mean, atol=1e-5)
         assert np.allclose(stats.freq_std, np.sqrt(m2 / 50), atol=1e-5)
 
+    def test_moments_of_offset_data_match_an_exactly_summed_two_pass(self):
+        # A spread of 1e-3 on an offset of 1e6, over 7 chunks and 5 rows: the merged chunk
+        # moments must not carry the offset's rounding into the variance.
+        n = 7 * BLOCK_ROWS + 5
+        x = 1e6 + 1e-3 * np.random.default_rng(9).standard_normal((n, 40))
+        mean, std = features._moments(x)
+        for column, got_mean, got_std in zip(x.T, mean, std):
+            want_mean = math.fsum(column) / n
+            want_std = math.sqrt(math.fsum((column - want_mean) ** 2) / n)
+            assert abs(got_mean - want_mean) <= 1e-10 * abs(want_mean)
+            assert abs(got_std - want_std) <= 1e-10 * want_std
+
 
 class TestExtractFeaturesPerStream:
     """The per-stream path against load_split -> extract_split -> fit_normalizer_arrays."""
@@ -168,6 +194,17 @@ class TestExtractFeaturesPerStream:
             stream_mean, stream_std = features._moments(np.ascontiguousarray(whole.freq[:, s]))
             assert stream_mean.tobytes() == mean[s].tobytes()
             assert stream_std.tobytes() == std[s].tobytes()
+
+    def test_a_subset_cut_inside_a_block_gives_the_cut_stacks_stats(self, tmp_path):
+        n, subset = 2 * BLOCK_ROWS + 30, BLOCK_ROWS + 100
+        windows = np.random.default_rng(6).standard_normal((n, N_STREAMS, 128))
+        write_uci_split(tmp_path, "train", windows, np.arange(n) % 6 + 1, np.arange(n) % 30 + 1)
+        got_set, got = extract(tmp_path, "train", strict_counts=False, subset=subset, fit=True)
+        whole = extract_split(load_split(tmp_path, "train", strict_counts=False))
+        want = fit_normalizer_arrays(whole.freq[:subset], whole.power[:subset])
+        assert len(got_set) == subset
+        for name, value in vars(want).items():
+            assert getattr(got, name).tobytes() == value.tobytes(), name
 
     def test_without_fit_no_stats_and_no_file(self, tmp_path):
         windows = np.random.default_rng(2).standard_normal((4, N_STREAMS, 128))
@@ -287,6 +324,26 @@ class TestExtractFeaturesPerStream:
                 assert len(got) == n
         assert peaks[1] - peaks[0] < 1e6, peaks
 
+    def test_fitting_peak_does_not_grow_with_the_split(self, tmp_path, monkeypatch):
+        # With fit a stream task adds each block's features to running moments, so on one
+        # CPU the peak grows by under 0.5 MB from 3 to 12 blocks a stream. When the task kept
+        # its stream's float64 features for the moments, it grew by about 2 MB.
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 1)
+        peaks = []
+        for n in (3 * BLOCK_ROWS, 12 * BLOCK_ROWS):
+            write_uci_layout_split(tmp_path / str(n), "train", n, lines=61)
+            with contextlib.ExitStack() as stack:
+                spills = open_spills(stack, tmp_path)
+                tracemalloc.start()
+                try:
+                    held = tracemalloc.get_traced_memory()[0]
+                    extract_features(tmp_path / str(n), "train", spills=spills,
+                                     strict_counts=False, fit=True)
+                    peaks.append(tracemalloc.get_traced_memory()[1] - held)
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.5e6, peaks
+
 
 class TestLayoutBreakAfterTheFirstBlock:
     """A signal file that leaves the UCI layout after its first block of BLOCK_ROWS rows."""
@@ -314,6 +371,7 @@ class TestLayoutBreakAfterTheFirstBlock:
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_a_tab_in_block_two(self, tmp_path, monkeypatch, cpus):
         path = self.broken_file(tmp_path, self.N)
+        clean = extract(tmp_path, "train", strict_counts=False, fit=True)[1]
         lines = path.read_bytes().splitlines(keepends=True)
         lines[BLOCK_ROWS + 11] = b"\t" + lines[BLOCK_ROWS + 11][1:]
         path.write_bytes(b"".join(lines))
@@ -328,6 +386,10 @@ class TestLayoutBreakAfterTheFirstBlock:
         self.assert_extracts_as_load_split(tmp_path)
         # The file's first block was transformed before the tab was seen, then the whole file.
         assert {BLOCK_ROWS, self.N} <= set(seen)
+        # Its moments started again there: the stats are the clean file's.
+        stats = extract(tmp_path, "train", strict_counts=False, fit=True)[1]
+        for name, value in vars(clean).items():
+            assert getattr(stats, name).tobytes() == value.tobytes(), name
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_a_bad_token_at_row_300_fails_as_parse_signal_file(self, tmp_path, monkeypatch, cpus):
